@@ -22,6 +22,7 @@ from .divisors import WeilDivisor
 from .errors import (
     DecompositionIncomplete,
     DivisorForgeError,
+    FactorDegreeExceeded,
     GradingNotPositive,
     HeightNotOne,
     NonIntegralCoercion,
@@ -52,6 +53,7 @@ __all__ = [
     "CheckReport",
     "DecompositionIncomplete",
     "DivisorForgeError",
+    "FactorDegreeExceeded",
     "FractionalIdeal",
     "Grading",
     "GradingNotPositive",

@@ -91,17 +91,13 @@ def is_q_cartier(bound, D):
     return 0
 
 
-def _minimal_generators(I):
-    """Irredundant generators of the numerator; valid count by graded Nakayama
-    for homogeneous ideals."""
-    return list(I.minimal_gens())
-
-
 def is_principal(D, graded=False):
     """Whether O(D) is free, i.e. the divisor is the divisor of an element."""
     D = _integral(D)
     F = sheaf_of(D)
-    gens = _minimal_generators(F.numerator)
+    # irredundant generators: their count is minimal for homogeneous
+    # ideals by graded Nakayama
+    gens = F.numerator.minimal_gens()
     if len(gens) == 1:
         g = gens[0]
         return CheckReport("true", witness=(g, F.denominator),
@@ -170,7 +166,6 @@ def _is_regular(ring, preimage_gens, graded):
     gens = [dict(g) for g in preimage_gens if g]
     if not gens:
         return True
-    probe = Ideal(ring, [Polynomial(ring, g) for g in gens])
     codim = ring.nvars - engine.lt_dimension(
         engine.buchberger(gens, ring.key), ring.nvars, ring.key)
     minors = _jacobian_minors(ring, gens, codim) if codim else []

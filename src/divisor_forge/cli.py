@@ -313,9 +313,9 @@ class Evaluator:
     def _binop(self, op, a, b, tok):
         try:
             if op == "+":
-                return self._add(a, b)
+                return a + b
             if op == "-":
-                return self._add(a, self._neg(b, tok))
+                return a + self._neg(b, tok)
             if op == "*":
                 return self._mul(a, b)
             if op == "/":
@@ -325,12 +325,6 @@ class Evaluator:
         except (TypeError, ZeroDivisionError) as exc:
             raise _script_error(str(exc), tok, self.text) from exc
         raise _script_error("unknown operator %r" % op, tok, self.text)
-
-    def _add(self, a, b):
-        if isinstance(a, (WeilDivisor, Polynomial, Ideal)) or isinstance(
-                b, (WeilDivisor, Polynomial, Ideal)):
-            return a + b
-        return a + b
 
     def _mul(self, a, b):
         if isinstance(a, (int, Fraction)) and isinstance(b, WeilDivisor):
@@ -721,14 +715,6 @@ def render_outputs(outputs, json_mode=False):
 
 # ---------------------------------------------------------------------------
 # entry points
-
-def _exit_code_for(exc):
-    if isinstance(exc, DecompositionIncomplete):
-        return 3
-    if isinstance(exc, ParseError) and not isinstance(exc, ScriptError):
-        return 1
-    return 2
-
 
 def run_text(text, json_mode=False, graded=False, out=sys.stdout,
              err=sys.stderr):

@@ -1,9 +1,13 @@
 """Irreducible factorization over the rationals, via sympy.
 
-The engine-level dicts are converted to sympy polynomials and back; factors
-are returned monic with respect to the ring's order so they can serve as
-canonical splitting data.  A degree cap (DIVISOR_FORGE_MAXDEG, default 512)
-refuses inputs whose Kronecker-substituted univariate degree would explode.
+Factors are returned monic with respect to the ring's order so they can
+serve as canonical splitting data.  Constants and linear forms are answered
+directly: a linear form is irreducible.  Every other input goes to sympy:
+the engine-level dict becomes a sympy.Poly over QQ through Poly.from_dict
+(exponent tuples map to the generators t0, t1, ... in order, Fractions to
+QQ elements), and the factors come back through Poly.terms().  A degree cap
+(DIVISOR_FORGE_MAXDEG, default 512) refuses those inputs whose
+Kronecker-substituted univariate degree would explode.
 """
 
 import os
@@ -42,24 +46,23 @@ def factor_terms(terms, nvars, key):
 
     Returns (unit, [(factor_terms, multiplicity), ...]) with each factor
     irreducible, monic w.r.t. `key`, and the product of unit and factor
-    powers equal to the input.  Constants give an empty factor list.
+    powers equal to the input.  Constants give an empty factor list.  Each
+    factor dict is a new dict, never `terms` itself.
     """
     if not terms:
         raise ValueError("cannot factor the zero polynomial")
-    if all(not any(m) for m in terms):
+    degree = engine.total_degree(terms)
+    if degree == 0:
         return terms[(0,) * nvars], []
+    if degree == 1:
+        _, lc = engine.leading(terms, key)
+        return lc, [(dict(engine.monic(terms, key)), 1)]
     if _kronecker_degree(terms, nvars) > _maxdeg():
         raise FactorDegreeExceeded(
             "substituted univariate degree exceeds cap %d" % _maxdeg())
-    symbols = sympy.symbols("t0:%d" % nvars)
-    if nvars == 1:
-        symbols = (symbols[0],) if not isinstance(symbols, tuple) else symbols
-    expr = sympy.Add(*[
-        sympy.Rational(c.numerator, c.denominator)
-        * sympy.Mul(*[s**e for s, e in zip(symbols, m) if e])
-        for m, c in terms.items()
-    ])
-    poly = sympy.Poly(expr, *symbols, domain="QQ")
+    rep = {m: sympy.QQ(c.numerator, c.denominator) for m, c in terms.items()}
+    poly = sympy.Poly.from_dict(
+        rep, *sympy.symbols("t0:%d" % nvars), domain=sympy.QQ)
     content, factors = poly.factor_list()
     unit = Fraction(content.p, content.q)
     out = []

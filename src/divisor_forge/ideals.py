@@ -38,7 +38,6 @@ class Ideal:
         self._gb = None
         self._key = None
         self._qgens = None
-        self._symbolic_cache = {}
 
     # -- canonical data ------------------------------------------------------
 
@@ -46,18 +45,12 @@ class Ideal:
     def groebner(self):
         """Reduced GB of the ambient preimage (generators + defining ideal)."""
         if self._gb is None:
-            if not hasattr(self.ring, "_gb_cache"):
-                self.ring._gb_cache = {}
-            probe = tuple(
-                sorted(engine.canonical(g.terms, self.ring.key)
-                       for g in self.gens))
-            cached = self.ring._gb_cache.get(probe)
-            if cached is None:
-                raw = [dict(g.terms) for g in self.gens]
-                raw += [dict(g) for g in self.ring.quotient_gb]
-                cached = engine.buchberger(raw, self.ring.key)
-                self.ring._gb_cache[probe] = cached
-            self._gb = cached
+            ring = self.ring
+            probe = ("gb", tuple(sorted(
+                engine.canonical(g.terms, ring.key) for g in self.gens)))
+            self._gb = ring.memoized(probe, lambda: engine.buchberger(
+                [dict(g.terms) for g in self.gens]
+                + [dict(g) for g in ring.quotient_gb], ring.key))
         return self._gb
 
     @property
@@ -366,9 +359,18 @@ def factor_polynomial(f):
     """
     if not f.terms:
         raise DivisorForgeError("cannot factor zero")
-    unit, factors = factorization.factor_terms(
-        f.terms, f.ring.nvars, f.ring.key)
+    unit, factors = _factor(f.ring, f.terms)
     return unit, [(Polynomial(f.ring, d), m) for d, m in factors]
+
+
+def _factor(ring, terms):
+    """factorization.factor_terms of an ambient term dict, once per ring.
+
+    The result is shared through the ring's memo: callers must not mutate
+    it or its factor dicts."""
+    return ring.memoized(
+        ("factor", engine.canonical(terms, ring.key)),
+        lambda: factorization.factor_terms(terms, ring.nvars, ring.key))
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +433,7 @@ def _certify_prime(ring, gb):
         if not polys:
             return ("prime", None)
         if len(polys) == 1:
-            _, factors = factorization.factor_terms(polys[0], n, ring.key)
+            _, factors = _factor(ring, polys[0])
             if len(factors) == 1 and factors[0][1] == 1:
                 return ("prime", None)
             return ("split", [f for f, _ in factors])
@@ -455,7 +457,7 @@ def _certify_prime(ring, gb):
         split = []
         for q in polys:
             if q and any(any(m) for m in q):
-                _, factors = factorization.factor_terms(q, n, ring.key)
+                _, factors = _factor(ring, q)
                 if len(factors) > 1 or (factors and factors[0][1] > 1):
                     split = [f for f, _ in factors]
                     break
@@ -474,7 +476,7 @@ def _decompose(I, seen=None):
     gb = I.groebner
     # splitting on reducible GB elements
     for g in gb:
-        _, factors = factorization.factor_terms(g, I.ring.nvars, I.ring.key)
+        _, factors = _factor(I.ring, g)
         distinct = [f for f, _ in factors]
         if len(distinct) >= 2:
             return _branch(I, distinct, seen)
@@ -500,8 +502,7 @@ def _decompose(I, seen=None):
             combo = combo + q * rng.randint(-3, 3)
         if combo.is_zero() or not combo.terms:
             continue
-        _, factors = factorization.factor_terms(
-            combo.terms, I.ring.nvars, I.ring.key)
+        _, factors = _factor(I.ring, combo.terms)
         distinct = [f for f, _ in factors]
         if len(distinct) >= 2 and all(not I.contains(f) for f in distinct):
             return _branch(I, distinct, seen)
@@ -544,7 +545,7 @@ def certify_prime(I):
     if verdict != "prime":
         return False
     for g in I.groebner:
-        _, factors = factorization.factor_terms(g, I.ring.nvars, I.ring.key)
+        _, factors = _factor(I.ring, g)
         if len(factors) != 1 or factors[0][1] != 1:
             return False
     return True
@@ -561,16 +562,14 @@ def symbolic_power(P, n):
         raise DivisorForgeError("symbolic power needs n >= 1")
     if P.height() != 1:
         raise HeightNotOne("symbolic powers here require a height-one prime")
-    cached = P._symbolic_cache.get(n)
-    if cached is None:
-        from .fractional import reflexify
+    if n == 1:
+        return P
+    from .fractional import reflexify
 
-        if n == 1:
-            cached = P
-        else:
-            cached = reflexify(P.bracket_power(n))
-        P._symbolic_cache[n] = cached
-    return cached
+    # the hull depends on P only, not on its stored generators, so any
+    # ideal with P's key may serve
+    return P.ring.memoized(("symbolic", P.key, n),
+                           lambda: reflexify(P.bracket_power(n)))
 
 
 def max_symbolic_containment(I, P):

@@ -71,7 +71,13 @@ class Grading:
 
 
 class QuotientRing:
-    """QQ[x_1..x_n]/I with a fixed grevlex order and cached defining GB."""
+    """QQ[x_1..x_n]/I with a fixed grevlex order and cached defining GB.
+
+    `memo` holds results that depend only on canonical data of this ring,
+    under keys built from canonical forms (never object ids), so a value
+    computed once serves every equal input and dies with the ring.  Stored
+    values are shared between callers and must not be mutated.
+    """
 
     def __init__(self, names, relations=(), grading=None):
         names = tuple(names)
@@ -99,6 +105,7 @@ class QuotientRing:
             engine.canonical(g, self.key) for g in raw if g)
         self.quotient_gb = engine.buchberger(raw, self.key)
         self._dim = None
+        self.memo = {}
 
     # -- basics ------------------------------------------------------------
 
@@ -118,6 +125,14 @@ class QuotientRing:
 
     def normal_form_raw(self, terms):
         return engine.normal_form(terms, self.quotient_gb, self.key)
+
+    def memoized(self, key, compute):
+        """The memo's value under key, from compute() on the first request."""
+        try:
+            return self.memo[key]
+        except KeyError:
+            value = self.memo[key] = compute()
+            return value
 
     def dimension(self):
         """Krull dimension of the ring itself."""

@@ -1,0 +1,136 @@
+"""factor_terms: a seeded differential test against the expression-tree
+conversion it replaced, round trips, and linear forms beyond the degree cap."""
+
+import random
+from fractions import Fraction
+
+import pytest
+import sympy
+
+from divisor_forge import FactorDegreeExceeded, QuotientRing, WeilDivisor
+from divisor_forge import engine
+from divisor_forge.engine import elim_key, grevlex_key
+from divisor_forge.factorization import factor_terms
+
+
+def reference_factor_terms(terms, nvars, key):
+    """The former conversion, kept as the reference: every input, linear
+    forms too, goes to sympy as an expression tree."""
+    if all(not any(m) for m in terms):
+        return terms[(0,) * nvars], []
+    symbols = sympy.symbols("t0:%d" % nvars)
+    if nvars == 1:
+        symbols = (symbols[0],) if not isinstance(symbols, tuple) else symbols
+    expr = sympy.Add(*[
+        sympy.Rational(c.numerator, c.denominator)
+        * sympy.Mul(*[s**e for s, e in zip(symbols, m) if e])
+        for m, c in terms.items()
+    ])
+    poly = sympy.Poly(expr, *symbols, domain="QQ")
+    content, factors = poly.factor_list()
+    unit = Fraction(content.p, content.q)
+    out = []
+    for fac, mult in factors:
+        fdict = {}
+        for mono, coeff in fac.terms():
+            coeff = sympy.Rational(coeff)
+            fdict[tuple(int(e) for e in mono)] = Fraction(coeff.p, coeff.q)
+        _, lc = engine.leading(fdict, key)
+        if lc != 1:
+            fdict = engine.monic(fdict, key)
+            unit *= lc**mult
+        out.append((fdict, mult))
+    out.sort(key=lambda fm: engine.canonical(fm[0], key))
+    return unit, out
+
+
+def random_terms(rng, nvars, maxdeg):
+    """A nonzero term dict of total degree <= maxdeg with small rational
+    coefficients."""
+    terms = {}
+    while not terms:
+        for _ in range(rng.randint(1, 4)):
+            budget = rng.randint(0, maxdeg)
+            mono = []
+            for _ in range(nvars):
+                e = rng.randint(0, budget)
+                budget -= e
+                mono.append(e)
+            rng.shuffle(mono)
+            c = Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
+            terms[tuple(mono)] = terms.get(tuple(mono), 0) + c
+        terms = {m: c for m, c in terms.items() if c}
+    return terms
+
+
+def random_input(rng, nvars):
+    """Degree <= 3: either random terms or a product, so that reducible
+    inputs and repeated factors occur."""
+    shape = rng.randrange(3)
+    if shape == 0:
+        return random_terms(rng, nvars, 3)
+    if shape == 1:
+        return engine.p_mul(random_terms(rng, nvars, 1),
+                            random_terms(rng, nvars, 2))
+    return engine.p_pow(random_terms(rng, nvars, 1), rng.choice([2, 3]))
+
+
+def expand(unit, factors, nvars):
+    out = {(0,) * nvars: Fraction(unit)}
+    for f, m in factors:
+        out = engine.p_mul(out, engine.p_pow(f, m))
+    return out
+
+
+@pytest.mark.parametrize("key_name", ["grevlex", "elim1"])
+def test_factor_terms_matches_reference(key_name):
+    key = grevlex_key if key_name == "grevlex" else elim_key(1)
+    rng = random.Random(0xFAC7 + len(key_name))
+    for _ in range(300):
+        nvars = rng.randint(1, 4)
+        terms = random_input(rng, nvars)
+        snapshot = dict(terms)
+        unit, factors = factor_terms(terms, nvars, key)
+        assert (unit, factors) == reference_factor_terms(terms, nvars, key)
+        assert terms == snapshot
+        assert expand(unit, factors, nvars) == terms
+        for f, _ in factors:
+            assert f is not terms
+            assert engine.leading(f, key)[1] == 1
+
+
+def variable_sum(nvars):
+    """x0 + ... + x(nvars-1) as a term dict."""
+    return {tuple(int(i == j) for j in range(nvars)): Fraction(1)
+            for i in range(nvars)}
+
+
+def test_linear_forms_skip_the_degree_cap():
+    nvars = 10
+    form = variable_sum(nvars)
+    # the Kronecker image of x0+...+x9 has degree 2^10 - 1 > 512
+    unit, factors = factor_terms(form, nvars, grevlex_key)
+    assert unit == 1 and factors == [(form, 1)]
+    assert factors[0][0] is not form
+
+    scaled = {m: 3 * c for m, c in form.items()}
+    unit, factors = factor_terms(scaled, nvars, grevlex_key)
+    assert unit == 3 and factors == [(form, 1)]
+    assert expand(unit, factors, nvars) == scaled
+
+
+def test_degree_cap_still_refuses_nonlinear_inputs():
+    nvars = 10
+    square = engine.p_pow(variable_sum(nvars), 2)
+    with pytest.raises(FactorDegreeExceeded):
+        factor_terms(square, nvars, grevlex_key)
+
+
+def test_divisor_of_a_linear_form_in_ten_variables():
+    names = tuple("x%d" % i for i in range(10))
+    R = QuotientRing(names)
+    f = R.zero()
+    for v in R.variables():
+        f = f + v
+    D = WeilDivisor.of_element(f)
+    assert repr(D) == "Div(%s)" % " + ".join(names)

@@ -1,0 +1,82 @@
+"""The ring-owned memo never changes an answer: a session on a fresh ring
+and the same session on a ring whose memo is already warm give identical
+prime keys, reprs and JSON."""
+
+import io
+import json
+
+from divisor_forge import (
+    QuotientRing,
+    WeilDivisor,
+    ideal,
+    polynomial,
+    symbolic_power,
+)
+from divisor_forge.cli import run_text
+
+CONE = ("x", "y", "z"), ("x*y - z^2",)
+ELEMENTS = ["x", "x^2*z", "x*y*z^3", "x - z"]
+
+
+def session(R):
+    """Divisors of elements and symbolic powers, rendered every way."""
+    out = []
+    for text in ELEMENTS:
+        D = WeilDivisor.of_element(polynomial(R, text))
+        out.append((repr(D), json.dumps(D.to_json(), sort_keys=True),
+                    sorted(P.key for P in D.terms)))
+    for n in (1, 2, 3):
+        S = symbolic_power(ideal(R, "x", "z"), n)
+        out.append((repr(S), S.key))
+    return out
+
+
+def warm_up(R):
+    """Fill the memo with factorizations, bases and symbolic powers the
+    session shares, reached along other paths."""
+    for text in ("x*z", "y^2*z", "x*y", "(x - z)^2*y"):
+        WeilDivisor.of_element(polynomial(R, text))
+    P = ideal(R, "z", "x")
+    for n in (2, 3, 4):
+        symbolic_power(P, n)
+
+
+def test_cold_and_warm_sessions_agree():
+    cold_ring = QuotientRing(*CONE)
+    cold = session(cold_ring)
+    warm_ring = QuotientRing(*CONE)
+    warm_up(warm_ring)
+    before = len(warm_ring.memo)
+    assert before
+    assert session(warm_ring) == cold
+    # the warm session was served by what warm_up stored
+    assert len(warm_ring.memo) < before + len(cold_ring.memo)
+
+
+def test_symbolic_power_shares_one_value_per_prime_key():
+    R = QuotientRing(*CONE)
+    P, Q = ideal(R, "x", "z"), ideal(R, "z", "x", "x*z")
+    assert P is not Q and P.key == Q.key
+    assert symbolic_power(P, 1) is P and symbolic_power(Q, 1) is Q
+    assert symbolic_power(P, 2).key == symbolic_power(Q, 2).key
+    assert symbolic_power(Q, 3).key == symbolic_power(P, 3).key
+
+
+def run(text, json_mode):
+    out, err = io.StringIO(), io.StringIO()
+    code = run_text(text, json_mode=json_mode, out=out, err=err)
+    assert code == 0, err.getvalue()
+    return out.getvalue()
+
+
+def test_cli_output_is_identical_on_a_warm_ring():
+    # the warm-up shares the ring's line, so output lines and indices match
+    queries = ("print divisor(x^2*z);\n"
+               "print symbolicPower(ideal(x, z), 3);\n"
+               "print OO(divisor(x*y*z^3));\n")
+    ring = "ring R = QQ[x,y,z] / (x*y - z^2);"
+    warm = (" W = divisor(x*z*(x - z)); V = symbolicPower(ideal(z, x), 3);"
+            " U = OO(divisor(y^2*z));")
+    for json_mode in (False, True):
+        cold = run(ring + "\n" + queries, json_mode)
+        assert run(ring + warm + "\n" + queries, json_mode) == cold
