@@ -9,6 +9,7 @@ higher-level modules wrap these in ring-aware classes.
 import heapq
 from fractions import Fraction
 from itertools import combinations
+from operator import add, le, neg, sub
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -18,35 +19,38 @@ ONE = Fraction(1)
 # monomial orders
 
 def grevlex_key(e):
-    """Sort key for graded reverse lexicographic order (larger key = larger monomial)."""
-    return (sum(e), tuple(-x for x in reversed(e)))
+    """Sort key for graded reverse lexicographic order (larger key = larger
+    monomial): the flat tuple (deg, -e_n, ..., -e_1)."""
+    return (sum(e), *map(neg, reversed(e)))
 
 
 def elim_key(k):
-    """Block order eliminating the first k variables (grevlex within each block)."""
+    """Block order eliminating the first k variables (grevlex within each
+    block): the grevlex keys of the two blocks, concatenated."""
 
     def key(e):
-        return (grevlex_key(e[:k]), grevlex_key(e[k:]))
+        a, b = e[:k], e[k:]
+        return (sum(a), *map(neg, a[::-1]), sum(b), *map(neg, b[::-1]))
 
     return key
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a, b):
     """True if monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a, b):
     """Exponent vector a - b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +126,16 @@ def leading(p, key):
     return m, p[m]
 
 
+def _lm_monic(p, key):
+    """(leading monomial, monic p) of a nonzero polynomial; p itself when
+    it is already monic."""
+    lm = max(p, key=key)
+    c = p[lm]
+    return lm, (p if c == 1 else {m: k / c for m, k in p.items()})
+
+
 def monic(p, key):
-    if not p:
-        return p
-    _, c = leading(p, key)
-    if c == 1:
-        return p
-    return {m: k / c for m, k in p.items()}
+    return _lm_monic(p, key)[1] if p else p
 
 
 def canonical(p, key):
@@ -158,18 +165,20 @@ def differentiate(p, i):
 # division and Buchberger
 
 def _neg_key(k):
-    """Elementwise negation of an integer key tuple; reverses the order."""
-    if isinstance(k, tuple):
-        return tuple(_neg_key(x) for x in k)
-    return -k
+    """Elementwise negation of a flat integer key tuple; reverses the order."""
+    return tuple(map(neg, k))
 
 
-def normal_form(p, basis, key):
-    """Fully reduced remainder of p modulo a list of nonzero polynomials."""
+def normal_form(p, basis, key, lms=None):
+    """Fully reduced remainder of p modulo a list of nonzero polynomials.
+
+    lms, if given, holds the leading monomials of basis under key.
+    """
     if not basis:
         return dict(p)
-    heads = [(max(g, key=key), g) for g in basis]
-    heads = [(lm, g[lm], g) for lm, g in heads]
+    if lms is None:
+        lms = [max(g, key=key) for g in basis]
+    heads = [(lm, g[lm], g) for lm, g in zip(lms, basis)]
     work = dict(p)
     # max-heap of candidate monomials with lazy deletion
     heap = [(_neg_key(key(m)), m) for m in work]
@@ -201,13 +210,14 @@ def normal_form(p, basis, key):
     return out
 
 
-def s_poly(f, g, key):
-    mf, cf = leading(f, key)
-    mg, cg = leading(g, key)
+def s_poly(f, g, key, lms=None):
+    """S-polynomial of f and g; lms, if given, is their pair of leading
+    monomials under key."""
+    mf, mg = lms if lms is not None else (max(f, key=key), max(g, key=key))
     lcm = mono_lcm(mf, mg)
     return p_sub(
-        p_mul_term(f, mono_div(lcm, mf), ONE / cf),
-        p_mul_term(g, mono_div(lcm, mg), ONE / cg),
+        p_mul_term(f, mono_div(lcm, mf), ONE / f[mf]),
+        p_mul_term(g, mono_div(lcm, mg), ONE / g[mg]),
     )
 
 
@@ -216,64 +226,59 @@ def buchberger(gens, key):
 
     Normal selection strategy; pairs are discarded by the product (coprime
     leading monomials) and chain criteria.  The output is monic, pairwise
-    autoreduced and sorted by ascending leading monomial.
+    autoreduced and sorted by ascending leading monomial.  Each element's
+    leading monomial is found once and kept in lms beside G.
     """
-    G = []
-    for g in gens:
-        if g:
-            G.append(monic(g, key))
-    G.sort(key=lambda g: key(max(g, key=key)))
-    if not G:
+    heads = [_lm_monic(g, key) for g in gens if g]
+    if not heads:
         return []
-    lms = [max(g, key=key) for g in G]
-    # normal selection via a heap keyed by the pair's lcm
-    pairs = [
-        (key(mono_lcm(lms[i], lms[j])), i, j)
-        for i in range(len(G))
-        for j in range(i + 1, len(G))
-    ]
+    heads.sort(key=lambda h: key(h[0]))
+    lms = [lm for lm, _ in heads]
+    G = [g for _, g in heads]
+    # normal selection via a heap keyed by the pair's lcm; (i, j) is unique,
+    # so the lcm carried last is never compared
+    pairs = []
+    for i in range(len(G)):
+        for j in range(i + 1, len(G)):
+            lcm = mono_lcm(lms[i], lms[j])
+            pairs.append((key(lcm), i, j, lcm))
     heapq.heapify(pairs)
-    done = set()
+    # popped[i]: the partners k of every pair (i, k) popped so far
+    popped = [set() for _ in G]
     while pairs:
-        _, i, j = heapq.heappop(pairs)
-        done.add((i, j))
-        lcm = mono_lcm(lms[i], lms[j])
+        _, i, j, lcm = heapq.heappop(pairs)
+        popped[i].add(j)
+        popped[j].add(i)
         if lcm == mono_mul(lms[i], lms[j]):
             continue  # product criterion
-        chain = False
-        for k in range(len(G)):
-            if k in (i, j) or not mono_divides(lms[k], lcm):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a in done and b in done:
-                chain = True
-                break
-        if chain:
+        # chain criterion: some lm_k divides the lcm and the pairs (i, k)
+        # and (j, k) are already popped
+        if any(mono_divides(lms[k], lcm) for k in popped[i] & popped[j]):
             continue
-        h = normal_form(s_poly(G[i], G[j], key), G, key)
+        h = normal_form(s_poly(G[i], G[j], key, (lms[i], lms[j])), G, key, lms)
         if h:
-            h = monic(h, key)
+            lm, h = _lm_monic(h, key)
             G.append(h)
-            lms.append(max(h, key=key))
+            lms.append(lm)
+            popped.append(set())
             n = len(G) - 1
             for i2 in range(n):
-                heapq.heappush(
-                    pairs, (key(mono_lcm(lms[i2], lms[n])), i2, n))
+                lcm = mono_lcm(lms[i2], lm)
+                heapq.heappush(pairs, (key(lcm), i2, n, lcm))
     # minimalize
     order_idx = sorted(range(len(G)), key=lambda i: key(lms[i]))
     minimal = []
     for i in order_idx:
-        if not any(mono_divides(max(g, key=key), lms[i]) for g in minimal):
-            minimal.append(G[i])
-    # interreduce
+        if not any(mono_divides(lms[k], lms[i]) for k in minimal):
+            minimal.append(i)
+    # interreduce: no other leading monomial divides a term at or above an
+    # element's own monic leading term, so each remainder keeps it and the
+    # result stays monic and in ascending order
     reduced = []
-    for i, g in enumerate(minimal):
-        rest = minimal[:i] + minimal[i + 1 :]
-        r = normal_form(g, rest, key)
-        if r:
-            reduced.append(monic(r, key))
-    reduced.sort(key=lambda g: key(max(g, key=key)))
+    for pos, i in enumerate(minimal):
+        rest = minimal[:pos] + minimal[pos + 1 :]
+        reduced.append(normal_form(
+            G[i], [G[k] for k in rest], key, [lms[k] for k in rest]))
     return reduced
 
 

@@ -20,7 +20,7 @@ def smallest_generator(I):
     def rank(g):
         nf = g.nf_terms()
         lm = max(nf, key=ring.key)
-        return (g.total_degree(), tuple(-v for v in ring.key(lm)[1]))
+        return (g.total_degree(), tuple(-v for v in ring.key(lm)[1:]))
 
     return min(gens, key=rank)
 

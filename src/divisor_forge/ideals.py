@@ -90,8 +90,10 @@ class Ideal:
         return not self.quotient_gens()
 
     def dimension(self):
-        """Krull dimension of R/I (unit ideal gives -1)."""
-        return engine.lt_dimension(self.groebner, self.ring.nvars, self.ring.key)
+        """Krull dimension of R/I (unit ideal gives -1), memoized by key."""
+        ring = self.ring
+        return ring.memoized(("dim", self.key), lambda: engine.lt_dimension(
+            self.groebner, ring.nvars, ring.key))
 
     def height(self):
         return self.ring.dimension() - self.dimension()
@@ -175,15 +177,7 @@ class Ideal:
 
     def intersection(self, other):
         self._check_ring(other)
-        mine = [_prepend_var(g) for g in self.groebner]
-        theirs = [_prepend_var(g) for g in other.groebner]
-        t = {(1,) + (0,) * self.ring.nvars: Fraction(1)}
-        one_minus_t = engine.p_sub(
-            {(0,) * (self.ring.nvars + 1): Fraction(1)}, t)
-        gens = [engine.p_mul(t, g) for g in mine]
-        gens += [engine.p_mul(one_minus_t, g) for g in theirs]
-        gb = engine.buchberger(gens, elim_key(1))
-        kept = [_strip_var(g) for g in gb if all(m[0] == 0 for m in g)]
+        kept = _intersect(self.groebner, other.groebner, self.ring.nvars)
         return Ideal(self.ring, [Polynomial(self.ring, g) for g in kept])
 
     def quotient(self, other):
@@ -208,15 +202,7 @@ class Ideal:
             return fast
         # (I : f) = (1/f)(I \cap (f)), computed in the ambient ring where the
         # division by f is exact polynomial division.
-        n = self.ring.nvars
-        mine = [_prepend_var(g) for g in self.groebner]
-        t = {(1,) + (0,) * n: Fraction(1)}
-        one_minus_t = engine.p_sub({(0,) * (n + 1): Fraction(1)}, t)
-        fraw = _prepend_var(f.terms)
-        gens = [engine.p_mul(t, g) for g in mine]
-        gens.append(engine.p_mul(one_minus_t, fraw))
-        gb = engine.buchberger(gens, elim_key(1))
-        kept = [_strip_var(g) for g in gb if all(m[0] == 0 for m in g)]
+        kept = _intersect(self.groebner, [f.terms], self.ring.nvars)
         out = [_exact_div(g, f.terms, self.ring.key) for g in kept]
         return Ideal(self.ring, [Polynomial(self.ring, g) for g in out])
 
@@ -302,12 +288,21 @@ class Ideal:
         return Ideal(self.ring, [Polynomial(self.ring, g) for g in out])
 
 
+def _intersect(A, B, nvars):
+    """Ambient generators of the intersection of the ideals generated by
+    the term-dict lists A and B in nvars variables: the elements free of t
+    in an elimination basis of t*A + (1-t)*B, t a new first variable."""
+    t = {(1,) + (0,) * nvars: Fraction(1)}
+    one_minus_t = engine.p_sub({(0,) * (nvars + 1): Fraction(1)}, t)
+    gens = [engine.p_mul(t, _prepend_var(g)) for g in A]
+    gens += [engine.p_mul(one_minus_t, _prepend_var(g)) for g in B]
+    gb = engine.buchberger(gens, elim_key(1))
+    return [{m[1:]: c for m, c in g.items()}
+            for g in gb if all(m[0] == 0 for m in g)]
+
+
 def _prepend_var(terms):
     return {(0,) + m: c for m, c in terms.items()}
-
-
-def _strip_var(terms):
-    return {m[1:]: c for m, c in terms.items()}
 
 
 def _exact_div(p, f, key):

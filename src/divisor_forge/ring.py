@@ -104,6 +104,8 @@ class QuotientRing:
         self.defining = tuple(
             engine.canonical(g, self.key) for g in raw if g)
         self.quotient_gb = engine.buchberger(raw, self.key)
+        # names, grading and defining never change, so neither does the hash
+        self._hash = hash((self.names, self.grading, self.defining))
         self._dim = None
         self.memo = {}
 
@@ -157,7 +159,7 @@ class QuotientRing:
         )
 
     def __hash__(self):
-        return hash((self.names, self.grading, self.defining))
+        return self._hash
 
     def __repr__(self):
         base = "QQ[%s]" % ",".join(self.names)

@@ -1,0 +1,249 @@
+"""The engine against a frozen copy of its earlier nested-key version.
+
+The flat order keys, cached leading monomials and partner-set chain test
+must not change which S-pairs are reduced or any result: on seeded random
+small ideals under grevlex and elimination orders, both engines reduce the
+same S-polynomials in the same sequence and return the same reduced bases
+(same elements, same term order) and the same normal forms.  The
+comparison of normal_form inputs checks that the same pairs are reduced.
+"""
+
+import heapq
+import random
+from fractions import Fraction
+
+import pytest
+
+from divisor_forge import engine
+
+# ---------------------------------------------------------------------------
+# frozen reference: nested order keys, leading monomials recomputed with
+# max(), chain criterion scanning all of G against a set of popped pairs
+
+
+def ref_grevlex_key(e):
+    return (sum(e), tuple(-x for x in reversed(e)))
+
+
+def ref_elim_key(k):
+    def key(e):
+        return (ref_grevlex_key(e[:k]), ref_grevlex_key(e[k:]))
+
+    return key
+
+
+def ref_mono_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def ref_mono_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def ref_mono_div(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def ref_mono_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def ref_monic(p, key):
+    m = max(p, key=key)
+    c = p[m]
+    if c == 1:
+        return p
+    return {m: k / c for m, k in p.items()}
+
+
+def ref_neg_key(k):
+    if isinstance(k, tuple):
+        return tuple(ref_neg_key(x) for x in k)
+    return -k
+
+
+def ref_normal_form(p, basis, key):
+    if not basis:
+        return dict(p)
+    heads = [(max(g, key=key), g) for g in basis]
+    heads = [(lm, g[lm], g) for lm, g in heads]
+    work = dict(p)
+    heap = [(ref_neg_key(key(m)), m) for m in work]
+    heapq.heapify(heap)
+    out = {}
+    while heap:
+        _, m = heapq.heappop(heap)
+        c = work.get(m)
+        if c is None:
+            continue
+        for lm, lc, g in heads:
+            if ref_mono_divides(lm, m):
+                q = ref_mono_div(m, lm)
+                factor = c / lc
+                for gm, gc in g.items():
+                    t = ref_mono_mul(gm, q)
+                    old = work.get(t)
+                    s = (old if old is not None else Fraction(0)) - gc * factor
+                    if s:
+                        if old is None:
+                            heapq.heappush(heap, (ref_neg_key(key(t)), t))
+                        work[t] = s
+                    else:
+                        work.pop(t, None)
+                break
+        else:
+            out[m] = c
+            del work[m]
+    return out
+
+
+def ref_s_poly(f, g, key):
+    mf, mg = max(f, key=key), max(g, key=key)
+    lcm = ref_mono_lcm(mf, mg)
+    return engine.p_sub(
+        engine.p_mul_term(f, ref_mono_div(lcm, mf), 1 / f[mf]),
+        engine.p_mul_term(g, ref_mono_div(lcm, mg), 1 / g[mg]),
+    )
+
+
+def ref_buchberger(gens, key, log):
+    """The earlier engine.buchberger; appends the first argument of every
+    normal_form call to log."""
+
+    def logged(p, basis):
+        log.append(p)
+        return ref_normal_form(p, basis, key)
+
+    G = [ref_monic(g, key) for g in gens if g]
+    G.sort(key=lambda g: key(max(g, key=key)))
+    if not G:
+        return []
+    lms = [max(g, key=key) for g in G]
+    pairs = [
+        (key(ref_mono_lcm(lms[i], lms[j])), i, j)
+        for i in range(len(G))
+        for j in range(i + 1, len(G))
+    ]
+    heapq.heapify(pairs)
+    done = set()
+    while pairs:
+        _, i, j = heapq.heappop(pairs)
+        done.add((i, j))
+        lcm = ref_mono_lcm(lms[i], lms[j])
+        if lcm == ref_mono_mul(lms[i], lms[j]):
+            continue
+        chain = False
+        for k in range(len(G)):
+            if k in (i, j) or not ref_mono_divides(lms[k], lcm):
+                continue
+            a = (min(i, k), max(i, k))
+            b = (min(j, k), max(j, k))
+            if a in done and b in done:
+                chain = True
+                break
+        if chain:
+            continue
+        h = logged(ref_s_poly(G[i], G[j], key), G)
+        if h:
+            h = ref_monic(h, key)
+            G.append(h)
+            lms.append(max(h, key=key))
+            n = len(G) - 1
+            for i2 in range(n):
+                heapq.heappush(
+                    pairs, (key(ref_mono_lcm(lms[i2], lms[n])), i2, n))
+    order_idx = sorted(range(len(G)), key=lambda i: key(lms[i]))
+    minimal = []
+    for i in order_idx:
+        if not any(ref_mono_divides(max(g, key=key), lms[i]) for g in minimal):
+            minimal.append(G[i])
+    reduced = []
+    for i, g in enumerate(minimal):
+        rest = minimal[:i] + minimal[i + 1 :]
+        r = logged(g, rest)
+        if r:
+            reduced.append(ref_monic(r, key))
+    reduced.sort(key=lambda g: key(max(g, key=key)))
+    return reduced
+
+
+# ---------------------------------------------------------------------------
+# the comparison
+
+ORDERS = {
+    "grevlex": (engine.grevlex_key, ref_grevlex_key),
+    "elim1": (engine.elim_key(1), ref_elim_key(1)),
+    "elim2": (engine.elim_key(2), ref_elim_key(2)),
+}
+
+
+def random_poly(rng, nvars, nterms, maxdeg):
+    terms = {}
+    for _ in range(nterms):
+        m = tuple(rng.randint(0, maxdeg) for _ in range(nvars))
+        terms[m] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    return {m: c for m, c in terms.items() if c}
+
+
+def random_ideal(rng):
+    nvars = rng.randint(2, 4)
+    gens = [random_poly(rng, nvars, rng.randint(1, 3), 2)
+            for _ in range(rng.randint(1, 3))]
+    return nvars, gens
+
+
+def as_items(basis):
+    return [list(g.items()) for g in basis]
+
+
+def logged_buchberger(monkeypatch, gens, key):
+    """engine.buchberger, logging the first argument of every normal_form
+    call it makes."""
+    log, real = [], engine.normal_form
+
+    def normal_form(p, *args):
+        log.append(p)
+        return real(p, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "normal_form", normal_form)
+        return engine.buchberger(gens, key), log
+
+
+@pytest.mark.parametrize("order", sorted(ORDERS))
+def test_buchberger_matches_frozen_reference(order, monkeypatch):
+    key, ref_key = ORDERS[order]
+    rng = random.Random("engine-differential-" + order)
+    for _ in range(80):
+        nvars, gens = random_ideal(rng)
+        snapshot = [dict(g) for g in gens]
+        ref_log = []
+        want = ref_buchberger(gens, ref_key, ref_log)
+        got, log = logged_buchberger(monkeypatch, gens, key)
+        assert gens == snapshot
+        assert as_items(got) == as_items(want)
+        assert [sorted(s.items()) for s in log] == [
+            sorted(s.items()) for s in ref_log]
+        for _ in range(4):
+            p = random_poly(rng, nvars, 4, 3)
+            nf = ref_normal_form(p, want, ref_key)
+            assert list(engine.normal_form(p, got, key).items()) == list(
+                nf.items())
+            lms = [max(g, key=key) for g in got]
+            assert list(engine.normal_form(p, got, key, lms).items()) == list(
+                nf.items())
+
+
+@pytest.mark.parametrize("order", sorted(ORDERS))
+def test_flat_keys_sort_like_nested_keys(order):
+    key, ref_key = ORDERS[order]
+    rng = random.Random("key-order-" + order)
+    for nvars in (2, 3, 4):
+        monos = list({tuple(rng.randint(0, 3) for _ in range(nvars))
+                      for _ in range(60)})
+        rng.shuffle(monos)
+        assert sorted(monos, key=key) == sorted(monos, key=ref_key)
+        for a in monos[:20]:
+            for b in monos[:20]:
+                assert (key(a) < key(b)) == (ref_key(a) < ref_key(b))
+                assert (key(a) == key(b)) == (a == b)

@@ -80,3 +80,16 @@ def test_cli_output_is_identical_on_a_warm_ring():
     for json_mode in (False, True):
         cold = run(ring + "\n" + queries, json_mode)
         assert run(ring + warm + "\n" + queries, json_mode) == cold
+
+
+def test_heights_agree_on_cold_and_warm_rings():
+    gens = [("x", "z"), ("x",), ("x", "y", "z"), ("x*y",), ("y", "z"), ("1",)]
+    cold_ring = QuotientRing(*CONE)
+    cold = [ideal(cold_ring, *g).height() for g in gens]
+    assert cold == [1, 1, 2, 1, 1, 3]
+    warm_ring = QuotientRing(*CONE)
+    # the same ideals on other generators fill the memo first
+    for g in (("z", "x", "x*z"), ("x", "x^2"), ("z", "y", "x", "x*y")):
+        ideal(warm_ring, *g).height()
+    assert [ideal(warm_ring, *g).height() for g in gens] == cold
+    assert ("dim", ideal(warm_ring, "x", "z").key) in warm_ring.memo
