@@ -9,15 +9,17 @@ Statements::
     print 3*D + E;
     check isCartier(D, graded=true);
 
-Exit codes: 0 success, 1 parse error, 2 mathematical error, 3 incomplete
-decomposition.
+Exit codes: 0 success, 1 parse error, 2 mathematical error, 3 refusal
+(incomplete decomposition, or a factorization over the degree cap).
 """
 
 import argparse
 import json
 import sys
 from fractions import Fraction
+from operator import attrgetter
 
+# `_FUNCTIONS` calls most of these imports by name.
 from .checks import (
     CheckReport,
     is_cartier,
@@ -37,6 +39,7 @@ from .divisors import WeilDivisor
 from .errors import (
     DecompositionIncomplete,
     DivisorForgeError,
+    FactorDegreeExceeded,
     ParseError,
     ScriptError,
 )
@@ -128,7 +131,7 @@ class ScriptParser(ExprParser):
 
     def int_entry(self):
         sign = -1 if self.accept("op", "-") else 1
-        return sign * int(self.expect("int").text)
+        return sign * self.integer()
 
     def map_decl(self):
         tok = self.expect("id", "map")
@@ -210,60 +213,71 @@ def format_script(statements):
 # evaluation
 
 class Session:
-    """Named bindings plus output options; bindings replace, never mutate."""
+    """Named bindings plus the graded default; bindings replace, never mutate.
+
+    `json_mode` is accepted and ignored: the output mode is an argument of
+    `render_outputs`.
+    """
 
     def __init__(self, json_mode=False, graded=False):
         self.bindings = {}
         self.current_ring = None
-        self.json_mode = json_mode
         self.graded = graded
         self.counter = 0
 
 
-def _script_error(msg, tok, text=""):
-    return ScriptError(msg, tok.line, tok.column,
-                       caret_excerpt(text, tok.line, tok.column))
-
-
-def _as_bool(value, tok):
-    if isinstance(value, bool):
+def _element(value, ring, message):
+    """`value` as a ring element for `ring`: a number is taken in `ring`, and
+    a ring element must be in a ring with the same variables; otherwise a
+    ScriptError with `message`."""
+    if isinstance(value, (int, Fraction)):
+        return ring.one() * value
+    if isinstance(value, Polynomial) and value.ring.names == ring.names:
         return value
-    if isinstance(value, CheckReport):
-        return bool(value)
-    raise _script_error("expected true or false, got %r" % (value,), tok)
+    raise ScriptError(message)
 
 
-def _as_int(value, tok):
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise _script_error("expected an integer, got %r" % (value,), tok)
-    value = Fraction(value)
-    if value.denominator != 1:
-        raise _script_error("expected an integer, got %r" % (value,), tok)
-    return int(value)
+# Argument kinds of the function table: what each accepts, for messages,
+# and the types it takes as they are.
+_KINDS = {
+    "any": ("any value", object),
+    "divisor": ("a divisor", WeilDivisor),
+    "sheaf": ("a fractional ideal", FractionalIdeal),
+    "ideal": ("an ideal or a ring element", Ideal),
+    "element": ("a ring element", Polynomial),
+    "int": ("an integer", ()),
+    "posint": ("a positive integer", ()),
+    "bool": ("true or false", bool),
+    "map": ("a ring map", RingMap),
+    "ring": ("a ring", QuotientRing),
+    "name": ("a name", str),
+}
 
 
-def _as_divisor(value, tok):
-    if not isinstance(value, WeilDivisor):
-        raise _script_error("expected a divisor, got %r" % (value,), tok)
-    return value
-
-
-def _as_ideal(value, tok):
-    if isinstance(value, Polynomial):
+def _coerce(kind, value, what):
+    """`value` as an argument of `kind`; `what` names it in the ScriptError
+    raised when it is not one."""
+    noun, types = _KINDS[kind]
+    if isinstance(value, types):
+        return value
+    if kind == "ideal" and isinstance(value, Polynomial):
         return Ideal(value.ring, [value])
-    if not isinstance(value, Ideal):
-        raise _script_error("expected an ideal, got %r" % (value,), tok)
-    return value
+    if kind == "bool" and isinstance(value, CheckReport):
+        return bool(value)
+    if (kind in ("int", "posint") and isinstance(value, (int, Fraction))
+            and not isinstance(value, bool) and value.denominator == 1
+            and (kind == "int" or value > 0)):
+        return int(value)
+    raise ScriptError("%s must be %s" % (what, noun))
 
 
 class Evaluator:
-    def __init__(self, session, text=""):
+    def __init__(self, session):
         self.session = session
-        self.text = text
 
     # -- name resolution ----------------------------------------------------
 
-    def lookup(self, name, tok):
+    def lookup(self, name):
         if name in self.session.bindings:
             return self.session.bindings[name]
         if name == "true":
@@ -273,58 +287,57 @@ class Evaluator:
         ring = self.session.current_ring
         if ring is not None and name in ring.names:
             return ring.variable(ring.names.index(name))
-        raise _script_error("unbound identifier %r" % name, tok, self.text)
+        raise ScriptError("unbound identifier %r" % name)
 
-    def need_ring(self, tok):
+    def need_ring(self):
         ring = self.session.current_ring
         if ring is None:
-            raise _script_error("no current ring; declare one with `ring`",
-                                tok, self.text)
+            raise ScriptError("no current ring; declare one with `ring`")
         return ring
 
     # -- expressions --------------------------------------------------------
 
-    def eval(self, node, tok, ring=None):
+    def eval(self, node, ring=None):
         kind = node[0]
         if kind == "int":
             return node[1]
         if kind == "name":
             if ring is not None and node[1] in ring.names:
                 return ring.variable(ring.names.index(node[1]))
-            return self.lookup(node[1], tok)
+            return self.lookup(node[1])
         if kind == "neg":
-            return self._neg(self.eval(node[1], tok, ring), tok)
+            return self._neg(self.eval(node[1], ring))
         if kind == "binop":
             op = node[1]
-            a = self.eval(node[2], tok, ring)
-            b = self.eval(node[3], tok, ring)
-            return self._binop(op, a, b, tok)
+            a = self.eval(node[2], ring)
+            b = self.eval(node[3], ring)
+            return self._binop(op, a, b)
         if kind == "call":
-            return self.call(node[1], node[2], node[3], tok, ring)
+            return self.call(node[1], node[2], node[3], ring)
         if kind == "table":
-            return self._divisor_table(node[1], tok, ring)
-        raise _script_error("cannot evaluate %r" % (node,), tok, self.text)
+            return self._divisor_table(node[1], ring)
+        raise ScriptError("cannot evaluate %r" % (node,))
 
-    def _neg(self, a, tok):
+    def _neg(self, a):
         if isinstance(a, (int, Fraction, Polynomial, WeilDivisor)):
             return -a
-        raise _script_error("cannot negate %r" % (a,), tok, self.text)
+        raise ScriptError("cannot negate %r" % (a,))
 
-    def _binop(self, op, a, b, tok):
+    def _binop(self, op, a, b):
         try:
             if op == "+":
                 return a + b
             if op == "-":
-                return a + self._neg(b, tok)
+                return a + self._neg(b)
             if op == "*":
                 return self._mul(a, b)
             if op == "/":
-                return self._div(a, b, tok)
+                return self._div(a, b)
             if op == "^":
-                return self._pow(a, b, tok)
+                return self._pow(a, b)
         except (TypeError, ZeroDivisionError) as exc:
-            raise _script_error(str(exc), tok, self.text) from exc
-        raise _script_error("unknown operator %r" % op, tok, self.text)
+            raise ScriptError(str(exc)) from exc
+        raise ScriptError("unknown operator %r" % op)
 
     def _mul(self, a, b):
         if isinstance(a, (int, Fraction)) and isinstance(b, WeilDivisor):
@@ -339,240 +352,151 @@ class Evaluator:
             return Ideal(a.ring, [a]) * b
         return a * b
 
-    def _div(self, a, b, tok):
+    def _div(self, a, b):
         if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
             if not b:
-                raise _script_error("division by zero", tok, self.text)
+                raise ScriptError("division by zero")
             return Fraction(a) / Fraction(b)
         if isinstance(a, (Polynomial, WeilDivisor)) and isinstance(
                 b, (int, Fraction)):
             if not b:
-                raise _script_error("division by zero", tok, self.text)
+                raise ScriptError("division by zero")
             return self._mul(Fraction(1, 1) / Fraction(b), a) \
                 if isinstance(a, WeilDivisor) else a * (Fraction(1) / Fraction(b))
-        raise _script_error("unsupported division", tok, self.text)
+        raise ScriptError("unsupported division")
 
-    def _pow(self, a, b, tok):
-        n = _as_int(b, tok)
+    def _pow(self, a, b):
+        n = _coerce("int", b, "an exponent")
         if isinstance(a, FractionalIdeal):
             return a.power(n)
         if isinstance(a, (Ideal, Polynomial)):
             if n < 0:
-                raise _script_error("negative power of an ideal element",
-                                    tok, self.text)
+                raise ScriptError("negative power of an ideal element")
             return a ** n
         if isinstance(a, (int, Fraction)):
             return Fraction(a) ** n if n < 0 else a ** n
-        raise _script_error("cannot raise %r to a power" % (a,), tok, self.text)
+        raise ScriptError("cannot raise %r to a power" % (a,))
 
     # -- divisor table -------------------------------------------------------
 
-    def _divisor_table(self, entries, tok, ring):
+    def _divisor_table(self, entries, ring):
         coeffs, primes = [], []
         rational = False
         for cnode, enode in entries:
-            c = self.eval(cnode, tok, ring)
+            c = self.eval(cnode, ring)
             if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-                raise _script_error("divisor coefficient must be a number",
-                                    tok, self.text)
+                raise ScriptError("divisor coefficient must be a number")
             if isinstance(c, Fraction) and c.denominator != 1:
                 rational = True
             coeffs.append(Fraction(c))
-            primes.append(_as_ideal(self.eval(enode, tok, ring), tok))
+            primes.append(_coerce("ideal", self.eval(enode, ring),
+                                  "a divisor table entry"))
         return WeilDivisor.from_primes(coeffs, primes, rational=rational)
 
     # -- calls ---------------------------------------------------------------
 
-    def call(self, name, arg_nodes, kw_nodes, tok, ring=None):
-        kwargs = {}
+    def call(self, name, arg_nodes, kw_nodes, ring=None):
+        """Check a call against its `_FUNCTIONS` entry, then make it."""
+        if name not in _FUNCTIONS:
+            raise ScriptError("unknown function %r" % name)
+        kinds, keywords, target = _FUNCTIONS[name]
+        if not kinds[-1].endswith("*"):
+            least = sum(not k.endswith("?") for k in kinds)
+            if not least <= len(arg_nodes) <= len(kinds):
+                count = "%d or %d" % (least, len(kinds)) \
+                    if least < len(kinds) else str(least)
+                raise ScriptError("%s() takes %s argument%s (%d given)" % (
+                    name, count, "" if count == "1" else "s", len(arg_nodes)))
+        kwargs = {"graded": self.session.graded} if "graded" in keywords \
+            else {}
+        seen = set()
         for key, vnode in kw_nodes:
-            if key in ("strategy",) and vnode[0] == "name":
-                kwargs[key] = vnode[1]
-            else:
-                kwargs[key] = self.eval(vnode, tok, ring)
-        args = [self.eval(a, tok, ring) for a in arg_nodes]
-        fn = _FUNCTIONS.get(name)
-        if fn is None:
-            raise _script_error("unknown function %r" % name, tok, self.text)
-        try:
-            return fn(self, args, kwargs, tok)
-        except (ScriptError, DecompositionIncomplete):
-            raise
-        except DivisorForgeError as exc:
-            raise _script_error(str(exc), tok, self.text) from exc
-
-    def graded_flag(self, kwargs, tok):
-        if "graded" in kwargs:
-            return _as_bool(kwargs["graded"], tok)
-        return self.session.graded
-
-
-# function registry -----------------------------------------------------------
-
-def _fn_ideal(ev, args, kwargs, tok):
-    gens = []
-    ring = None
-    for a in args:
-        if isinstance(a, (int, Fraction)):
-            ring = ring or ev.need_ring(tok)
-            a = ring.one() * a
-        if not isinstance(a, Polynomial):
-            raise _script_error("ideal() takes ring elements", tok, ev.text)
-        ring = ring or a.ring
-        gens.append(a)
-    ring = ring or ev.need_ring(tok)
-    return Ideal(ring, gens)
+            if key not in keywords:
+                raise ScriptError("%s() takes no keyword %r" % (name, key))
+            if key in seen:
+                raise ScriptError("%s() got keyword %r twice" % (name, key))
+            seen.add(key)
+            kind = _KEYWORDS[key]
+            value = vnode[1] if kind == "name" and vnode[0] == "name" \
+                else self.eval(vnode, ring)
+            kwargs[key] = _coerce(kind, value, "%s() keyword %s" % (name, key))
+        args = [self.eval(a, ring) for a in arg_nodes]
+        if kinds == ("element*",):
+            owner = next((a.ring for a in args if isinstance(a, Polynomial)),
+                         None) or self.need_ring()
+            args = [owner, [_element(a, owner, "%s() takes elements of one "
+                                     "ring" % name) for a in args]]
+        else:
+            if len(args) < len(kinds) and kinds[len(args)] == "ring?":
+                args.append(self.need_ring())
+            args = [_coerce(k.rstrip("?"), a, "%s() argument %d" % (name, i))
+                    for i, (k, a) in enumerate(zip(kinds, args), 1)]
+        return attrgetter(target)(sys.modules[__name__])(*args, **kwargs)
 
 
-def _fn_divisor(ev, args, kwargs, tok):
-    if not args:
-        raise _script_error("divisor() needs an argument", tok, ev.text)
-    target = args[0]
+# function table --------------------------------------------------------------
+
+def _divisor(target, *, graded, section=None):
     if isinstance(target, FractionalIdeal):
-        if "section" in kwargs:
-            num = kwargs["section"]
-            if not isinstance(num, Polynomial):
-                raise _script_error("section must be a ring element", tok,
-                                    ev.text)
-            return divisor_with_section(target, num).divisor
-        return divisor_of_fractional_ideal(
-            target, graded=ev.graded_flag(kwargs, tok))
+        if section is not None:
+            return divisor_with_section(target, section).divisor
+        return divisor_of_fractional_ideal(target, graded=graded)
+    if section is not None:
+        raise ScriptError("divisor() takes section= only with a sheaf")
     if isinstance(target, Polynomial):
         return WeilDivisor.of_element(target)
     if isinstance(target, Ideal):
         return WeilDivisor.of_ideal(target)
-    raise _script_error("divisor() takes an element, ideal or sheaf", tok,
-                        ev.text)
+    raise ScriptError("divisor() takes an element, ideal or sheaf")
 
 
-def _fn_oo(ev, args, kwargs, tok):
-    (D,) = args
-    return sheaf_of(_as_divisor(D, tok))
+def _divisor_of(F, flag=None, *, graded):
+    """A positional flag overrides the graded keyword."""
+    return divisor_of_fractional_ideal(
+        F, graded=graded if flag is None else flag)
 
 
-def _fn_divisor_of(ev, args, kwargs, tok):
-    F = args[0]
-    if not isinstance(F, FractionalIdeal):
-        raise _script_error("divisorOf() takes a fractional ideal", tok,
-                            ev.text)
-    graded = ev.graded_flag(kwargs, tok)
-    if len(args) > 1:
-        graded = _as_bool(args[1], tok)
-    return divisor_of_fractional_ideal(F, graded=graded)
-
-
-def _fn_reflexify(ev, args, kwargs, tok):
-    target = args[0]
+def _reflexify(target):
     if isinstance(target, FractionalIdeal):
         return target.reflexive_hull()
-    return reflexify(_as_ideal(target, tok))
+    return reflexify(_coerce("ideal", target, "reflexify() argument 1"))
 
 
-def _fn_pullback(ev, args, kwargs, tok):
-    phi, D = args[0], _as_divisor(args[1], tok)
-    if not isinstance(phi, RingMap):
-        raise _script_error("pullback() needs a ring map", tok, ev.text)
-    strategy = kwargs.get("strategy", "primes")
-    return pullback(phi, D, strategy=strategy)
+# Keyword kinds; `graded` defaults to the session's flag when a script
+# leaves it out, and a `strategy` is a bare name such as `sheaves`.
+_KEYWORDS = {"graded": "bool", "section": "element", "strategy": "name"}
 
-
-def _fn_map_to_projective_space(ev, args, kwargs, tok):
-    return map_to_projective_space(_as_divisor(args[0], tok))
-
-
-def _fn_base_locus(ev, args, kwargs, tok):
-    return base_locus(_as_divisor(args[0], tok))
-
-
-def _fn_canonical_divisor(ev, args, kwargs, tok):
-    ring = args[0] if args else ev.need_ring(tok)
-    if not isinstance(ring, QuotientRing):
-        raise _script_error("canonicalDivisor() takes a ring", tok, ev.text)
-    return canonical_divisor(ring)
-
-
-def _fn_floor(ev, args, kwargs, tok):
-    return _as_divisor(args[0], tok).floor()
-
-
-def _fn_ceiling(ev, args, kwargs, tok):
-    return _as_divisor(args[0], tok).ceiling()
-
-
-def _fn_to_weil(ev, args, kwargs, tok):
-    return _as_divisor(args[0], tok).to_integer_tier()
-
-
-def _fn_to_q_weil(ev, args, kwargs, tok):
-    return _as_divisor(args[0], tok).to_rational_tier()
-
-
-def _fn_is_cartier(ev, args, kwargs, tok):
-    return is_cartier(_as_divisor(args[0], tok),
-                      graded=ev.graded_flag(kwargs, tok))
-
-
-def _fn_non_cartier_locus(ev, args, kwargs, tok):
-    return non_cartier_locus(_as_divisor(args[0], tok),
-                             graded=ev.graded_flag(kwargs, tok))
-
-
-def _fn_is_q_cartier(ev, args, kwargs, tok):
-    bound = _as_int(args[0], tok)
-    return is_q_cartier(bound, _as_divisor(args[1], tok))
-
-
-def _fn_is_principal(ev, args, kwargs, tok):
-    return is_principal(_as_divisor(args[0], tok),
-                        graded=ev.graded_flag(kwargs, tok))
-
-
-def _fn_is_linearly_equivalent(ev, args, kwargs, tok):
-    return is_linearly_equivalent(
-        _as_divisor(args[0], tok), _as_divisor(args[1], tok),
-        graded=ev.graded_flag(kwargs, tok))
-
-
-def _fn_is_snc(ev, args, kwargs, tok):
-    return is_snc(_as_divisor(args[0], tok),
-                  graded=ev.graded_flag(kwargs, tok))
-
-
-def _fn_symbolic_power(ev, args, kwargs, tok):
-    return symbolic_power(_as_ideal(args[0], tok), _as_int(args[1], tok))
-
-
-def _fn_is_effective(ev, args, kwargs, tok):
-    return _as_divisor(args[0], tok).is_effective()
-
-
-def _fn_is_integral(ev, args, kwargs, tok):
-    return _as_divisor(args[0], tok).is_integral()
-
-
+# name: (positional argument kinds, keywords, callable).  A kind ending in
+# "?" may be left out, and a missing ring is the current ring.  "element*"
+# takes any number of ring elements and passes their ring and their list;
+# numbers go into the ring of the first element, else the current ring.
+# The callable is named, not referenced, and looked up in this module at
+# each call, so a wrapper bound over the name later (a tracer's span, a
+# test's stub) is the one called.
 _FUNCTIONS = {
-    "ideal": _fn_ideal,
-    "divisor": _fn_divisor,
-    "OO": _fn_oo,
-    "divisorOf": _fn_divisor_of,
-    "reflexify": _fn_reflexify,
-    "pullback": _fn_pullback,
-    "mapToProjectiveSpace": _fn_map_to_projective_space,
-    "baseLocus": _fn_base_locus,
-    "canonicalDivisor": _fn_canonical_divisor,
-    "floor": _fn_floor,
-    "ceiling": _fn_ceiling,
-    "toWeil": _fn_to_weil,
-    "toQWeil": _fn_to_q_weil,
-    "isCartier": _fn_is_cartier,
-    "nonCartierLocus": _fn_non_cartier_locus,
-    "isQCartier": _fn_is_q_cartier,
-    "isPrincipal": _fn_is_principal,
-    "isLinearEquivalent": _fn_is_linearly_equivalent,
-    "isSNC": _fn_is_snc,
-    "symbolicPower": _fn_symbolic_power,
-    "isEffective": _fn_is_effective,
-    "isIntegral": _fn_is_integral,
+    "ideal": (("element*",), (), "Ideal"),
+    "divisor": (("any",), ("graded", "section"), "_divisor"),
+    "OO": (("divisor",), (), "sheaf_of"),
+    "divisorOf": (("sheaf", "bool?"), ("graded",), "_divisor_of"),
+    "reflexify": (("any",), (), "_reflexify"),
+    "pullback": (("map", "divisor"), ("strategy",), "pullback"),
+    "mapToProjectiveSpace": (("divisor",), (), "map_to_projective_space"),
+    "baseLocus": (("divisor",), (), "base_locus"),
+    "canonicalDivisor": (("ring?",), (), "canonical_divisor"),
+    "floor": (("divisor",), (), "WeilDivisor.floor"),
+    "ceiling": (("divisor",), (), "WeilDivisor.ceiling"),
+    "toWeil": (("divisor",), (), "WeilDivisor.to_integer_tier"),
+    "toQWeil": (("divisor",), (), "WeilDivisor.to_rational_tier"),
+    "isCartier": (("divisor",), ("graded",), "is_cartier"),
+    "nonCartierLocus": (("divisor",), ("graded",), "non_cartier_locus"),
+    "isQCartier": (("posint", "divisor"), (), "is_q_cartier"),
+    "isPrincipal": (("divisor",), ("graded",), "is_principal"),
+    "isLinearEquivalent": (("divisor", "divisor"), ("graded",),
+                           "is_linearly_equivalent"),
+    "isSNC": (("divisor",), ("graded",), "is_snc"),
+    "symbolicPower": (("ideal", "posint"), (), "symbolic_power"),
+    "isEffective": (("divisor",), (), "WeilDivisor.is_effective"),
+    "isIntegral": (("divisor",), (), "WeilDivisor.is_integral"),
 }
 
 
@@ -617,128 +541,125 @@ def _value_to_json(value):
 
 
 def execute_script(statements, session, text=""):
-    """Run parsed statements; returns one output record per print/check."""
+    """Run parsed statements; returns one output record per print/check.
+
+    An error keeps its type and gets the location of its statement."""
     outputs = []
-    ev = Evaluator(session, text)
+    ev = Evaluator(session)
     for stmt in statements:
-        kind = stmt[0]
-        if kind == "ring":
-            _, name, variables, relations, degrees, tok = stmt
-            grading = Grading(degrees) if degrees else None
-            probe = QuotientRing(tuple(variables), (), grading)
-            rels = []
-            for rnode in relations:
-                val = ev.eval(rnode, tok, probe)
-                if isinstance(val, (int, Fraction)):
-                    val = probe.one() * val
-                if not isinstance(val, Polynomial):
-                    raise _script_error("relation must be a polynomial", tok,
-                                        text)
-                rels.append(val.terms)
-            ring = QuotientRing(tuple(variables), tuple(rels), grading)
-            session.bindings[name] = ring
-            session.current_ring = ring
-        elif kind == "mapdecl":
-            _, name, src_name, tgt_name, image_nodes, tok = stmt
-            source = session.bindings.get(src_name)
-            target = session.bindings.get(tgt_name)
-            if not isinstance(source, QuotientRing) or not isinstance(
-                    target, QuotientRing):
-                raise _script_error(
-                    "map endpoints must be declared rings", tok, text)
-            images = []
-            for node in image_nodes:
-                val = ev.eval(node, tok, target)
-                if isinstance(val, (int, Fraction)):
-                    val = target.one() * val
-                if not isinstance(val, Polynomial) or val.ring != target:
-                    raise _script_error(
-                        "map images must lie in the target ring", tok, text)
-                images.append(val)
-            try:
+        kind, tok = stmt[0], stmt[-1]
+        try:
+            if kind == "ring":
+                _, name, variables, relations, degrees, _ = stmt
+                grading = Grading(degrees) if degrees else None
+                probe = QuotientRing(tuple(variables), (), grading)
+                rels = [_element(ev.eval(r, probe), probe,
+                                 "relation must be a polynomial").terms
+                        for r in relations]
+                ring = QuotientRing(tuple(variables), tuple(rels), grading)
+                session.bindings[name] = ring
+                session.current_ring = ring
+            elif kind == "mapdecl":
+                _, name, src_name, tgt_name, image_nodes, _ = stmt
+                source = session.bindings.get(src_name)
+                target = session.bindings.get(tgt_name)
+                if not isinstance(source, QuotientRing) or not isinstance(
+                        target, QuotientRing):
+                    raise ScriptError("map endpoints must be declared rings")
+                images = [_element(ev.eval(node, target), target,
+                                   "map images must lie in the target ring")
+                          for node in image_nodes]
                 session.bindings[name] = RingMap(source, target, images)
-            except DivisorForgeError as exc:
-                raise _script_error(str(exc), tok, text) from exc
-        elif kind == "use":
-            _, name, tok = stmt
-            ring = session.bindings.get(name)
-            if not isinstance(ring, QuotientRing):
-                raise _script_error("%r is not a ring" % name, tok, text)
-            session.current_ring = ring
-        elif kind == "bind":
-            _, name, node, tok = stmt
-            session.bindings[name] = ev.eval(node, tok)
-        elif kind in ("print", "check"):
-            _, node, tok = stmt
-            value = ev.eval(node, tok)
-            session.counter += 1
-            if kind == "check" and not isinstance(
-                    value, (CheckReport, bool)):
-                raise _script_error(
-                    "check expects a predicate result", tok, text)
-            outputs.append({
-                "index": session.counter,
-                "kind": kind,
-                "line": tok.line,
-                "result": value,
-            })
-        else:  # pragma: no cover - parser emits only the kinds above
-            raise _script_error("unknown statement %r" % (kind,), stmt[-1],
-                                text)
+            elif kind == "use":
+                ring = session.bindings.get(stmt[1])
+                if not isinstance(ring, QuotientRing):
+                    raise ScriptError("%r is not a ring" % stmt[1])
+                session.current_ring = ring
+            elif kind == "bind":
+                session.bindings[stmt[1]] = ev.eval(stmt[2])
+            else:  # print or check
+                value = ev.eval(stmt[1])
+                session.counter += 1
+                if kind == "check" and not isinstance(
+                        value, (CheckReport, bool)):
+                    raise ScriptError("check expects a predicate result")
+                outputs.append({
+                    "index": session.counter,
+                    "kind": kind,
+                    "line": tok.line,
+                    "result": value,
+                })
+        except DivisorForgeError as exc:
+            if exc.line is None:
+                exc.line, exc.column = tok.line, tok.column
+                exc.excerpt = caret_excerpt(text, tok.line, tok.column)
+            raise
     return outputs
 
 
 def render_outputs(outputs, json_mode=False):
-    if json_mode:
-        doc = {
-            "outputs": [
-                {
-                    "index": o["index"],
-                    "kind": o["kind"],
-                    "line": o["line"],
-                    **_value_to_json(o["result"]),
-                }
-                for o in outputs
-            ]
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    lines = []
-    for o in outputs:
-        value = o["result"]
-        if isinstance(value, bool):
-            shown = "true" if value else "false"
-        else:
-            shown = repr(value)
-        lines.append("o%d = %s" % (o["index"], shown))
-    return "".join(line + "\n" for line in lines)
+    try:
+        if json_mode:
+            doc = {
+                "outputs": [
+                    {
+                        "index": o["index"],
+                        "kind": o["kind"],
+                        "line": o["line"],
+                        **_value_to_json(o["result"]),
+                    }
+                    for o in outputs
+                ]
+            }
+            return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        lines = []
+        for o in outputs:
+            value = o["result"]
+            if isinstance(value, bool):
+                shown = "true" if value else "false"
+            else:
+                shown = repr(value)
+            lines.append("o%d = %s" % (o["index"], shown))
+        return "".join(line + "\n" for line in lines)
+    except ValueError as exc:  # CPython's cap on int -> str conversion
+        raise ScriptError("cannot print a number of more than %d digits"
+                          % sys.get_int_max_str_digits()) from exc
 
 
 # ---------------------------------------------------------------------------
 # entry points
 
+def _exit_code(exc):
+    """1 for a parse error, 3 for a refusal, 2 for any other error."""
+    if isinstance(exc, ParseError):
+        return 1
+    if isinstance(exc, (DecompositionIncomplete, FactorDegreeExceeded)):
+        return 3
+    return 2
+
+
+def _fail(exc, err):
+    """Print `exc` to `err` and return its exit code."""
+    code = _exit_code(exc)
+    print("%s: %s" % ("parse error" if code == 1 else "error", exc), file=err)
+    return code
+
+
 def run_text(text, json_mode=False, graded=False, out=sys.stdout,
              err=sys.stderr):
     try:
         statements = parse_script(text)
-    except ParseError as exc:
-        print("parse error: %s" % exc, file=err)
-        return 1
-    session = Session(json_mode=json_mode, graded=graded)
-    try:
-        outputs = execute_script(statements, session, text)
-    except DecompositionIncomplete as exc:
-        print("error: %s" % exc, file=err)
-        return 3
+        outputs = execute_script(statements, Session(graded=graded), text)
+        rendered = render_outputs(outputs, json_mode)
     except DivisorForgeError as exc:
-        print("error: %s" % exc, file=err)
-        return 2
-    out.write(render_outputs(outputs, json_mode))
+        return _fail(exc, err)
+    out.write(rendered)
     return 0
 
 
 def repl(json_mode=False, graded=False, stdin=sys.stdin, out=sys.stdout,
          err=sys.stderr):
-    session = Session(json_mode=json_mode, graded=graded)
+    session = Session(graded=graded)
     buffer = ""
     out.write("divisor-forge repl; end statements with ';', exit with "
               "Ctrl-D or 'quit;'\n")
@@ -754,36 +675,35 @@ def repl(json_mode=False, graded=False, stdin=sys.stdin, out=sys.stdout,
             outputs = execute_script(statements, session, chunk)
             out.write(render_outputs(outputs, json_mode))
         except DivisorForgeError as exc:
-            print("error: %s" % exc, file=err)
+            _fail(exc, err)
     return 0
 
 
 def main(argv=None):
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", help="JSON output")
+    common.add_argument("--graded", action="store_true",
+                        help="default the graded flag to true")
     parser = argparse.ArgumentParser(
         prog="divisor-forge",
         description="exact divisor calculus on normal varieties")
     sub = parser.add_subparsers(dest="command", required=True)
-    runp = sub.add_parser("run", help="execute a script file")
+    runp = sub.add_parser("run", parents=[common],
+                          help="execute a script file")
     runp.add_argument("script", help="path to a script file, or - for stdin")
-    runp.add_argument("--json", action="store_true", help="JSON output")
-    runp.add_argument("--graded", action="store_true",
-                      help="default the graded flag to true")
-    replp = sub.add_parser("repl", help="interactive session")
-    replp.add_argument("--json", action="store_true", help="JSON output")
-    replp.add_argument("--graded", action="store_true",
-                       help="default the graded flag to true")
+    sub.add_parser("repl", parents=[common], help="interactive session")
     args = parser.parse_args(argv)
     if args.command == "repl":
         return repl(json_mode=args.json, graded=args.graded)
-    if args.script == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if args.script == "-":
+            text = sys.stdin.read()
+        else:
             with open(args.script, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 1
+    except (OSError, UnicodeDecodeError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
     return run_text(text, json_mode=args.json, graded=args.graded)
 
 

@@ -2,7 +2,22 @@
 
 
 class DivisorForgeError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    A script run sets `line`, `column` and `excerpt` to the statement that
+    failed, keeping the exception's type; the message then starts with the
+    location and ends with the excerpt.
+    """
+
+    line = column = excerpt = None
+
+    def __str__(self):
+        base = super().__str__()
+        if self.line is not None:
+            base = "%d:%d: %s" % (self.line, self.column, base)
+        if self.excerpt:
+            base += "\n" + self.excerpt
+        return base
 
 
 class RingMismatch(DivisorForgeError):
@@ -45,21 +60,13 @@ class FactorDegreeExceeded(DivisorForgeError):
 
 
 class ScriptError(DivisorForgeError):
-    """Error while parsing or executing a script; carries a source location."""
+    """Error while parsing or executing a script."""
 
     def __init__(self, message, line=None, column=None, excerpt=None):
         super().__init__(message)
         self.line = line
         self.column = column
         self.excerpt = excerpt
-
-    def __str__(self):
-        base = super().__str__()
-        if self.line is not None:
-            base = "%d:%d: %s" % (self.line, self.column, base)
-        if self.excerpt:
-            base += "\n" + self.excerpt
-        return base
 
 
 class ParseError(ScriptError):

@@ -149,10 +149,14 @@ class Ideal:
             raise RingMismatch("ideals from different rings")
 
     def __add__(self, other):
+        if not isinstance(other, Ideal):
+            return NotImplemented
         self._check_ring(other)
         return Ideal(self.ring, list(self.gens) + list(other.gens))
 
     def __mul__(self, other):
+        if not isinstance(other, Ideal):
+            return NotImplemented
         self._check_ring(other)
         if not self.gens or not other.gens:
             return Ideal(self.ring, [])

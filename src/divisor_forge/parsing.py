@@ -8,6 +8,7 @@ to ring variables.
 """
 
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -104,6 +105,14 @@ class ExprParser:
     def at_op(self, text):
         return self.cur.kind == "op" and self.cur.text == text
 
+    def integer(self):
+        tok = self.expect("int")
+        try:
+            return int(tok.text)
+        except ValueError:  # CPython's cap on int <-> str conversion
+            self.error("integer literal longer than %d digits"
+                       % sys.get_int_max_str_digits(), tok)
+
     # expression ::= term (('+'|'-') term)*
     def expression(self):
         node = self.term()
@@ -138,8 +147,7 @@ class ExprParser:
     def atom(self):
         t = self.cur
         if t.kind == "int":
-            self.i += 1
-            return ("int", int(t.text))
+            return ("int", self.integer())
         if t.kind == "id":
             self.i += 1
             if self.at_op("("):

@@ -1,0 +1,105 @@
+"""Exit codes and messages of the script CLI on inputs it must refuse.
+
+Every input ends in an exit code of the contract (0 ok, 1 parse error, 2
+mathematical error, 3 refusal) with one `error:` or `parse error:`
+message, never a Python traceback, and a REPL session survives it.
+"""
+
+import io
+import sys
+
+import pytest
+
+from divisor_forge.cli import _FUNCTIONS, main, repl, run_text
+
+HEADER = (
+    "ring R = QQ[x,y,z] / (x^2 - y*z);\n"
+    "D = divisor(ideal(x,y));\n"
+    "E = divisor(x);\n")
+DIGITS = "%d digits" % sys.get_int_max_str_digits()
+
+# (statement, exit code, a fragment of the message)
+CASES = [
+    ("print OO();", 2, "OO() takes 1 argument (0 given)"),
+    ("print floor();", 2, "floor() takes 1 argument (0 given)"),
+    ("print divisorOf();", 2, "divisorOf() takes 1 or 2 arguments (0 given)"),
+    ("print reflexify();", 2, "reflexify() takes 1 argument (0 given)"),
+    ("print pullback(x);", 2, "pullback() takes 2 arguments (1 given)"),
+    ("print symbolicPower(ideal(x));", 2,
+     "symbolicPower() takes 2 arguments (1 given)"),
+    ("print isQCartier(0, D);", 2,
+     "isQCartier() argument 1 must be a positive integer"),
+    ("print ideal(x) + 1;", 2, "unsupported operand type(s) for +"),
+    ("print ideal(x)*ideal(y)*R;", 2, "unsupported operand type(s) for *"),
+    # arguments that used to be dropped without a word
+    ("print floor(D, E);", 2, "floor() takes 1 argument (2 given)"),
+    ("print isCartier(D, foo=1);", 2, "isCartier() takes no keyword 'foo'"),
+    ("print divisor(x, section=3);", 2,
+     "divisor() keyword section must be a ring element"),
+    ("print divisor(x, section=y);", 2, "section= only with a sheaf"),
+    ("print isCartier(D, graded=true, graded=false);", 2,
+     "isCartier() got keyword 'graded' twice"),
+    # CPython's limit on converting integers to text
+    ("print 10^5000;", 2, DIGITS),
+    ("print 10^5000*x;", 2, DIGITS),
+    ("print %s;" % ("1" * 5000), 1, DIGITS),
+]
+
+
+def run(text, json_mode=False):
+    out, err = io.StringIO(), io.StringIO()
+    code = run_text(text, json_mode=json_mode, out=out, err=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("json_mode", [False, True])
+@pytest.mark.parametrize("statement, code, message", CASES)
+def test_refused_inputs_get_their_exit_code(statement, code, message,
+                                            json_mode):
+    got, out, err = run(HEADER + statement + "\n", json_mode)
+    assert (got, out) == (code, "")
+    assert err.startswith("parse error: " if code == 1 else "error: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_factor_degree_cap_is_a_refusal(monkeypatch):
+    script = "ring R = QQ[x,y,z];\nprint divisor(x^2*y + z^3 + x*y*z);\n"
+    monkeypatch.setenv("DIVISOR_FORGE_MAXDEG", "2")
+    code, out, err = run(script)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: 2:1: ") and "exceeds cap 2" in err
+    monkeypatch.delenv("DIVISOR_FORGE_MAXDEG")
+    assert run(script)[0] == 0
+
+
+def test_repl_survives_every_refused_input():
+    lines = [HEADER]
+    for statement, _, _ in CASES:
+        lines += [statement + "\n", "print 7;\n"]
+    out, err = io.StringIO(), io.StringIO()
+    assert repl(stdin=io.StringIO("".join(lines)), out=out, err=err) == 0
+    printed = out.getvalue().splitlines()[1:]
+    assert len(printed) == len(CASES)
+    assert all(line.endswith(" = 7") for line in printed)
+    messages = err.getvalue()
+    assert "Traceback" not in messages
+    for _, _, message in CASES:
+        assert message in messages
+
+
+def test_unreadable_script_is_exit_1(tmp_path, capsys):
+    binary = tmp_path / "binary.df"
+    binary.write_bytes(b"print \xff;\n")
+    assert main(["run", str(tmp_path / "missing.df")]) == 1
+    assert main(["run", str(binary)]) == 1
+    assert capsys.readouterr().err.count("error: ") == 2
+
+
+def test_readme_lists_every_declared_signature():
+    with open("README.md", "r", encoding="utf-8") as handle:
+        readme = handle.read()
+    for name, (kinds, keywords, _) in _FUNCTIONS.items():
+        row = "| `%s` | %s | %s |" % (
+            name, ", ".join(kinds), ", ".join(keywords) or "-")
+        assert row in readme, row

@@ -58,6 +58,17 @@ def test_sum_product_power(cone4):
     assert (I ** 0).is_unit()
 
 
+def test_sum_and_product_refuse_non_ideals(cone4):
+    """A non-Ideal operand is Python's TypeError, as for divisors and
+    polynomials, never an AttributeError from inside the operator."""
+    I = ideal(cone4, "x", "u")
+    for other in (1, polynomial(cone4, "x"), cone4):
+        with pytest.raises(TypeError):
+            I + other
+        with pytest.raises(TypeError):
+            I * other
+
+
 def test_bracket_power_agrees_after_reflexification(cone4):
     from divisor_forge import reflexify
 
