@@ -47,10 +47,6 @@ def _integral(D):
 def non_cartier_locus(D, graded=False):
     """Ideal defining the locus where D fails to be Cartier."""
     D = _integral(D)
-    key = ("non_cartier_locus", graded)
-    cached = D.cache.get(key)
-    if cached is not None:
-        return cached
     plus = sheaf_of(D)
     minus = sheaf_of(-D)
     product = plus.numerator * minus.numerator
@@ -59,7 +55,6 @@ def non_cartier_locus(D, graded=False):
     J = product.quotient(dens)
     if graded:
         J = J.saturation(irrelevant_ideal(D.ring))
-    D.cache[key] = J
     return J
 
 

@@ -213,13 +213,9 @@ def format_script(statements):
 # evaluation
 
 class Session:
-    """Named bindings plus the graded default; bindings replace, never mutate.
+    """Named bindings plus the graded default; bindings replace, never mutate."""
 
-    `json_mode` is accepted and ignored: the output mode is an argument of
-    `render_outputs`.
-    """
-
-    def __init__(self, json_mode=False, graded=False):
+    def __init__(self, graded=False):
         self.bindings = {}
         self.current_ring = None
         self.graded = graded
@@ -381,17 +377,14 @@ class Evaluator:
 
     def _divisor_table(self, entries, ring):
         coeffs, primes = [], []
-        rational = False
         for cnode, enode in entries:
             c = self.eval(cnode, ring)
             if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
                 raise ScriptError("divisor coefficient must be a number")
-            if isinstance(c, Fraction) and c.denominator != 1:
-                rational = True
             coeffs.append(Fraction(c))
             primes.append(_coerce("ideal", self.eval(enode, ring),
                                   "a divisor table entry"))
-        return WeilDivisor.from_primes(coeffs, primes, rational=rational)
+        return WeilDivisor.from_primes(coeffs, primes)
 
     # -- calls ---------------------------------------------------------------
 

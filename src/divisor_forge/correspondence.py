@@ -40,20 +40,14 @@ def sheaf_of(D):
     """O(D) as a fractional ideal (1/f)((f * I_minus) : I_plus)."""
     if D.tier != "Z" and not D.is_integral():
         raise NonIntegralCoercion("sheaf of a non-integral divisor")
-    cached = D.cache.get("sheaf")
-    if cached is not None:
-        return cached
     ring = D.ring
     i_plus = effective_ideal(D.positive_part())
     i_minus = effective_ideal(D.negative_part())
     if i_plus.is_unit():
-        result = FractionalIdeal(reflexify(i_minus), ring.one())
-    else:
-        f = smallest_generator(i_plus)
-        num = (Ideal(ring, [f]) * i_minus).quotient(i_plus)
-        result = FractionalIdeal(reflexify(num), f)
-    D.cache["sheaf"] = result
-    return result
+        return FractionalIdeal(reflexify(i_minus), ring.one())
+    f = smallest_generator(i_plus)
+    num = (Ideal(ring, [f]) * i_minus).quotient(i_plus)
+    return FractionalIdeal(reflexify(num), f)
 
 
 def divisor_of_fractional_ideal(F, graded=False):

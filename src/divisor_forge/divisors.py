@@ -18,6 +18,7 @@ from .errors import (
 from .ideals import (
     Ideal,
     certify_prime,
+    factor_polynomial,
     max_symbolic_containment,
     minimal_height_one_primes,
 )
@@ -27,15 +28,13 @@ from .ring import Polynomial
 class WeilDivisor:
     """Formal sum of height-one prime divisors with Z or Q coefficients."""
 
-    def __init__(self, ring, terms=None, tier="Z", _assumed=frozenset()):
+    def __init__(self, ring, terms=None, tier="Z"):
         self.ring = ring
         self.terms = dict(terms or {})  # canonical Ideal -> (Fraction, display Ideal)
         for P, (c, _) in list(self.terms.items()):
             if not c:
                 del self.terms[P]
         self.tier = tier
-        self.assumed_primes = frozenset(_assumed)
-        self.cache = {}
 
     # -- constructors --------------------------------------------------------
 
@@ -52,7 +51,6 @@ class WeilDivisor:
             raise DivisorForgeError("empty prime list")
         ring = primes[0].ring
         terms = {}
-        assumed = set()
         tier = "Z"
         for c, P in zip(coeffs, primes):
             c = Fraction(c)
@@ -66,27 +64,31 @@ class WeilDivisor:
             if canon.height() != 1:
                 raise HeightNotOne("component %r has height %d"
                                    % (P, canon.height()))
-            if not certify_prime(canon):
-                if not assume_prime:
-                    raise PrimalityUncertain(
-                        "cannot certify %r prime; pass assume_prime=True "
-                        "to assert it" % (P,))
-                assumed.add(canon)
+            if not assume_prime and not certify_prime(canon):
+                raise PrimalityUncertain(
+                    "cannot certify %r prime; pass assume_prime=True "
+                    "to assert it" % (P,))
             old = terms.get(canon, (Fraction(0), P))
             terms[canon] = (old[0] + c, old[1])
         if rational:
             tier = "Q"
-        return cls(ring, terms, tier, assumed)
+        return cls(ring, terms, tier)
 
     @classmethod
     def of_element(cls, f):
-        """Divisor of a ring element: sum of ord_P(f) over the height-one
-        primes of (f); units give the zero divisor."""
+        """Divisor of a ring element; units give the zero divisor.
+
+        div is a homomorphism, so this is the sum of m * div((p)) over the
+        irreducible factors p^m of the stored representative (not of its
+        normal form, which need not factor)."""
         if isinstance(f, Polynomial) and f.is_zero():
             raise DivisorForgeError("divisor of zero")
+        out = cls.zero(f.ring)
         if f.is_unit():
-            return cls.zero(f.ring)
-        return cls.of_ideal(Ideal(f.ring, [f]))
+            return out
+        for p, m in factor_polynomial(f)[1]:
+            out = out + cls.of_ideal(Ideal(f.ring, [p])).scale(m)
+        return out
 
     @classmethod
     def of_ideal(cls, I):
@@ -152,8 +154,7 @@ class WeilDivisor:
             else:
                 terms.pop(P, None)
         tier = "Q" if "Q" in (self.tier, other.tier) else "Z"
-        return WeilDivisor(self.ring, terms, tier,
-                           self.assumed_primes | other.assumed_primes)
+        return WeilDivisor(self.ring, terms, tier)
 
     def __neg__(self):
         return self.scale(-1)
@@ -171,7 +172,7 @@ class WeilDivisor:
             P: (c * k, disp) for P, (k, disp) in self.terms.items() if c * k
         }
         tier = "Q" if (widen or self.tier == "Q") else "Z"
-        return WeilDivisor(self.ring, terms, tier, self.assumed_primes)
+        return WeilDivisor(self.ring, terms, tier)
 
     def __mul__(self, c):
         if isinstance(c, (int, Fraction)):
@@ -183,13 +184,13 @@ class WeilDivisor:
     # -- tier handling ---------------------------------------------------------
 
     def to_rational_tier(self):
-        return WeilDivisor(self.ring, self.terms, "Q", self.assumed_primes)
+        return WeilDivisor(self.ring, self.terms, "Q")
 
     def to_integer_tier(self):
         if not self.is_integral():
             raise NonIntegralCoercion(
                 "divisor has non-integer coefficients: %r" % self)
-        return WeilDivisor(self.ring, self.terms, "Z", self.assumed_primes)
+        return WeilDivisor(self.ring, self.terms, "Z")
 
     def apply_to_coefficients(self, fn, tier=None):
         terms = {}
@@ -200,7 +201,7 @@ class WeilDivisor:
         if tier is None:
             tier = "Q" if any(
                 c.denominator != 1 for c, _ in terms.values()) else self.tier
-        return WeilDivisor(self.ring, terms, tier, self.assumed_primes)
+        return WeilDivisor(self.ring, terms, tier)
 
     def floor(self):
         return self.apply_to_coefficients(math.floor, tier="Z")

@@ -82,12 +82,6 @@ def p_sub(p, q):
     return r
 
 
-def p_scale(p, c):
-    if not c:
-        return {}
-    return {m: k * c for m, k in p.items()}
-
-
 def p_mul_term(p, mono, coeff):
     return {mono_mul(m, mono): c * coeff for m, c in p.items()}
 

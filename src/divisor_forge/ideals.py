@@ -128,17 +128,6 @@ class Ideal:
                 i += 1
         return tuple(kept)
 
-    def compress(self):
-        """The same ideal presented on an irredundant generating set.
-
-        Products and powers produce wildly redundant generator lists; the
-        colon and intersection routines scale with the presentation, so
-        shrinking it first is often the difference between instant and
-        intractable."""
-        if not self.gens:
-            return self
-        return Ideal(self.ring, list(self.minimal_gens()))
-
     def __repr__(self):
         return "ideal(%s)" % ", ".join(repr(g) for g in self.minimal_gens())
 
@@ -629,9 +618,10 @@ def monomials_of_multidegree(ring, target):
 def graded_piece_basis(I, degree):
     """Vector-space basis of the degree component of I inside R.
 
-    Spans monomial multiples of the quotient-presented generators, reduces
-    to normal forms, and Gauss-eliminates over the standard monomials of the
-    ambient degree piece.  Deterministic ordering by leading monomial.
+    One element m - NF(m) for each standard monomial m of the degree (no
+    leading term of the defining ideal divides it) that the normal form
+    modulo I's Groebner basis changes, by decreasing m.  This is the reduced
+    row echelon basis over the standard monomials, so it is unique.
     """
     ring = I.ring
     if isinstance(degree, int):
@@ -644,50 +634,20 @@ def graded_piece_basis(I, degree):
         m for m in monomials_of_multidegree(ring, degree)
         if not any(engine.mono_divides(lt, m) for lt in lts)
     ]
+    if any(len({ring.grading.degree(m) for m in g}) != 1
+           for g in ring.quotient_gb):
+        raise DivisorForgeError(
+            "graded piece of a ring with inhomogeneous relations")
+    if any(g.multidegree() is None for g in I.quotient_gens()):
+        raise DivisorForgeError(
+            "graded piece of an ideal with inhomogeneous generators")
     std.sort(key=ring.key, reverse=True)
-    col = {m: i for i, m in enumerate(std)}
-    rows = []
-    for g in I.quotient_gens():
-        gdeg = g.multidegree()
-        if gdeg is None:
-            raise DivisorForgeError(
-                "graded piece of an ideal with inhomogeneous generators")
-        shift = tuple(d - gd for d, gd in zip(degree, gdeg))
-        for m in monomials_of_multidegree(ring, shift):
-            prod = ring.normal_form_raw(
-                engine.p_mul({m: Fraction(1)}, g.nf_terms()))
-            if prod:
-                vec = [Fraction(0)] * len(std)
-                for mm, c in prod.items():
-                    vec[col[mm]] = c
-                rows.append(vec)
-    basis_rows = _rref(rows)
     out = []
-    for vec in basis_rows:
-        terms = {std[i]: c for i, c in enumerate(vec) if c}
-        out.append(Polynomial(ring, terms))
+    for m in std:
+        nf = engine.normal_form({m: engine.ONE}, I.groebner, ring.key)
+        if nf != {m: engine.ONE}:
+            terms = {m: engine.ONE}
+            for t in sorted(nf, key=ring.key, reverse=True):
+                terms[t] = -nf[t]
+            out.append(Polynomial(ring, terms))
     return out
-
-
-def _rref(rows):
-    """Reduced row echelon form over the rationals; returns nonzero rows."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return [row for row in rows[:r]]

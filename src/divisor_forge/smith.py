@@ -11,13 +11,6 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _mat_mul(A, B):
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
-        for i in range(len(A))
-    ]
-
-
 def smith_normal_form(A):
     """Return (U, S, V) with U*A*V = S in Smith normal form.
 
