@@ -6,6 +6,7 @@ any Fraction) widens to 'Q', and coercion back checks integrality.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 from .errors import (
@@ -113,8 +114,7 @@ class WeilDivisor:
         return sorted(self.terms, key=lambda P: P.key)
 
     def coefficient_of(self, P):
-        canon = Ideal(self.ring, list(P.quotient_gens()))
-        entry = self.terms.get(canon)
+        entry = self.terms.get(P)  # ideals hash and compare by key
         return entry[0] if entry else Fraction(0)
 
     def is_zero(self):
@@ -188,8 +188,14 @@ class WeilDivisor:
 
     def to_integer_tier(self):
         if not self.is_integral():
+            try:
+                shown = repr(self)
+            except ValueError:  # CPython's cap on int -> str conversion
+                raise NonIntegralCoercion(
+                    "divisor has a non-integer coefficient of more than %d "
+                    "digits" % sys.get_int_max_str_digits()) from None
             raise NonIntegralCoercion(
-                "divisor has non-integer coefficients: %r" % self)
+                "divisor has non-integer coefficients: %s" % shown)
         return WeilDivisor(self.ring, self.terms, "Z")
 
     def apply_to_coefficients(self, fn, tier=None):

@@ -5,7 +5,6 @@ Every ideal of a quotient ring is handled through its full ambient preimage
 preimage is the ideal's canonical key, so ideal equality is key equality.
 """
 
-import random
 from fractions import Fraction
 
 from . import engine, factorization
@@ -13,6 +12,7 @@ from .engine import elim_key
 from .errors import (
     DecompositionIncomplete,
     DivisorForgeError,
+    FactorDegreeExceeded,
     HeightNotOne,
     RingMismatch,
 )
@@ -262,23 +262,22 @@ class Ideal:
         drop = sorted(set(var_indices))
         if not drop:
             return self
-        n = self.ring.nvars
-        keep = [i for i in range(n) if i not in drop]
-        perm = drop + keep  # eliminated block first
-        permuted = [
-            {tuple(m[i] for i in perm): c for m, c in g.items()}
-            for g in self.groebner
-        ]
-        gb = engine.buchberger(permuted, elim_key(len(drop)))
-        inv = [0] * n
-        for newpos, old in enumerate(perm):
-            inv[old] = newpos
-        out = []
-        for g in gb:
-            if all(all(m[j] == 0 for j in range(len(drop))) for m in g):
-                out.append({tuple(m[inv[i]] for i in range(n)): c
-                            for m, c in g.items()})
+        out = _eliminate(self.groebner, drop, self.ring.nvars)
         return Ideal(self.ring, [Polynomial(self.ring, g) for g in out])
+
+
+def _eliminate(polys, drop, nvars):
+    """The elements free of the variables in the sorted list drop of an
+    elimination basis of the term dicts polys in nvars variables."""
+    perm = drop + [i for i in range(nvars) if i not in drop]
+    gb = engine.buchberger(
+        [{tuple(m[i] for i in perm): c for m, c in g.items()} for g in polys],
+        elim_key(len(drop)))
+    inv = [0] * nvars
+    for newpos, old in enumerate(perm):
+        inv[old] = newpos
+    return [{tuple(m[inv[i]] for i in range(nvars)): c for m, c in g.items()}
+            for g in gb if not any(any(m[:len(drop)]) for m in g)]
 
 
 def _intersect(A, B, nvars):
@@ -364,148 +363,105 @@ def _factor(ring, terms):
 # ---------------------------------------------------------------------------
 # primality certificate and minimal prime decomposition
 
-def _subst(p, i, num, den_coeff):
-    """Substitute variable i := num / den_coeff into term dict p.
-
-    num is a term dict, den_coeff a nonzero Fraction; clearing denominators
-    is unnecessary because coefficients are exact rationals.
-    """
-    n = len(next(iter(p))) if p else 0
+def _subst(p, i, value):
+    """Substitute variable i := value (a term dict) into term dict p."""
     by_power = {}
     for m, c in p.items():
-        e = m[i]
-        rest = m[:i] + (0,) + m[i + 1 :]
-        by_power.setdefault(e, {})[rest] = by_power.setdefault(e, {}).get(
-            rest, Fraction(0)) + c
+        by_power.setdefault(m[i], {})[m[:i] + (0,) + m[i + 1 :]] = c
     out = {}
-    ratio = {m: c / den_coeff for m, c in num.items()}
     for e, part in sorted(by_power.items()):
-        piece = {m: c for m, c in part.items() if c}
         if e:
-            piece = engine.p_mul(piece, engine.p_pow(ratio, e)) if piece else {}
-        out = engine.p_add(out, piece)
+            part = engine.p_mul(part, engine.p_pow(value, e))
+        out = engine.p_add(out, part)
     return out
 
 
 def _solvable_variable(p, nvars):
-    """Return (i, coeff, rest) if p = coeff*x_i + rest with x_i absent from rest."""
+    """Return (i, value) if p is a nonzero multiple of x_i - value, with x_i
+    absent from value."""
     for i in range(nvars):
-        lin = None
-        ok = True
-        for m, c in p.items():
-            if m[i] == 0:
-                continue
-            if m[i] == 1 and not any(m[j] for j in range(nvars) if j != i):
-                lin = c
-            else:
-                ok = False
-                break
-        if ok and lin is not None:
-            rest = {m: c for m, c in p.items() if m[i] == 0}
-            return i, lin, rest
+        x_i = tuple(int(j == i) for j in range(nvars))
+        if [m for m in p if m[i]] == [x_i]:
+            return i, {m: -c / p[x_i] for m, c in p.items() if not m[i]}
     return None
 
 
-def _certify_prime(ring, gb):
-    """Triangular-substitution primality certificate on an ambient GB.
+def _proper_factors(ring, p):
+    """Factor dicts of p if p is reducible or a power, else None."""
+    _, factors = _factor(ring, p)
+    if len(factors) > 1 or factors[0][1] > 1:
+        return [f for f, _ in factors]
 
-    Returns ('prime', None), ('split', [factor dicts]) when a substitution
-    exposes a factorization usable for splitting, or ('fail', None).
+
+def _certify_prime(ring, gb):
+    """Factor-and-substitute step on an ambient GB.
+
+    Each round factors every polynomial of the system (the GB, then what is
+    left after substituting for a variable some element is linear in):
+    ('split', factors) for the first reducible one or power, ('unit', None)
+    on a nonzero constant, ('prime', None) once at most one is left.  With
+    no variable to solve for, elimination bases of the system (one variable
+    at a time) project its components to hypersurfaces whose equations may
+    factor: ('project', factors) for the first reducible element none of
+    whose factors lies in the ideal of gb, else ('fail', None).
     """
     n = ring.nvars
-    polys = [dict(g) for g in gb]
+    polys = list(gb)
     while True:
         polys = [p for p in polys if p]
         if any(all(not any(m) for m in p) for p in polys):
             return ("unit", None)
-        if not polys:
+        for p in polys:
+            factors = _proper_factors(ring, p)
+            if factors:
+                return ("split", factors)
+        if len(polys) <= 1:
             return ("prime", None)
-        if len(polys) == 1:
-            _, factors = _factor(ring, polys[0])
-            if len(factors) == 1 and factors[0][1] == 1:
-                return ("prime", None)
-            return ("split", [f for f, _ in factors])
-        solved = None
         for idx, p in enumerate(polys):
             hit = _solvable_variable(p, n)
             if hit is not None:
-                solved = (idx, hit)
                 break
-        if solved is None:
+        else:
+            for i in range(n):
+                for g in _eliminate(polys, [i], n):
+                    try:
+                        factors = _proper_factors(ring, g)
+                    except FactorDegreeExceeded:  # too large to factor: skip
+                        continue
+                    if factors and all(engine.normal_form(f, gb, ring.key)
+                                       for f in factors):
+                        return ("project", factors)
             return ("fail", None)
-        idx, (i, coeff, rest) = solved
-        num = engine.p_neg(rest)
-        nxt = []
-        for j, q in enumerate(polys):
-            if j == idx:
-                continue
-            nxt.append(_subst(q, i, num, coeff))
-        # a substitution may expose reducibility of a survivor
-        polys = nxt
-        split = []
-        for q in polys:
-            if q and any(any(m) for m in q):
-                _, factors = _factor(ring, q)
-                if len(factors) > 1 or (factors and factors[0][1] > 1):
-                    split = [f for f, _ in factors]
-                    break
-        if split:
-            return ("split", split)
+        polys = [_subst(q, *hit) for j, q in enumerate(polys) if j != idx]
 
 
 def _decompose(I, seen=None):
-    """All primes obtainable by recursive splitting of I; raises when stuck."""
+    """All primes obtainable by recursive splitting of I; raises when stuck.
+
+    A split on factors f_1..f_k of an element of I branches on I + (f_j):
+    every prime containing I contains some f_j.  A factor already in I
+    would make its branch I again, so such a split is refused.  A
+    projection is a look-ahead from a component the certificate stopped on:
+    if one of its branches cannot be finished, that component is refused.
+    """
     seen = seen if seen is not None else set()
     if I.key in seen:
         return []
     seen.add(I.key)
-    if I.is_unit():
-        return []
-    gb = I.groebner
-    # splitting on reducible GB elements
-    for g in gb:
-        _, factors = _factor(I.ring, g)
-        distinct = [f for f, _ in factors]
-        if len(distinct) >= 2:
-            return _branch(I, distinct, seen)
-        if len(distinct) == 1 and factors[0][1] >= 2:
-            p = Polynomial(I.ring, distinct[0])
-            if not I.contains(p.terms):
-                return _decompose(Ideal(I.ring, list(I.gens) + [p]), seen)
-    verdict, data = _certify_prime(I.ring, gb)
+    verdict, factors = _certify_prime(I.ring, I.groebner)
     if verdict == "unit":
         return []
     if verdict == "prime":
         return [I]
-    if verdict == "split":
-        usable = [f for f in data if not I.contains(f)]
-        if len(usable) == len(data) and len(data) >= 2:
-            return _branch(I, data, seen)
-    # bounded random combinations of the quotient generators
-    rng = random.Random(0xD1F0)
-    qgens = I.quotient_gens()
-    for _ in range(25):
-        combo = I.ring.zero()
-        for q in qgens:
-            combo = combo + q * rng.randint(-3, 3)
-        if combo.is_zero() or not combo.terms:
-            continue
-        _, factors = _factor(I.ring, combo.terms)
-        distinct = [f for f, _ in factors]
-        if len(distinct) >= 2 and all(not I.contains(f) for f in distinct):
-            return _branch(I, distinct, seen)
+    if factors and not any(I.contains(f) for f in factors):
+        try:
+            return [P for f in factors for P in _decompose(
+                Ideal(I.ring, list(I.gens) + [Polynomial(I.ring, f)]), seen)]
+        except DecompositionIncomplete:
+            if verdict == "split":
+                raise
     raise DecompositionIncomplete(
         "cannot split or certify component %r" % (I,))
-
-
-def _branch(I, factor_dicts, seen):
-    out = {}
-    for f in factor_dicts:
-        p = Polynomial(I.ring, f)
-        branch = Ideal(I.ring, list(I.gens) + [p])
-        for P in _decompose(branch, seen):
-            out[P.key] = P
-    return list(out.values())
 
 
 def minimal_height_one_primes(I):
@@ -529,14 +485,7 @@ def minimal_height_one_primes(I):
 
 def certify_prime(I):
     """True if the scoped certificate shows I is prime; False means unknown."""
-    verdict, _ = _certify_prime(I.ring, I.groebner)
-    if verdict != "prime":
-        return False
-    for g in I.groebner:
-        _, factors = _factor(I.ring, g)
-        if len(factors) != 1 or factors[0][1] != 1:
-            return False
-    return True
+    return _certify_prime(I.ring, I.groebner)[0] == "prime"
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,11 @@ CASES = [
     ("print 10^5000;", 2, DIGITS),
     ("print 10^5000*x;", 2, DIGITS),
     ("print %s;" % ("1" * 5000), 1, DIGITS),
+    # an error message that would show such a number
+    ("print toWeil((1/(10^3000*10^3000))*E);", 2,
+     "divisor has a non-integer coefficient of more than " + DIGITS),
+    ("print toWeil((1/2)*E);", 2,
+     "divisor has non-integer coefficients: 1/2*Div("),
 ]
 
 
