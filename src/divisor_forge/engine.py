@@ -186,7 +186,7 @@ def normal_form(p, basis, key, lms=None):
         for lm, lc, g in heads:
             if mono_divides(lm, m):
                 q = mono_div(m, lm)
-                factor = c / lc
+                factor = c if lc == 1 else c / lc
                 for gm, gc in g.items():
                     t = mono_mul(gm, q)
                     old = work.get(t)
@@ -204,15 +204,23 @@ def normal_form(p, basis, key, lms=None):
     return out
 
 
+def _shifted_tail(p, lm, lcm):
+    """The terms of p below its leading monomial lm, times lcm/lm and over
+    p's leading coefficient (no division when p is monic)."""
+    q = mono_div(lcm, lm)
+    lc = p[lm]
+    if lc == 1:
+        return {mono_mul(m, q): c for m, c in p.items() if m != lm}
+    inv = ONE / lc
+    return {mono_mul(m, q): c * inv for m, c in p.items() if m != lm}
+
+
 def s_poly(f, g, key, lms=None):
     """S-polynomial of f and g; lms, if given, is their pair of leading
-    monomials under key."""
+    monomials under key.  The two leading terms cancel and are left out."""
     mf, mg = lms if lms is not None else (max(f, key=key), max(g, key=key))
     lcm = mono_lcm(mf, mg)
-    return p_sub(
-        p_mul_term(f, mono_div(lcm, mf), ONE / f[mf]),
-        p_mul_term(g, mono_div(lcm, mg), ONE / g[mg]),
-    )
+    return p_sub(_shifted_tail(f, mf, lcm), _shifted_tail(g, mg, lcm))
 
 
 def buchberger(gens, key):

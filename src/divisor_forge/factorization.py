@@ -1,17 +1,32 @@
-"""Irreducible factorization over the rationals, via sympy.
+"""Irreducible factorization over the rationals.
 
 Factors are returned monic with respect to the ring's order so they can
-serve as canonical splitting data.  Constants and linear forms are answered
-directly: a linear form is irreducible.  Every other input goes to sympy:
-the engine-level dict becomes a sympy.Poly over QQ through Poly.from_dict
-(exponent tuples map to the generators t0, t1, ... in order, Fractions to
-QQ elements), and the factors come back through Poly.terms().  A degree cap
-(DIVISOR_FORGE_MAXDEG, default 512) refuses those inputs whose
-Kronecker-substituted univariate degree would explode.
+serve as canonical splitting data.  Rational linear factors are peeled off
+first, in any number of variables, each one confirmed by exact division:
+
+- monomial content x_i^k comes out first;
+- the direction a.x of a linear factor a.x + c divides the top-degree form,
+  so the directions are the linear factors of that form, found by the same
+  peel on it with its last variable set to 1 (in one variable, the rational
+  roots of a univariate polynomial);
+- the offset c along a direction is a rational root of the polynomial
+  restricted to a line parallel to the axis of a variable the direction
+  has: the axis itself, or else the first small-integer grid line on which
+  the polynomial does not vanish.
+
+Only a cofactor of degree 2 or more goes to sympy: it becomes a sympy.Poly
+over QQ through Poly.from_dict (exponent tuples map to the generators t0,
+t1, ... in order), and its factors come back through Poly.terms().  The
+factorization over QQ is unique, so the peel changes no answer; a factor it
+misses is left to sympy.  A degree cap (DIVISOR_FORGE_MAXDEG, default 512)
+refuses the nonlinear inputs whose Kronecker-substituted univariate degree
+would explode; it is checked on the input, before the peel.
 """
 
+import math
 import os
 from fractions import Fraction
+from itertools import chain, islice
 
 import sympy
 
@@ -19,6 +34,13 @@ from . import engine
 from .errors import FactorDegreeExceeded
 
 DEFAULT_MAXDEG = 512
+
+# the rational root search enumerates the divisors of the constant and the
+# leading coefficient only when both are at most this in absolute value
+ROOT_COEFF_LIMIT = 10**6
+
+# lines tried per direction before the peel leaves that direction to sympy
+LINES = 16
 
 
 def _maxdeg():
@@ -51,30 +73,257 @@ def factor_terms(terms, nvars, key):
     """
     if not terms:
         raise ValueError("cannot factor the zero polynomial")
-    degree = engine.total_degree(terms)
-    if degree == 0:
-        return terms[(0,) * nvars], []
-    if degree == 1:
-        _, lc = engine.leading(terms, key)
-        return lc, [(dict(engine.monic(terms, key)), 1)]
-    if _kronecker_degree(terms, nvars) > _maxdeg():
+    if (engine.total_degree(terms) > 1
+            and _kronecker_degree(terms, nvars) > _maxdeg()):
         raise FactorDegreeExceeded(
             "substituted univariate degree exceeds cap %d" % _maxdeg())
-    rep = {m: sympy.QQ(c.numerator, c.denominator) for m, c in terms.items()}
+    linear, rest = _peel(_integral(terms), nvars)
+    out = [(_monic(_form(v), key), mult) for v, mult in linear]
+    if engine.total_degree(rest) > 1:
+        out += _sympy_factors(rest, nvars, key)
+    out.sort(key=lambda fm: engine.canonical(fm[0], key))
+    # every factor is monic, so the unit is the input's leading coefficient
+    return engine.leading(terms, key)[1], out
+
+
+def _sympy_factors(terms, nvars, key):
+    """Monic irreducible factors of a term dict with integer coefficients,
+    by sympy's factor_list over QQ."""
+    rep = {m: sympy.QQ(c) for m, c in terms.items()}
     poly = sympy.Poly.from_dict(
         rep, *sympy.symbols("t0:%d" % nvars), domain=sympy.QQ)
-    content, factors = poly.factor_list()
-    unit = Fraction(content.p, content.q)
     out = []
-    for fac, mult in factors:
+    for fac, mult in poly.factor_list()[1]:
         fdict = {}
         for mono, coeff in fac.terms():
             coeff = sympy.Rational(coeff)
             fdict[tuple(int(e) for e in mono)] = Fraction(coeff.p, coeff.q)
-        _, lc = engine.leading(fdict, key)
-        if lc != 1:
-            fdict = engine.monic(fdict, key)
-            unit *= lc**mult
-        out.append((fdict, mult))
-    out.sort(key=lambda fm: engine.canonical(fm[0], key))
-    return unit, out
+        out.append((engine.monic(fdict, key), mult))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# peeling rational linear factors
+#
+# A linear form v[0] x_0 + ... + v[n-1] x_(n-1) + v[n] is the integer vector
+# v of length n + 1 with coprime entries; polynomials are term dicts with
+# integer coefficients.
+
+def _integral(terms):
+    """The primitive integer multiple of a term dict with positive scale."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+    g = math.gcd(*ints.values())
+    return {m: c // g for m, c in ints.items()}
+
+
+def _axis(i, size):
+    return tuple(int(k == i) for k in range(size))
+
+
+def _form(v):
+    """Term dict of the linear form v; its constant v[-1] sits at the zero
+    monomial, which is _axis(n, n)."""
+    n = len(v) - 1
+    return {_axis(i, n): c for i, c in enumerate(v) if c}
+
+
+def _monic(p, key):
+    lc = p[max(p, key=key)]
+    return {m: Fraction(c, lc) for m, c in p.items()}
+
+
+def _peel(f, n):
+    """Rational linear factors of an integer term dict f in n variables,
+    each confirmed by exact division.
+
+    Returns ([(v, multiplicity), ...], rest) with distinct forms v, and rest
+    their cofactor, a constant or a polynomial of degree 2 or more.
+    """
+    found = []
+    for i in range(n):
+        k = min(m[i] for m in f)
+        if k:
+            found.append((_axis(i, n + 1), k))
+            f = {m[:i] + (m[i] - k,) + m[i + 1 :]: c for m, c in f.items()}
+    degree = engine.total_degree(f)
+    if degree > 1:
+        for a in _directions(f, n, degree):
+            for v in _candidates(f, a):
+                f, k = _divide_out(f, v)
+                if k:
+                    found.append((v, k))
+                    degree -= k
+                    if degree < 2:
+                        break
+            if degree < 2:
+                break
+    if degree == 1:
+        v = tuple(f.get(_axis(i, n), 0) for i in range(n + 1))
+        g = math.gcd(*v)
+        found.append((tuple(c // g for c in v), 1))
+        f = {(0,) * n: g}
+    return found, f
+
+
+def _directions(f, n, degree):
+    """Directions a (coprime integer vectors of length n) of the linear
+    forms a.x dividing the top-degree form of f.
+
+    Those are the linear factors of the top form with x_(n-1) set to 1,
+    homogenized (the form's constant becomes the coefficient of x_(n-1)),
+    and x_(n-1) itself when it divides the top form.
+    """
+    top = {m: c for m, c in f.items() if sum(m) == degree}
+    out = [v for v, _ in _peel({m[:-1]: c for m, c in top.items()}, n - 1)[0]]
+    if all(m[-1] for m in top):
+        out.append(_axis(n - 1, n))
+    return out
+
+
+def _candidates(f, a):
+    """Linear forms a.x + c that may divide f.
+
+    With x_j the first variable of a, c comes from a rational root of f
+    restricted to a line parallel to the x_j axis: the axis first, else
+    the first of the LINES grid lines on which f does not vanish.
+    """
+    n = len(a)
+    j = next(i for i, ai in enumerate(a) if ai)
+    for point in _grid(n - 1):
+        # x_j takes the value 1 so that its powers stay in h's exponents
+        p = point[:j] + (1,) + point[j:]
+        h = {}
+        for m, c in f.items():
+            for pi, e in zip(p, m):
+                if e:
+                    c *= pi**e
+            if c:
+                h[m[j]] = h.get(m[j], 0) + c
+        h = {k: c for k, c in h.items() if c}
+        if h:
+            # on the line, a.x + c = a_j t + s + c vanishes at t = -(s+c)/a_j
+            s = sum(ai * pi for ai, pi in zip(a, p)) - a[j]
+            for t in _rational_roots(h):
+                c = -(a[j] * t + s)
+                yield tuple(c.denominator * ai for ai in a) + (c.numerator,)
+            return
+
+
+def _grid(m):
+    """The first LINES points of Z^m by increasing L1 norm, origin first."""
+    points = chain.from_iterable(_sphere(m, r) for r in range(LINES))
+    return islice(points, LINES)
+
+
+def _sphere(m, r):
+    """The points of Z^m of L1 norm r."""
+    if m == 0:
+        if r == 0:
+            yield ()
+        return
+    for k in range(r + 1):
+        for rest in _sphere(m - 1, r - k):
+            yield (k,) + rest
+            if k:
+                yield (-k,) + rest
+
+
+def _rational_roots(h):
+    """Distinct rational roots of the nonzero integer polynomial
+    sum h[k] t^k.
+
+    By the rational root theorem a root p/q in lowest terms has p dividing
+    the lowest coefficient and q the highest; (q - p) divides h(1) and
+    (q + p) divides h(-1).  Beyond ROOT_COEFF_LIMIT no divisors are tried.
+    """
+    low, high = min(h), max(h)
+    roots = [Fraction(0)] if low else []
+    a0, ad = h[low], h[high]
+    if high - low == 1:
+        return roots + [Fraction(-a0, ad)]
+    if high == low or max(abs(a0), abs(ad)) > ROOT_COEFF_LIMIT:
+        return roots
+    coeffs = [h.get(k, 0) for k in range(high, low - 1, -1)]
+    at_one = sum(coeffs)
+    # h(-1) up to its sign, which divisibility ignores
+    at_minus_one = sum(c if i % 2 else -c for i, c in enumerate(coeffs))
+    for q in _divisors(ad):
+        for d in _divisors(a0):
+            if math.gcd(d, q) != 1:
+                continue
+            for p in (d, -d):
+                if (_divides(q - p, at_one) and _divides(q + p, at_minus_one)
+                        and _vanishes(coeffs, p, q)):
+                    roots.append(Fraction(p, q))
+    return roots
+
+
+def _divides(d, v):
+    return v % d == 0 if d else v == 0
+
+
+def _vanishes(coeffs, p, q):
+    """True if the polynomial with coefficients `coeffs` (highest first)
+    vanishes at p/q: its value times q^degree is zero."""
+    acc, qpow = 0, 1
+    for c in coeffs:
+        acc = acc * p + c * qpow
+        qpow *= q
+    return acc == 0
+
+
+def _divisors(n):
+    n = abs(n)
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def _divide_out(f, v):
+    """(f / L^k, k) for the largest k with L^k dividing f, L the form v."""
+    k = 0
+    while (q := _divide(f, v)) is not None:
+        f, k = q, k + 1
+    return f, k
+
+
+def _divide(f, v):
+    """f / L over ZZ, or None when the form v does not divide f.
+
+    Synthetic division in x_j, the first variable of L = a_j x_j + M (the
+    terms of M are `tail`): the quotient's coefficients of x_j^(k-1) are
+    (F_k - M Q_k) / a_j from the top down, where F_k is f's coefficient of
+    x_j^k.  L is primitive, so if it divides f the quotient has integer
+    coefficients (Gauss's lemma) and an inexact division by a_j means it
+    does not.
+    """
+    n = len(v) - 1
+    j = next(i for i in range(n) if v[i])
+    aj = v[j]
+    tail = [(_axis(i, n), c) for i, c in enumerate(v) if c and i != j]
+    coeffs = {}
+    for m, c in f.items():
+        coeffs.setdefault(m[j], {})[m[:j] + (0,) + m[j + 1 :]] = c
+    quotient, carry = {}, {}
+    for k in range(max(coeffs), 0, -1):
+        part = dict(coeffs.get(k, {}))
+        for m, c in carry.items():
+            c = part.get(m, 0) - c
+            if c:
+                part[m] = c
+            else:
+                del part[m]
+        carry = {}
+        for m, c in part.items():
+            c, r = divmod(c, aj)
+            if r:
+                return None
+            quotient[m[:j] + (k - 1,) + m[j + 1 :]] = c
+            for e, b in tail:
+                t = engine.mono_mul(m, e)
+                s = carry.get(t, 0) + b * c
+                if s:
+                    carry[t] = s
+                else:
+                    del carry[t]
+    return quotient if carry == coeffs.get(0, {}) else None

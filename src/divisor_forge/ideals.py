@@ -404,9 +404,16 @@ def _certify_prime(ring, gb):
     at a time) project its components to hypersurfaces whose equations may
     factor: ('project', factors) for the first reducible element none of
     whose factors lies in the ideal of gb, else ('fail', None).
+
+    No factor of a split or projection lies in the ideal of gb, so every
+    branch is a larger ideal.  A proper factor of an element of the reduced
+    GB cannot: its leading monomial strictly divides that element's, which
+    no other leading monomial divides.  A split found after a substitution
+    is checked, and one with a factor in the ideal is a 'fail'.
     """
     n = ring.nvars
     polys = list(gb)
+    substituted = False
     while True:
         polys = [p for p in polys if p]
         if any(all(not any(m) for m in p) for p in polys):
@@ -414,6 +421,9 @@ def _certify_prime(ring, gb):
         for p in polys:
             factors = _proper_factors(ring, p)
             if factors:
+                if substituted and not all(
+                        engine.normal_form(f, gb, ring.key) for f in factors):
+                    return ("fail", None)
                 return ("split", factors)
         if len(polys) <= 1:
             return ("prime", None)
@@ -433,16 +443,17 @@ def _certify_prime(ring, gb):
                         return ("project", factors)
             return ("fail", None)
         polys = [_subst(q, *hit) for j, q in enumerate(polys) if j != idx]
+        substituted = True
 
 
 def _decompose(I, seen=None):
     """All primes obtainable by recursive splitting of I; raises when stuck.
 
     A split on factors f_1..f_k of an element of I branches on I + (f_j):
-    every prime containing I contains some f_j.  A factor already in I
-    would make its branch I again, so such a split is refused.  A
-    projection is a look-ahead from a component the certificate stopped on:
-    if one of its branches cannot be finished, that component is refused.
+    every prime containing I contains some f_j.  The certificate gives no
+    factor already in I, whose branch would be I again.  A projection is a
+    look-ahead from a component the certificate stopped on: if one of its
+    branches cannot be finished, that component is refused.
     """
     seen = seen if seen is not None else set()
     if I.key in seen:
@@ -453,7 +464,7 @@ def _decompose(I, seen=None):
         return []
     if verdict == "prime":
         return [I]
-    if factors and not any(I.contains(f) for f in factors):
+    if factors:
         try:
             return [P for f in factors for P in _decompose(
                 Ideal(I.ring, list(I.gens) + [Polynomial(I.ring, f)]), seen)]

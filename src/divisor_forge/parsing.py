@@ -71,6 +71,36 @@ def caret_excerpt(text, line, column):
 # AST nodes are tuples: ('int', value), ('name', id), ('neg', a),
 # ('binop', op, a, b), ('call', name, args, kwargs), ('table', [(coeff, expr)])
 
+# The deepest expression the parser accepts, in tree levels (a chain such as
+# 1+1+...+1 is one level per operator) and in nested factors (parentheses,
+# signs, exponents, arguments).  Parsing, evaluating and printing recurse a
+# few frames per level, so this keeps them well inside Python's recursion
+# limit.
+MAX_DEPTH = 100
+
+
+def _children(node):
+    kind = node[0]
+    if kind == "neg":
+        return [node[1]]
+    if kind == "binop":
+        return node[2:]
+    if kind == "call":
+        return node[2] + [value for _, value in node[3]]
+    if kind == "table":
+        return [part for entry in node[1] for part in entry]
+    return []
+
+
+def _tree_depth(node):
+    """Levels of an expression tree, counted without recursion."""
+    depth, stack = 0, [(node, 1)]
+    while stack:
+        node, level = stack.pop()
+        depth = max(depth, level)
+        stack.extend((child, level + 1) for child in _children(node))
+    return depth
+
 
 class ExprParser:
     """Recursive-descent parser over a token stream."""
@@ -79,6 +109,7 @@ class ExprParser:
         self.tokens = tokens
         self.text = text
         self.i = 0
+        self.nesting = 0  # factors being parsed
 
     @property
     def cur(self):
@@ -113,12 +144,19 @@ class ExprParser:
             self.error("integer literal longer than %d digits"
                        % sys.get_int_max_str_digits(), tok)
 
+    def too_deep(self, tok=None):
+        self.error("expression nested deeper than %d levels" % MAX_DEPTH, tok)
+
     # expression ::= term (('+'|'-') term)*
     def expression(self):
+        start = self.cur
         node = self.term()
         while self.cur.kind == "op" and self.cur.text in "+-":
             op = self.expect("op").text
             node = ("binop", op, node, self.term())
+        # the whole tree, once, from the outermost expression
+        if self.nesting == 0 and _tree_depth(node) > MAX_DEPTH:
+            self.too_deep(start)
         return node
 
     # term ::= factor (('*'|'/') factor)*
@@ -130,12 +168,19 @@ class ExprParser:
         return node
 
     # factor ::= ('-'|'+') factor | power
+    # Every recursion of the grammar passes through here.
     def factor(self):
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            self.too_deep()
         if self.accept("op", "-"):
-            return ("neg", self.factor())
-        if self.accept("op", "+"):
-            return self.factor()
-        return self.power()
+            node = ("neg", self.factor())
+        elif self.accept("op", "+"):
+            node = self.factor()
+        else:
+            node = self.power()
+        self.nesting -= 1
+        return node
 
     # power ::= atom ('^' factor)?
     def power(self):

@@ -11,12 +11,14 @@ import sys
 import pytest
 
 from divisor_forge.cli import _FUNCTIONS, main, repl, run_text
+from divisor_forge.parsing import MAX_DEPTH
 
 HEADER = (
     "ring R = QQ[x,y,z] / (x^2 - y*z);\n"
     "D = divisor(ideal(x,y));\n"
     "E = divisor(x);\n")
 DIGITS = "%d digits" % sys.get_int_max_str_digits()
+NESTED = "expression nested deeper than %d levels" % MAX_DEPTH
 
 # (statement, exit code, a fragment of the message)
 CASES = [
@@ -48,6 +50,10 @@ CASES = [
      "divisor has a non-integer coefficient of more than " + DIGITS),
     ("print toWeil((1/2)*E);", 2,
      "divisor has non-integer coefficients: 1/2*Div("),
+    # nesting past the parser's depth bound, which used to overflow the stack
+    ("print %s1%s;" % ("(" * 300, ")" * 300), 1, NESTED),
+    ("print %s;" % "+".join(["1"] * 3000), 1, NESTED),
+    ("print %s1;" % ("-" * 3000), 1, NESTED),
 ]
 
 
@@ -66,6 +72,20 @@ def test_refused_inputs_get_their_exit_code(statement, code, message,
     assert err.startswith("parse error: " if code == 1 else "error: ")
     assert message in err
     assert "Traceback" not in err
+
+
+def test_nesting_up_to_the_bound_is_accepted():
+    half = "+".join(["x"] * (MAX_DEPTH // 2 + 10))
+    for statement, code in [
+        ("print %s;" % "+".join(["1"] * MAX_DEPTH), 0),
+        ("print %s1%s;" % ("(" * (MAX_DEPTH - 1), ")" * (MAX_DEPTH - 1)), 0),
+        ("print %s1;" % ("-" * (MAX_DEPTH - 1)), 0),
+        ("print %s^1;" % "^".join(["1"] * (MAX_DEPTH - 1)), 0),
+        # two chains, each within the bound, one inside the other
+        ("print (%s)+%s;" % (half, half), 1),
+    ]:
+        got, _, err = run(HEADER + statement + "\n")
+        assert got == code, (statement[:40], err)
 
 
 def test_factor_degree_cap_is_a_refusal(monkeypatch):

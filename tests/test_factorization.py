@@ -1,5 +1,6 @@
-"""factor_terms: a seeded differential test against the expression-tree
-conversion it replaced, round trips, and linear forms beyond the degree cap."""
+"""factor_terms: seeded differential tests against the expression-tree
+conversion it replaced, round trips, linear forms beyond the degree cap,
+and the peel of rational linear factors that spares sympy."""
 
 import random
 from fractions import Fraction
@@ -7,8 +8,9 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from divisor_forge import FactorDegreeExceeded, QuotientRing, WeilDivisor
-from divisor_forge import engine
+from divisor_forge import (
+    FactorDegreeExceeded, QuotientRing, WeilDivisor, polynomial)
+from divisor_forge import engine, factorization
 from divisor_forge.engine import elim_key, grevlex_key
 from divisor_forge.factorization import factor_terms
 
@@ -134,3 +136,103 @@ def test_divisor_of_a_linear_form_in_ten_variables():
         f = f + v
     D = WeilDivisor.of_element(f)
     assert repr(D) == "Div(%s)" % " + ".join(names)
+
+
+# ---------------------------------------------------------------------------
+# the peel of rational linear factors
+
+def random_form(rng, nvars):
+    """A linear form with small rational coefficients and a variable."""
+    while True:
+        coeffs = [Fraction(rng.choice([0, 0, 1, -1, 2, -3]),
+                           rng.choice([1, 1, 2])) for _ in range(nvars + 1)]
+        if any(coeffs[:nvars]):
+            return {tuple(int(i == j) for j in range(nvars)): c
+                    for i, c in enumerate(coeffs) if c}
+
+
+def random_product(rng, nvars):
+    """A constant times 1-6 linear forms, among them repeats and translates
+    of one direction, and sometimes times an irreducible quadratic."""
+    zero = (0,) * nvars
+    f = {zero: Fraction(rng.choice([1, -2, 3]), rng.choice([1, 5]))}
+    count = rng.randint(1, 6)
+    while count:
+        form = random_form(rng, nvars)
+        shape = rng.randrange(3) if count > 1 else 0
+        if shape == 1:  # repeated
+            form = engine.p_pow(form, 2)
+        elif shape == 2:  # parallel: the same direction, another offset
+            form = engine.p_mul(form, engine.p_add(
+                form, {zero: Fraction(rng.choice([1, -1, 3]))}))
+        count -= 1 + bool(shape)
+        f = engine.p_mul(f, form)
+    if rng.random() < 0.3:
+        i = rng.randrange(nvars)
+        square = tuple(2 * int(j == i) for j in range(nvars))
+        f = engine.p_mul(f, {square: Fraction(1), zero: Fraction(1)})
+    return f
+
+
+def named(text, names):
+    """A term dict from polynomial syntax over the given variables."""
+    return dict(polynomial(QuotientRing(names), text).terms)
+
+
+SPECIAL = [
+    ("x*(x+1)", ("x",)),
+    ("x^3*(x+1)^2*(2*x-3)", ("x",)),
+    ("(x+y)*(y+z)", ("x", "y", "z")),
+    ("(x+y)*(x+z)*(y+z)", ("x", "y", "z")),
+    ("(x+y)*(x+y+1)*(x-y)^2", ("x", "y")),
+    ("x*y*(x*y+1)", ("x", "y")),
+    ("(x^2+y^2+z^2+w^2)*(x+w-1)", ("x", "y", "z", "w")),
+]
+
+
+@pytest.mark.parametrize("key_name", ["grevlex", "elim1"])
+def test_peeled_products_match_reference(key_name, monkeypatch):
+    monkeypatch.setenv("DIVISOR_FORGE_MAXDEG", str(10**6))
+    key = grevlex_key if key_name == "grevlex" else elim_key(1)
+    rng = random.Random(0x9EE1 + len(key_name))
+    inputs = [named(text, names) for text, names in SPECIAL]
+    inputs += [random_product(rng, rng.randint(1, 4)) for _ in range(100)]
+    for terms in inputs:
+        nvars = len(next(iter(terms)))
+        unit, factors = factor_terms(terms, nvars, key)
+        assert (unit, factors) == reference_factor_terms(terms, nvars, key)
+        assert expand(unit, factors, nvars) == terms
+
+
+def test_products_of_linear_forms_need_no_sympy(monkeypatch):
+    monkeypatch.setenv("DIVISOR_FORGE_MAXDEG", str(10**6))
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy was asked to factor")
+
+    monkeypatch.setattr(sympy.Poly, "factor_list", refuse)
+    rng = random.Random(0x11E4)
+    for text, names in SPECIAL[:5]:
+        terms = named(text, names)
+        factor_terms(terms, len(names), grevlex_key)
+    for _ in range(50):
+        nvars = rng.randint(1, 4)
+        terms = {(0,) * nvars: Fraction(1)}
+        for _ in range(rng.randint(1, 6)):
+            terms = engine.p_mul(terms, random_form(rng, nvars))
+        unit, factors = factor_terms(terms, nvars, grevlex_key)
+        assert all(engine.total_degree(f) == 1 for f, _ in factors)
+        assert expand(unit, factors, nvars) == terms
+
+
+def test_coefficients_beyond_the_root_search_limit():
+    big = factorization.ROOT_COEFF_LIMIT + 1
+    cases = [
+        ("(%d*x - 1)*(x + 2)*(x^2 + 1)" % big, ("x",)),
+        ("(x - %d*y + %d)*(3*x + y - 1)*(x - y)" % (big, big**2), ("x", "y")),
+        ("(x + y - %d)*(x - 1)*(y + z)" % (big * 7), ("x", "y", "z")),
+    ]
+    for text, names in cases:
+        terms = named(text, names)
+        for key in (grevlex_key, elim_key(1)):
+            got = factor_terms(terms, len(names), key)
+            assert got == reference_factor_terms(terms, len(names), key)
