@@ -94,40 +94,17 @@ class ScriptParser(ExprParser):
         name = self.expect("id").text
         self.expect("op", "=")
         self.expect("id", "QQ")
-        self.expect("op", "[")
-        variables = [self.expect("id").text]
-        while self.accept("op", ","):
-            variables.append(self.expect("id").text)
-        self.expect("op", "]")
+        variables = self.listed("[", lambda: self.expect("id").text, "]")
         relations = []
         if self.accept("op", "/"):
-            self.expect("op", "(")
-            relations.append(self.expression())
-            while self.accept("op", ","):
-                relations.append(self.expression())
-            self.expect("op", ")")
+            relations = self.listed("(", self.expression, ")")
         degrees = None
         if self.cur.kind == "id" and self.cur.text == "degrees":
             self.i += 1
-            degrees = self.int_matrix()
+            degrees = self.listed(
+                "[", lambda: self.listed("[", self.int_entry, "]"), "]")
         self.expect("op", ";")
         return ("ring", name, variables, relations, degrees, tok)
-
-    def int_matrix(self):
-        self.expect("op", "[")
-        rows = [self.int_row()]
-        while self.accept("op", ","):
-            rows.append(self.int_row())
-        self.expect("op", "]")
-        return rows
-
-    def int_row(self):
-        self.expect("op", "[")
-        row = [self.int_entry()]
-        while self.accept("op", ","):
-            row.append(self.int_entry())
-        self.expect("op", "]")
-        return row
 
     def int_entry(self):
         sign = -1 if self.accept("op", "-") else 1
@@ -141,11 +118,7 @@ class ScriptParser(ExprParser):
         self.expect("arrow")
         target = self.expect("id").text
         self.expect("op", "=")
-        self.expect("op", "(")
-        images = [self.expression()]
-        while self.accept("op", ","):
-            images.append(self.expression())
-        self.expect("op", ")")
+        images = self.listed("(", self.expression, ")")
         self.expect("op", ";")
         return ("mapdecl", name, source, target, images, tok)
 
@@ -166,9 +139,11 @@ def format_node(node):
         return node[1]
     if kind == "neg":
         return "(-%s)" % format_node(node[1])
-    if kind == "binop":
-        return "(%s %s %s)" % (format_node(node[2]), node[1],
-                               format_node(node[3]))
+    if kind == "ops":
+        out = format_node(node[1])
+        for op, operand in node[2]:
+            out += " %s %s" % (op, format_node(operand))
+        return "(%s)" % out
     if kind == "call":
         parts = [format_node(a) for a in node[2]]
         parts += ["%s=%s" % (k, format_node(v)) for k, v in node[3]]
@@ -303,11 +278,11 @@ class Evaluator:
             return self.lookup(node[1])
         if kind == "neg":
             return self._neg(self.eval(node[1], ring))
-        if kind == "binop":
-            op = node[1]
-            a = self.eval(node[2], ring)
-            b = self.eval(node[3], ring)
-            return self._binop(op, a, b)
+        if kind == "ops":
+            value = self.eval(node[1], ring)
+            for op, operand in node[2]:
+                value = self._binop(op, value, self.eval(operand, ring))
+            return value
         if kind == "call":
             return self.call(node[1], node[2], node[3], ring)
         if kind == "table":
@@ -336,10 +311,6 @@ class Evaluator:
         raise ScriptError("unknown operator %r" % op)
 
     def _mul(self, a, b):
-        if isinstance(a, (int, Fraction)) and isinstance(b, WeilDivisor):
-            return b.scale(a) if isinstance(a, int) else b.scale(Fraction(a))
-        if isinstance(b, (int, Fraction)) and isinstance(a, WeilDivisor):
-            return a.scale(b) if isinstance(b, int) else a.scale(Fraction(b))
         if isinstance(a, FractionalIdeal) and isinstance(b, FractionalIdeal):
             return a.product(b)
         if isinstance(a, Ideal) and isinstance(b, Polynomial):
@@ -349,16 +320,11 @@ class Evaluator:
         return a * b
 
     def _div(self, a, b):
-        if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
+        if isinstance(a, (int, Fraction, Polynomial, WeilDivisor)) and \
+                isinstance(b, (int, Fraction)):
             if not b:
                 raise ScriptError("division by zero")
-            return Fraction(a) / Fraction(b)
-        if isinstance(a, (Polynomial, WeilDivisor)) and isinstance(
-                b, (int, Fraction)):
-            if not b:
-                raise ScriptError("division by zero")
-            return self._mul(Fraction(1, 1) / Fraction(b), a) \
-                if isinstance(a, WeilDivisor) else a * (Fraction(1) / Fraction(b))
+            return a * (Fraction(1) / Fraction(b))
         raise ScriptError("unsupported division")
 
     def _pow(self, a, b):

@@ -80,8 +80,8 @@ class Ideal:
         return not engine.normal_form(f, self.groebner, self.ring.key)
 
     def contains_ideal(self, other):
-        return all(self.contains(g.terms) for g in other.gens) and all(
-            self.contains(g) for g in other.groebner)
+        # the defining relations lie in every preimage
+        return all(self.contains(g.terms) for g in other.gens)
 
     def is_unit(self):
         return engine.is_unit_ideal(self.groebner) if self.groebner else False
@@ -223,12 +223,8 @@ class Ideal:
         for g in gb:
             if len({sum(m) for m in g}) != 1:
                 return None
-        n = self.ring.nvars
-        perm = [j for j in range(n) if j != i] + [i]
-        permuted = [
-            {tuple(m[j] for j in perm): c for m, c in g.items()} for g in gb
-        ]
-        pgb = engine.buchberger(permuted, self.ring.key)
+        perm = [j for j in range(self.ring.nvars) if j != i] + [i]
+        pgb = engine.buchberger(_permute(gb, perm), self.ring.key)
         for _ in range(k):
             nxt = []
             for g in pgb:
@@ -239,14 +235,8 @@ class Ideal:
                 else:
                     nxt.append(g)
             pgb = nxt
-        pos = [0] * n
-        for p, j in enumerate(perm):
-            pos[j] = p
-        out = [
-            {tuple(m[pos[j]] for j in range(n)): c for m, c in g.items()}
-            for g in pgb
-        ]
-        return Ideal(self.ring, [Polynomial(self.ring, g) for g in out])
+        return Ideal(self.ring, [Polynomial(self.ring, g)
+                                 for g in _unpermute(pgb, perm)])
 
     def saturation(self, other):
         """Stable limit of iterated colon ideals (I : J^infinity)."""
@@ -270,14 +260,23 @@ def _eliminate(polys, drop, nvars):
     """The elements free of the variables in the sorted list drop of an
     elimination basis of the term dicts polys in nvars variables."""
     perm = drop + [i for i in range(nvars) if i not in drop]
-    gb = engine.buchberger(
-        [{tuple(m[i] for i in perm): c for m, c in g.items()} for g in polys],
-        elim_key(len(drop)))
-    inv = [0] * nvars
-    for newpos, old in enumerate(perm):
-        inv[old] = newpos
-    return [{tuple(m[inv[i]] for i in range(nvars)): c for m, c in g.items()}
-            for g in gb if not any(any(m[:len(drop)]) for m in g)]
+    gb = engine.buchberger(_permute(polys, perm), elim_key(len(drop)))
+    return _unpermute(
+        [g for g in gb if not any(any(m[:len(drop)]) for m in g)], perm)
+
+
+def _permute(polys, perm):
+    """The term dicts polys with variable perm[k] moved to position k."""
+    return [{tuple(m[i] for i in perm): c for m, c in g.items()}
+            for g in polys]
+
+
+def _unpermute(polys, perm):
+    """The inverse of _permute(polys, perm)."""
+    inverse = [0] * len(perm)
+    for k, i in enumerate(perm):
+        inverse[i] = k
+    return _permute(polys, inverse)
 
 
 def _intersect(A, B, nvars):
@@ -288,9 +287,8 @@ def _intersect(A, B, nvars):
     one_minus_t = engine.p_sub({(0,) * (nvars + 1): Fraction(1)}, t)
     gens = [engine.p_mul(t, _prepend_var(g)) for g in A]
     gens += [engine.p_mul(one_minus_t, _prepend_var(g)) for g in B]
-    gb = engine.buchberger(gens, elim_key(1))
     return [{m[1:]: c for m, c in g.items()}
-            for g in gb if all(m[0] == 0 for m in g)]
+            for g in _eliminate(gens, [0], nvars + 1)]
 
 
 def _prepend_var(terms):

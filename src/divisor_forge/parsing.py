@@ -69,37 +69,16 @@ def caret_excerpt(text, line, column):
 
 
 # AST nodes are tuples: ('int', value), ('name', id), ('neg', a),
-# ('binop', op, a, b), ('call', name, args, kwargs), ('table', [(coeff, expr)])
+# ('ops', first, [(op, operand), ...]) for a run of binary operators, folded
+# from the left (`^` is a run of one, nested to the right),
+# ('call', name, args, kwargs), ('table', [(coeff, expr)])
 
-# The deepest expression the parser accepts, in tree levels (a chain such as
-# 1+1+...+1 is one level per operator) and in nested factors (parentheses,
-# signs, exponents, arguments).  Parsing, evaluating and printing recurse a
-# few frames per level, so this keeps them well inside Python's recursion
-# limit.
+# The deepest nesting the parser accepts, counted in factors: parentheses,
+# signs, exponents and call arguments each open one, and a chain such as
+# 1+1+...+1 of any length is one level.  Parsing, evaluating and printing
+# recurse only through nesting, a few frames per level, so this keeps them
+# well inside Python's recursion limit.
 MAX_DEPTH = 100
-
-
-def _children(node):
-    kind = node[0]
-    if kind == "neg":
-        return [node[1]]
-    if kind == "binop":
-        return node[2:]
-    if kind == "call":
-        return node[2] + [value for _, value in node[3]]
-    if kind == "table":
-        return [part for entry in node[1] for part in entry]
-    return []
-
-
-def _tree_depth(node):
-    """Levels of an expression tree, counted without recursion."""
-    depth, stack = 0, [(node, 1)]
-    while stack:
-        node, level = stack.pop()
-        depth = max(depth, level)
-        stack.extend((child, level + 1) for child in _children(node))
-    return depth
 
 
 class ExprParser:
@@ -144,49 +123,45 @@ class ExprParser:
             self.error("integer literal longer than %d digits"
                        % sys.get_int_max_str_digits(), tok)
 
-    def too_deep(self, tok=None):
-        self.error("expression nested deeper than %d levels" % MAX_DEPTH, tok)
+    def listed(self, open, item, close):
+        """One or more `item()`s separated by commas between brackets."""
+        self.expect("op", open)
+        items = [item()]
+        while self.accept("op", ","):
+            items.append(item())
+        self.expect("op", close)
+        return items
 
     # expression ::= term (('+'|'-') term)*
-    def expression(self):
-        start = self.cur
-        node = self.term()
-        while self.cur.kind == "op" and self.cur.text in "+-":
-            op = self.expect("op").text
-            node = ("binop", op, node, self.term())
-        # the whole tree, once, from the outermost expression
-        if self.nesting == 0 and _tree_depth(node) > MAX_DEPTH:
-            self.too_deep(start)
-        return node
-
     # term ::= factor (('*'|'/') factor)*
-    def term(self):
-        node = self.factor()
-        while self.cur.kind == "op" and self.cur.text in "*/":
+    # One loop reads both levels, so only nesting deepens the stack.
+    def expression(self):
+        terms, signs = [[self.factor()]], []
+        while self.cur.kind == "op" and self.cur.text in "+-*/":
             op = self.expect("op").text
-            node = ("binop", op, node, self.factor())
-        return node
+            if op in "*/":
+                terms[-1].append((op, self.factor()))
+            else:
+                signs.append(op)
+                terms.append([self.factor()])
+        terms = [_chain(term[0], term[1:]) for term in terms]
+        return _chain(terms[0], list(zip(signs, terms[1:])))
 
-    # factor ::= ('-'|'+') factor | power
+    # factor ::= ('-'|'+') factor | atom ('^' factor)?
     # Every recursion of the grammar passes through here.
     def factor(self):
         self.nesting += 1
         if self.nesting > MAX_DEPTH:
-            self.too_deep()
+            self.error("expression nested deeper than %d levels" % MAX_DEPTH)
         if self.accept("op", "-"):
             node = ("neg", self.factor())
         elif self.accept("op", "+"):
             node = self.factor()
         else:
-            node = self.power()
+            node = self.atom()
+            if self.accept("op", "^"):
+                node = ("ops", node, [("^", self.factor())])
         self.nesting -= 1
-        return node
-
-    # power ::= atom ('^' factor)?
-    def power(self):
-        node = self.atom()
-        if self.accept("op", "^"):
-            return ("binop", "^", node, self.factor())
         return node
 
     def atom(self):
@@ -227,19 +202,19 @@ class ExprParser:
         return ("call", name, args, kwargs)
 
     def table(self, name):
-        tok = self.cur
         if name != "divisor":
-            self.error("unexpected '{' after %r" % name, tok)
-        self.expect("op", "{")
-        entries = []
-        while True:
-            coeff = self.expression()
-            self.expect("op", ":")
-            entries.append((coeff, self.expression()))
-            if not self.accept("op", ","):
-                break
-        self.expect("op", "}")
-        return ("table", entries)
+            self.error("unexpected '{' after %r" % name)
+        return ("table", self.listed("{", self.table_entry, "}"))
+
+    def table_entry(self):
+        coeff = self.expression()
+        self.expect("op", ":")
+        return (coeff, self.expression())
+
+
+def _chain(first, rest):
+    """`first` and its (op, operand) pairs as one 'ops' node, if any."""
+    return ("ops", first, rest) if rest else first
 
 
 def parse_expression(text):

@@ -359,32 +359,33 @@ def _eval_poly(node, ring):
         return ring.variable(i)
     if kind == "neg":
         return -_eval_poly(node[1], ring)
-    if kind == "binop":
-        op, a, b = node[1], node[2], node[3]
-        x = _eval_poly(a, ring)
-        y = _eval_poly(b, ring)
-        if op == "+":
-            return x + y
-        if op == "-":
-            return x - y
-        if op == "*":
-            return x * y
-        if op == "^":
-            if not y.is_constant():
-                raise DivisorForgeError("exponent must be an integer")
-            c = y.nf_terms().get((0,) * ring.nvars, Fraction(0))
-            if c.denominator != 1:
-                raise DivisorForgeError("exponent must be an integer")
-            return x ** int(c)
-        if op == "/":
-            if not y.is_constant():
-                raise DivisorForgeError(
-                    "division only by nonzero rational constants")
-            c = y.nf_terms().get((0,) * ring.nvars, Fraction(0))
-            if not c:
-                raise DivisorForgeError("division by zero")
-            return x * (Fraction(1) / c)
+    if kind == "ops":
+        x = _eval_poly(node[1], ring)
+        for op, operand in node[2]:
+            x = _apply_op(op, x, _eval_poly(operand, ring))
+        return x
     raise DivisorForgeError("unsupported syntax in polynomial")
+
+
+def _apply_op(op, x, y):
+    if op == "+":
+        return x + y
+    if op == "-":
+        return x - y
+    if op == "*":
+        return x * y
+    # '^' and '/' take a rational constant
+    c = y.nf_terms().get((0,) * y.ring.nvars, Fraction(0)) \
+        if y.is_constant() else None
+    if op == "^":
+        if c is None or c.denominator != 1:
+            raise DivisorForgeError("exponent must be an integer")
+        return x ** int(c)
+    if c is None:
+        raise DivisorForgeError("division only by nonzero rational constants")
+    if not c:
+        raise DivisorForgeError("division by zero")
+    return x * (Fraction(1) / c)
 
 
 def _format_mono(m, names):

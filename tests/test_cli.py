@@ -129,6 +129,28 @@ def test_check_statement_and_graded_default():
     assert code == 0 and "false" in out
 
 
+def test_printed_polynomial_reads_back_as_a_binding():
+    ring = "ring R = QQ[x,y,z];\n"
+    code, out, _ = run_script(ring + "print (x+y+z+1)^7;\n")
+    assert code == 0 and out.startswith("o1 = x^7 + 7*x^6*y + ")
+    f = out[len("o1 = "):].strip()
+    assert f.count(" + ") == 119
+    code, out, err = run_script(
+        ring + "f = %s;\nprint f - (x+y+z+1)^7;\n" % f)
+    assert (code, out) == (0, "o1 = 0\n"), err
+
+
+def test_rational_scalars_widen_the_divisor_tier():
+    code, out, _ = run_script(
+        "ring R = QQ[x,y];\n"
+        "D = divisor(x);\n"
+        "print (2/2)*D; print D*(2/2); print D/1; print 3*D; print D*3;\n",
+        json_mode=True)
+    assert code == 0
+    tiers = [o["value"]["tier"] for o in json.loads(out)["outputs"]]
+    assert tiers == ["Q", "Q", "Q", "Z", "Z"]
+
+
 def test_unbound_identifier_is_a_math_error():
     code, _, err = run_script("print missing;")
     assert code == 2

@@ -10,7 +10,8 @@ import sys
 
 import pytest
 
-from divisor_forge.cli import _FUNCTIONS, main, repl, run_text
+from divisor_forge.cli import (
+    _FUNCTIONS, format_script, main, parse_script, repl, run_text)
 from divisor_forge.parsing import MAX_DEPTH
 
 HEADER = (
@@ -52,7 +53,6 @@ CASES = [
      "divisor has non-integer coefficients: 1/2*Div("),
     # nesting past the parser's depth bound, which used to overflow the stack
     ("print %s1%s;" % ("(" * 300, ")" * 300), 1, NESTED),
-    ("print %s;" % "+".join(["1"] * 3000), 1, NESTED),
     ("print %s1;" % ("-" * 3000), 1, NESTED),
 ]
 
@@ -81,11 +81,36 @@ def test_nesting_up_to_the_bound_is_accepted():
         ("print %s1%s;" % ("(" * (MAX_DEPTH - 1), ")" * (MAX_DEPTH - 1)), 0),
         ("print %s1;" % ("-" * (MAX_DEPTH - 1)), 0),
         ("print %s^1;" % "^".join(["1"] * (MAX_DEPTH - 1)), 0),
-        # two chains, each within the bound, one inside the other
-        ("print (%s)+%s;" % (half, half), 1),
+        # two chains, one inside the other, are two levels
+        ("print (%s)+%s;" % (half, half), 0),
     ]:
         got, _, err = run(HEADER + statement + "\n")
         assert got == code, (statement[:40], err)
+
+
+def test_a_chain_of_any_length_is_one_level():
+    code, out, _ = run("print %s;\n" % "+".join(["1"] * 3000))
+    assert (code, out) == (0, "o1 = 3000\n")
+
+
+def _with_frames(n, f):
+    """f() called under n extra stack frames."""
+    return f() if n == 0 else _with_frames(n - 1, f)
+
+
+def test_nesting_at_the_bound_leaves_stack_to_spare():
+    """Parsing, evaluating and printing recurse a few frames per level of
+    nesting; at the bound they must leave room for a caller's own stack."""
+    n = MAX_DEPTH - 1
+    for statement in [
+        "print %sx%s;" % ("divisor{1: " * n, "}" * n),
+        "print %sx%s;" % ("ideal(" * n, ")^1*x+x" * n),
+        "print %sx%s;" % ("divisor(x, section=" * n, ")^1*x+x" * n),
+    ]:
+        text = HEADER + statement + "\n"
+        code, _, err = _with_frames(200, lambda: run(text))
+        assert code == 2 and "Traceback" not in err, err
+        assert _with_frames(200, lambda: format_script(parse_script(text)))
 
 
 def test_factor_degree_cap_is_a_refusal(monkeypatch):

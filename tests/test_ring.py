@@ -55,6 +55,11 @@ def test_parser_round_trip_printing(plane, cone4):
         assert polynomial(plane, repr(f)) == f
     g = polynomial(cone4, "x*y - u*v + v^3")
     assert polynomial(cone4, repr(g)) == g
+    # more terms than the nesting bound: a sum of any length is one level
+    R = QuotientRing(("x", "y", "z"))
+    h = polynomial(R, "(x+y+z+1)^7")
+    assert len(h.terms) == 120
+    assert polynomial(R, repr(h)) == h
 
 
 def test_multidegree_standard_and_weighted(cone4, weighted):
