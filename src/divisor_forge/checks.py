@@ -5,14 +5,14 @@ The non-Cartier locus uses the plain ideal product of O(D) and O(-D) with
 denominators cleared; taking reflexive hulls would erase the locus.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import lcm
 
 from . import engine
 from .correspondence import sheaf_of
 from .errors import NonIntegralCoercion
-from .ideals import Ideal, irrelevant_ideal, unit_ideal
+from .ideals import Ideal, irrelevant_ideal
 from .ring import Polynomial
 
 
@@ -156,15 +156,14 @@ def _poly_det(M):
     return out
 
 
-def _is_regular(ring, preimage_gens, graded):
-    """Jacobian criterion (characteristic zero) for A/(preimage_gens)."""
-    gens = [dict(g) for g in preimage_gens if g]
-    if not gens:
+def _is_regular(ring, gb, graded):
+    """Jacobian criterion (characteristic zero) for A/(gb), gb a reduced
+    Groebner basis in the ambient ring A."""
+    if not gb:
         return True
-    codim = ring.nvars - engine.lt_dimension(
-        engine.buchberger(gens, ring.key), ring.nvars, ring.key)
-    minors = _jacobian_minors(ring, gens, codim) if codim else []
-    sing_gens = [Polynomial(ring, g) for g in gens]
+    codim = ring.nvars - engine.lt_dimension(gb, ring.nvars, ring.key)
+    minors = _jacobian_minors(ring, gb, codim) if codim else []
+    sing_gens = [Polynomial(ring, g) for g in gb]
     sing_gens += [Polynomial(ring, m) for m in minors if m]
     sing = Ideal(ring, sing_gens)
     if graded:

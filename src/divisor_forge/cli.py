@@ -495,7 +495,7 @@ def _value_to_json(value):
     if isinstance(value, QuotientRing):
         return {"type": "ring", "value": repr(value)}
     if isinstance(value, Polynomial):
-        return {"type": "element", "value": repr(value.normal_form())}
+        return {"type": "element", "value": repr(value)}
     return {"type": "other", "value": repr(value)}
 
 
@@ -557,32 +557,28 @@ def execute_script(statements, session, text=""):
 
 
 def render_outputs(outputs, json_mode=False):
-    try:
-        if json_mode:
-            doc = {
-                "outputs": [
-                    {
-                        "index": o["index"],
-                        "kind": o["kind"],
-                        "line": o["line"],
-                        **_value_to_json(o["result"]),
-                    }
-                    for o in outputs
-                ]
-            }
-            return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        lines = []
-        for o in outputs:
-            value = o["result"]
-            if isinstance(value, bool):
-                shown = "true" if value else "false"
-            else:
-                shown = repr(value)
-            lines.append("o%d = %s" % (o["index"], shown))
-        return "".join(line + "\n" for line in lines)
-    except ValueError as exc:  # CPython's cap on int -> str conversion
-        raise ScriptError("cannot print a number of more than %d digits"
-                          % sys.get_int_max_str_digits()) from exc
+    if json_mode:
+        doc = {
+            "outputs": [
+                {
+                    "index": o["index"],
+                    "kind": o["kind"],
+                    "line": o["line"],
+                    **_value_to_json(o["result"]),
+                }
+                for o in outputs
+            ]
+        }
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    lines = []
+    for o in outputs:
+        value = o["result"]
+        if isinstance(value, bool):
+            shown = "true" if value else "false"
+        else:
+            shown = repr(value)
+        lines.append("o%d = %s" % (o["index"], shown))
+    return "".join(line + "\n" for line in lines)
 
 
 # ---------------------------------------------------------------------------
@@ -604,16 +600,28 @@ def _fail(exc, err):
     return code
 
 
-def run_text(text, json_mode=False, graded=False, out=sys.stdout,
-             err=sys.stderr):
+def _run(text, session, json_mode, out, err):
+    """Parse, execute and render text in session, and write the output only
+    if all three succeed; returns the exit code."""
     try:
-        statements = parse_script(text)
-        outputs = execute_script(statements, Session(graded=graded), text)
-        rendered = render_outputs(outputs, json_mode)
+        rendered = render_outputs(
+            execute_script(parse_script(text), session, text), json_mode)
     except DivisorForgeError as exc:
         return _fail(exc, err)
+    except ValueError as exc:
+        # CPython's cap on int -> str conversion, met in printing a result
+        # or in formatting an error message
+        if "integer string conversion" not in str(exc):
+            raise
+        return _fail(ScriptError("cannot print a number of more than %d "
+                                 "digits" % sys.get_int_max_str_digits()), err)
     out.write(rendered)
     return 0
+
+
+def run_text(text, json_mode=False, graded=False, out=sys.stdout,
+             err=sys.stderr):
+    return _run(text, Session(graded=graded), json_mode, out, err)
 
 
 def repl(json_mode=False, graded=False, stdin=sys.stdin, out=sys.stdout,
@@ -629,12 +637,7 @@ def repl(json_mode=False, graded=False, stdin=sys.stdin, out=sys.stdout,
         chunk, buffer = buffer, ""
         if chunk.strip() in ("quit;", "exit;"):
             break
-        try:
-            statements = parse_script(chunk)
-            outputs = execute_script(statements, session, chunk)
-            out.write(render_outputs(outputs, json_mode))
-        except DivisorForgeError as exc:
-            _fail(exc, err)
+        _run(chunk, session, json_mode, out, err)
     return 0
 
 

@@ -14,12 +14,11 @@ from .divisors import WeilDivisor
 from .errors import (
     DivisorForgeError,
     NonIntegralCoercion,
-    NoSolution,
     NotCompleteIntersection,
 )
 from .fractional import FractionalIdeal, reflexify, smallest_generator
 from .ideals import Ideal, unit_ideal
-from .ring import Polynomial
+from .ring import Polynomial, QuotientRing
 from .smith import solve_diophantine
 
 
@@ -117,35 +116,32 @@ def laurent_monomial(ring, exps):
     return num, den
 
 
-def canonical_divisor(ring, graded=True):
+def canonical_divisor(ring):
     """Canonical divisor of a graded complete intersection.
 
-    Uses omega = R(sum deg f_j - sum deg x_i); requires the defining ideal
-    to be generated by a regular sequence (codimension check).
+    Uses omega = R(sum deg f_j - sum deg x_i) over minimal generators f_j of
+    the defining ideal, which must be as many as its codimension (a regular
+    sequence).  They are taken in the free ring on the same names and
+    grading, where irredundant homogeneous generators are minimal (graded
+    Nakayama).
     """
-    if not graded:
-        raise DivisorForgeError("only the graded canonical divisor is supported")
-    ring.grading.require_positive()
-    rels = ring.quotient_gb
+    grading = ring.grading
+    grading.require_positive()
+    free = QuotientRing(ring.names, (), grading)
+    rels = [g for g in Ideal(free, [Polynomial(free, g)
+                                    for g in ring.quotient_gb]).minimal_gens()
+            if not g.is_zero()]
     codim = ring.nvars - ring.dimension()
     if len(rels) != codim:
         raise NotCompleteIntersection(
             "defining ideal has %d generators but codimension %d"
             % (len(rels), codim))
-    k = ring.grading.ncomponents
-    total = [0] * k
+    total = [-d for d in grading.degree((1,) * ring.nvars)]
     for g in rels:
-        degs = {ring.grading.degree(m) for m in g}
-        if len(degs) != 1:
+        deg = g.multidegree()
+        if deg is None:
             raise DivisorForgeError("inhomogeneous defining relation")
-        deg = degs.pop()
-        for i in range(k):
-            total[i] += deg[i]
-    for j in range(ring.nvars):
-        col = ring.grading.degree(
-            tuple(1 if i == j else 0 for i in range(ring.nvars)))
-        for i in range(k):
-            total[i] -= col[i]
+        total = [t + d for t, d in zip(total, deg)]
     # total = a; the canonical module is R(a), i.e. -div of an element of degree -a
     exps = find_element_of_degree(ring, tuple(-t for t in total))
     num, den = laurent_monomial(ring, exps)

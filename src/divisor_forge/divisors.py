@@ -18,7 +18,7 @@ from .errors import (
 )
 from .ideals import (
     Ideal,
-    certify_prime,
+    _certify_prime,
     factor_polynomial,
     max_symbolic_containment,
     minimal_height_one_primes,
@@ -31,7 +31,9 @@ class WeilDivisor:
 
     def __init__(self, ring, terms=None, tier="Z"):
         self.ring = ring
-        self.terms = dict(terms or {})  # canonical Ideal -> (Fraction, display Ideal)
+        # canonical Ideal -> (Fraction, display Ideal); the one place that
+        # drops a zero coefficient
+        self.terms = dict(terms or {})
         for P, (c, _) in list(self.terms.items()):
             if not c:
                 del self.terms[P]
@@ -44,7 +46,7 @@ class WeilDivisor:
         return cls(ring, {}, tier)
 
     @classmethod
-    def from_primes(cls, coeffs, primes, rational=False, assume_prime=False):
+    def from_primes(cls, coeffs, primes, rational=False):
         """Divisor from parallel lists of coefficients and prime ideals."""
         if len(coeffs) != len(primes):
             raise DivisorForgeError("coefficient and prime lists differ in length")
@@ -65,10 +67,11 @@ class WeilDivisor:
             if canon.height() != 1:
                 raise HeightNotOne("component %r has height %d"
                                    % (P, canon.height()))
-            if not assume_prime and not certify_prime(canon):
-                raise PrimalityUncertain(
-                    "cannot certify %r prime; pass assume_prime=True "
-                    "to assert it" % (P,))
+            verdict = _certify_prime(ring, canon.groebner)[0]
+            if verdict in ("split", "project"):
+                raise PrimalityUncertain("%r is not prime" % (P,))
+            if verdict != "prime":
+                raise PrimalityUncertain("cannot certify %r prime" % (P,))
             old = terms.get(canon, (Fraction(0), P))
             terms[canon] = (old[0] + c, old[1])
         if rational:
@@ -147,12 +150,8 @@ class WeilDivisor:
         self._check_ring(other)
         terms = dict(self.terms)
         for P, (c, disp) in other.terms.items():
-            old = terms.get(P)
-            s = (old[0] + c) if old else c
-            if s:
-                terms[P] = (s, old[1] if old else disp)
-            else:
-                terms.pop(P, None)
+            old, shown = terms.get(P, (0, disp))
+            terms[P] = (old + c, shown)
         tier = "Q" if "Q" in (self.tier, other.tier) else "Z"
         return WeilDivisor(self.ring, terms, tier)
 
@@ -168,9 +167,7 @@ class WeilDivisor:
         """Scale coefficients; Fraction scalars widen the tier to Q."""
         widen = isinstance(c, Fraction)
         c = Fraction(c)
-        terms = {
-            P: (c * k, disp) for P, (k, disp) in self.terms.items() if c * k
-        }
+        terms = {P: (c * k, disp) for P, (k, disp) in self.terms.items()}
         tier = "Q" if (widen or self.tier == "Q") else "Z"
         return WeilDivisor(self.ring, terms, tier)
 
@@ -198,15 +195,9 @@ class WeilDivisor:
                 "divisor has non-integer coefficients: %s" % shown)
         return WeilDivisor(self.ring, self.terms, "Z")
 
-    def apply_to_coefficients(self, fn, tier=None):
-        terms = {}
-        for P, (c, disp) in self.terms.items():
-            v = Fraction(fn(c))
-            if v:
-                terms[P] = (v, disp)
-        if tier is None:
-            tier = "Q" if any(
-                c.denominator != 1 for c, _ in terms.values()) else self.tier
+    def apply_to_coefficients(self, fn, tier):
+        terms = {P: (Fraction(fn(c)), disp)
+                 for P, (c, disp) in self.terms.items()}
         return WeilDivisor(self.ring, terms, tier)
 
     def floor(self):
@@ -227,11 +218,7 @@ class WeilDivisor:
     def __eq__(self, other):
         if not isinstance(other, WeilDivisor):
             return NotImplemented
-        return (
-            self.ring == other.ring
-            and {P: c for P, (c, _) in self.terms.items()}
-            == {P: c for P, (c, _) in other.terms.items()}
-        )
+        return self.ring == other.ring and self.multiset() == other.multiset()
 
     def __hash__(self):
         return hash((self.ring, self.multiset()))

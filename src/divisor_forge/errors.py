@@ -29,7 +29,7 @@ class HeightNotOne(DivisorForgeError):
 
 
 class PrimalityUncertain(DivisorForgeError):
-    """The primality certificate failed and the caller did not assert primality."""
+    """An ideal given as a prime is shown not prime, or cannot be certified."""
 
 
 class DecompositionIncomplete(DivisorForgeError):

@@ -40,12 +40,8 @@ class FractionalIdeal:
     def __init__(self, numerator, denominator):
         if not isinstance(numerator, Ideal):
             raise DivisorForgeError("numerator must be an Ideal")
-        if isinstance(denominator, str):
-            from .ring import polynomial
-
-            denominator = polynomial(numerator.ring, denominator)
-        if denominator.ring != numerator.ring:
-            raise RingMismatch("numerator and denominator in different rings")
+        denominator = numerator.ring.element(
+            denominator, "numerator and denominator in different rings")
         if denominator.is_zero():
             raise DivisorForgeError("zero denominator")
         if numerator.is_zero():

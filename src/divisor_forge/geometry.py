@@ -4,7 +4,7 @@ from .correspondence import effective_ideal, sheaf_of
 from .divisors import WeilDivisor
 from .errors import DivisorForgeError
 from .ideals import Ideal, graded_piece_basis, irrelevant_ideal
-from .ring import Grading, Polynomial, QuotientRing, RingMap
+from .ring import Grading, QuotientRing, RingMap
 
 
 def extend_ideal(phi, I):

@@ -16,7 +16,7 @@ from .errors import (
     HeightNotOne,
     RingMismatch,
 )
-from .ring import Polynomial, QuotientRing
+from .ring import Polynomial
 
 
 class Ideal:
@@ -26,12 +26,7 @@ class Ideal:
         self.ring = ring
         fixed = []
         for g in gens:
-            if isinstance(g, str):
-                from .ring import polynomial
-
-                g = polynomial(ring, g)
-            if g.ring != ring:
-                raise RingMismatch("generator from a different ring")
+            g = ring.element(g, "generator from a different ring")
             if g.terms:
                 fixed.append(g)
         self.gens = tuple(fixed)

@@ -125,6 +125,19 @@ class QuotientRing:
     def variables(self):
         return [self.variable(i) for i in range(self.nvars)]
 
+    def element(self, value, mismatch):
+        """value as an element of this ring: text is parsed, a number is a
+        constant, and an element of this ring is returned as it is.  Anything
+        else raises RingMismatch(mismatch)."""
+        if isinstance(value, Polynomial):
+            if value.ring == self:
+                return value
+        elif isinstance(value, str):
+            return polynomial(self, value)
+        elif isinstance(value, (int, Fraction)):
+            return Polynomial(self, {(0,) * self.nvars: Fraction(value)})
+        raise RingMismatch(mismatch)
+
     def normal_form_raw(self, terms):
         return engine.normal_form(terms, self.quotient_gb, self.key)
 
@@ -207,14 +220,9 @@ class Polynomial:
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, Polynomial):
-            if other.ring != self.ring:
-                raise RingMismatch("polynomials from different rings")
-            return other
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return Polynomial(
-                self.ring, {(0,) * self.ring.nvars: c} if c else {})
+        if isinstance(other, (Polynomial, int, Fraction)):
+            return self.ring.element(
+                other, "polynomials from different rings")
         return NotImplemented
 
     def __add__(self, other):
@@ -280,7 +288,7 @@ class Polynomial:
         return engine.total_degree(self.nf_terms())
 
     def __repr__(self):
-        return format_terms(self.terms, self.ring.names, self.ring.key)
+        return format_terms(self.nf_terms(), self.ring.names, self.ring.key)
 
 
 class RingMap:
@@ -295,16 +303,10 @@ class RingMap:
         if len(images) != source.nvars:
             raise DivisorForgeError(
                 "need %d images, got %d" % (source.nvars, len(images)))
-        fixed = []
-        for f in images:
-            if isinstance(f, str):
-                f = polynomial(target, f)
-            if f.ring != target:
-                raise RingMismatch("image not in target ring")
-            fixed.append(f)
         self.source = source
         self.target = target
-        self.images = fixed
+        self.images = [target.element(f, "image not in target ring")
+                       for f in images]
         for g in source.quotient_gb:
             if not self._apply_raw(g).is_zero():
                 raise DivisorForgeError(

@@ -140,6 +140,14 @@ def test_printed_polynomial_reads_back_as_a_binding():
     assert (code, out) == (0, "o1 = 0\n"), err
 
 
+def test_text_and_json_print_the_same_normal_form():
+    script = "ring R = QQ[x,y,z] / (x^2 - y*z);\nprint x^3 - x*y*z;\n"
+    assert run_script(script) == (0, "o1 = 0\n", "")
+    code, out, _ = run_script(script, json_mode=True)
+    assert code == 0
+    assert json.loads(out)["outputs"][0]["value"] == "0"
+
+
 def test_rational_scalars_widen_the_divisor_tier():
     code, out, _ = run_script(
         "ring R = QQ[x,y];\n"

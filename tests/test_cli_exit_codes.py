@@ -54,6 +54,11 @@ CASES = [
     # nesting past the parser's depth bound, which used to overflow the stack
     ("print %s1%s;" % ("(" * 300, ")" * 300), 1, NESTED),
     ("print %s1;" % ("-" * 3000), 1, NESTED),
+    # error messages that would show a number past CPython's limit; the
+    # last row leaves QQ[x,y] as the current ring
+    ("print -ideal(10^5000*x+1);", 2, DIGITS),
+    ("ring S = QQ[x,y]; print divisor{1: ideal(x^2 + 10^5000*x)};", 2,
+     DIGITS),
 ]
 
 

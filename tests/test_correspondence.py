@@ -138,6 +138,22 @@ def test_canonical_divisor_plane(plane):
     assert all(c < 0 for c, _ in K.terms.values())
 
 
+def test_canonical_divisor_elliptic_curve(elliptic):
+    # plane cubic: a = 3 - (1 + 1 + 1) = 0
+    assert canonical_divisor(elliptic).is_zero()
+
+
+def test_canonical_divisor_counts_minimal_generators():
+    from divisor_forge import QuotientRing
+
+    # two quadrics whose reduced Groebner basis has a third, cubic element:
+    # a = 2 + 2 - 4 = 0
+    ring = QuotientRing(("x", "y", "z", "w"),
+                        ("x*y - z*w", "x^2 + y^2 - z^2 - 2*w^2"))
+    assert len(ring.quotient_gb) == 3
+    assert canonical_divisor(ring).is_zero()
+
+
 def test_canonical_divisor_needs_complete_intersection():
     from divisor_forge import QuotientRing
 

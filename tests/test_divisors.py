@@ -57,6 +57,15 @@ def test_from_primes_rejects_non_prime(plane):
         WeilDivisor.from_primes([1], [ideal(plane, "x*y")])
 
 
+def test_from_primes_says_when_an_ideal_is_not_prime(plane):
+    # a reducible generator, and a power, are proofs of non-primality
+    for gen, shown in [("x^2 + x", "x^2 + x"),
+                       ("(x - y)^2", "x^2 - 2*x*y + y^2")]:
+        with pytest.raises(PrimalityUncertain) as info:
+            WeilDivisor.from_primes([1], [ideal(plane, gen)])
+        assert str(info.value) == "ideal(%s) is not prime" % shown
+
+
 def test_of_element_unit_and_zero(cone4, plane):
     assert WeilDivisor.of_element(polynomial(plane, "3")).is_zero()
     with pytest.raises(DivisorForgeError):

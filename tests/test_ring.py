@@ -6,12 +6,15 @@ import pytest
 
 from divisor_forge import (
     DivisorForgeError,
+    FractionalIdeal,
     Grading,
     GradingNotPositive,
+    Ideal,
     Polynomial,
     QuotientRing,
     RingMap,
     RingMismatch,
+    ideal,
     polynomial,
 )
 
@@ -116,3 +119,30 @@ def test_constant_recognition(plane):
 def test_duplicate_names_rejected():
     with pytest.raises(DivisorForgeError):
         QuotientRing(("x", "x"))
+
+
+def test_constructors_take_text_numbers_and_elements(plane):
+    x, y = plane.variables()
+    assert Ideal(plane, [1]).is_unit()
+    assert ideal(plane, "x", 2).is_unit()
+    assert Ideal(plane, [Fraction(0), x]) == \
+        ideal(plane, "x")
+    phi = RingMap(plane, plane, [1, "y"])
+    assert phi(x * y + x) == y + 1
+    F = FractionalIdeal(ideal(plane, "x"), 2)
+    assert F.denominator == polynomial(plane, "2")
+    assert repr(F) == "(1/(2)) * ideal(x)"
+
+
+def test_constructors_refuse_an_element_of_another_ring(plane, cone3):
+    z = polynomial(cone3, "z")
+    for build, message in [
+        (lambda: Ideal(plane, [z]), "generator from a different ring"),
+        (lambda: ideal(plane, "x", z), "generator from a different ring"),
+        (lambda: RingMap(plane, plane, [z, "y"]), "image not in target ring"),
+        (lambda: FractionalIdeal(ideal(plane, "x"), z),
+         "numerator and denominator in different rings"),
+    ]:
+        with pytest.raises(RingMismatch, match=message):
+            build()
+
