@@ -46,7 +46,7 @@ class WeilDivisor:
         return cls(ring, {}, tier)
 
     @classmethod
-    def from_primes(cls, coeffs, primes, rational=False):
+    def from_primes(cls, coeffs, primes):
         """Divisor from parallel lists of coefficients and prime ideals."""
         if len(coeffs) != len(primes):
             raise DivisorForgeError("coefficient and prime lists differ in length")
@@ -74,8 +74,6 @@ class WeilDivisor:
                 raise PrimalityUncertain("cannot certify %r prime" % (P,))
             old = terms.get(canon, (Fraction(0), P))
             terms[canon] = (old[0] + c, old[1])
-        if rational:
-            tier = "Q"
         return cls(ring, terms, tier)
 
     @classmethod
@@ -84,14 +82,20 @@ class WeilDivisor:
 
         div is a homomorphism, so this is the sum of m * div((p)) over the
         irreducible factors p^m of the stored representative (not of its
-        normal form, which need not factor)."""
+        normal form, which need not factor).  In a polynomial ring, a UFD,
+        each irreducible p generates a height-one prime, so div((p)) is
+        (p) itself and nothing is decomposed."""
         if isinstance(f, Polynomial) and f.is_zero():
             raise DivisorForgeError("divisor of zero")
         out = cls.zero(f.ring)
         if f.is_unit():
             return out
         for p, m in factor_polynomial(f)[1]:
-            out = out + cls.of_ideal(Ideal(f.ring, [p])).scale(m)
+            P = Ideal(f.ring, [p])
+            if f.ring.is_free():
+                out = out + cls(f.ring, {P: (Fraction(m), P)})
+            else:
+                out = out + cls.of_ideal(P).scale(m)
         return out
 
     @classmethod

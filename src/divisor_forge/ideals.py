@@ -497,7 +497,8 @@ def certify_prime(I):
 
 def symbolic_power(P, n):
     """n-th symbolic power of a height-one prime: reflexive hull of the
-    bracket power, which agrees with the true power in codimension one."""
+    bracket power, which agrees with the true power in codimension one, or
+    (pi^n) for a principal prime (pi)."""
     n = int(n)
     if n < 1:
         raise DivisorForgeError("symbolic power needs n >= 1")
@@ -505,12 +506,20 @@ def symbolic_power(P, n):
         raise HeightNotOne("symbolic powers here require a height-one prime")
     if n == 1:
         return P
-    from .fractional import reflexify
+
+    def compute():
+        gens = P.quotient_gens()
+        if len(gens) == 1:
+            # a principal ideal of a normal domain is unmixed, so (pi^n) is
+            # already P-primary: it is P^(n)
+            return Ideal(P.ring, [gens[0] ** n])
+        from .fractional import reflexify
+
+        return reflexify(P.bracket_power(n))
 
     # the hull depends on P only, not on its stored generators, so any
     # ideal with P's key may serve
-    return P.ring.memoized(("symbolic", P.key, n),
-                           lambda: reflexify(P.bracket_power(n)))
+    return P.ring.memoized(("symbolic", P.key, n), compute)
 
 
 def max_symbolic_containment(I, P):
@@ -522,6 +531,8 @@ def max_symbolic_containment(I, P):
 
     if not fits(1):
         return 0
+    if I.key == P.key:  # P^(2) is strictly smaller than P
+        return 1
     lo, hi = 1, 2
     while fits(hi):
         lo = hi

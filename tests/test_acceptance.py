@@ -71,7 +71,7 @@ def test_criterion_2_coercion(cone4, capsys):
         P = ideal(cone4, "x", "u")
         Q = ideal(cone4, "y", "v")
         D = WeilDivisor.from_primes(
-            [Fraction(2, 3), Fraction(-1, 2)], [P, Q], rational=True)
+            [Fraction(2, 3), Fraction(-1, 2)], [P, Q]).to_rational_tier()
         assert not D.is_integral()
         six = 6 * D
         assert six.is_integral()

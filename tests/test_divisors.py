@@ -36,7 +36,8 @@ def random_divisor(rng, pool, rational=False):
             primes.append(P)
     if not primes:
         coeffs, primes = [1], [pool[0]]
-    return WeilDivisor.from_primes(coeffs, primes, rational=rational)
+    D = WeilDivisor.from_primes(coeffs, primes)
+    return D.to_rational_tier() if rational else D
 
 
 # -- constructors -------------------------------------------------------------
@@ -133,7 +134,7 @@ def test_tier_coercions(cone4):
     P = ideal(cone4, "x", "u")
     Q = ideal(cone4, "y", "v")
     D = WeilDivisor.from_primes(
-        [Fraction(2, 3), Fraction(-1, 2)], [P, Q], rational=True)
+        [Fraction(2, 3), Fraction(-1, 2)], [P, Q]).to_rational_tier()
     assert not D.is_integral()
     with pytest.raises(NonIntegralCoercion):
         D.to_integer_tier()
@@ -147,7 +148,7 @@ def test_floor_ceiling_parts(cone4):
     P = ideal(cone4, "x", "u")
     Q = ideal(cone4, "y", "v")
     D = WeilDivisor.from_primes(
-        [Fraction(5, 2), Fraction(-1, 3)], [P, Q], rational=True)
+        [Fraction(5, 2), Fraction(-1, 3)], [P, Q]).to_rational_tier()
     fl = D.floor()
     ce = D.ceiling()
     assert fl.coefficient_of(P) == 2 and fl.coefficient_of(Q) == -1

@@ -15,42 +15,54 @@ from divisor_forge import (
 from divisor_forge.cli import run_text
 
 CONE = ("x", "y", "z"), ("x*y - z^2",)
-ELEMENTS = ["x", "x^2*z", "x*y*z^3", "x - z"]
+PLANE = ("x", "y"), ()
+
+# per ring: the session's elements and symbolic-power prime, then the
+# warm-up's elements and the same prime on other generators
+SESSIONS = {
+    "cone": (CONE, ["x", "x^2*z", "x*y*z^3", "x - z"], ("x", "z"),
+             ["x*z", "y^2*z", "x*y", "(x - z)^2*y"], ("z", "x")),
+    "plane": (PLANE, ["x*y*(x+y)^2", "(x^2+y^2)*(x-1)", "(x+y)^3*y"],
+              ("x+y",),
+              ["x*(x+y)", "(x^2+y^2)*y", "(x-1)^2"], ("2*x+2*y",)),
+}
 
 
-def session(R):
+def session(R, elements, prime):
     """Divisors of elements and symbolic powers, rendered every way."""
     out = []
-    for text in ELEMENTS:
+    for text in elements:
         D = WeilDivisor.of_element(polynomial(R, text))
         out.append((repr(D), json.dumps(D.to_json(), sort_keys=True),
                     sorted(P.key for P in D.terms)))
     for n in (1, 2, 3):
-        S = symbolic_power(ideal(R, "x", "z"), n)
+        S = symbolic_power(ideal(R, *prime), n)
         out.append((repr(S), S.key))
     return out
 
 
-def warm_up(R):
+def warm_up(R, elements, prime):
     """Fill the memo with factorizations, bases and symbolic powers the
     session shares, reached along other paths."""
-    for text in ("x*z", "y^2*z", "x*y", "(x - z)^2*y"):
+    for text in elements:
         WeilDivisor.of_element(polynomial(R, text))
-    P = ideal(R, "z", "x")
+    P = ideal(R, *prime)
     for n in (2, 3, 4):
         symbolic_power(P, n)
 
 
 def test_cold_and_warm_sessions_agree():
-    cold_ring = QuotientRing(*CONE)
-    cold = session(cold_ring)
-    warm_ring = QuotientRing(*CONE)
-    warm_up(warm_ring)
-    before = len(warm_ring.memo)
-    assert before
-    assert session(warm_ring) == cold
-    # the warm session was served by what warm_up stored
-    assert len(warm_ring.memo) < before + len(cold_ring.memo)
+    for name, (ring, elements, prime, warm_elements,
+               warm_prime) in SESSIONS.items():
+        cold_ring = QuotientRing(*ring)
+        cold = session(cold_ring, elements, prime)
+        warm_ring = QuotientRing(*ring)
+        warm_up(warm_ring, warm_elements, warm_prime)
+        before = len(warm_ring.memo)
+        assert before
+        assert session(warm_ring, elements, prime) == cold, name
+        # the warm session was served by what warm_up stored
+        assert len(warm_ring.memo) < before + len(cold_ring.memo), name
 
 
 def test_symbolic_power_shares_one_value_per_prime_key():
