@@ -499,10 +499,27 @@ def _value_to_json(value):
     return {"type": "other", "value": repr(value)}
 
 
+def _located(exc, text, line, column):
+    """exc, met in the statement at line:column of text, with that location.
+
+    A library error keeps its type.  CPython's cap on int -> str conversion,
+    met in printing a result or in formatting an error message, becomes a
+    ScriptError; any other ValueError is returned unchanged."""
+    if isinstance(exc, ValueError):
+        if "integer string conversion" not in str(exc):
+            return exc
+        exc = ScriptError("cannot print a number of more than %d digits"
+                          % sys.get_int_max_str_digits())
+    if exc.line is None:
+        exc.line, exc.column = line, column
+        exc.excerpt = caret_excerpt(text, line, column)
+    return exc
+
+
 def execute_script(statements, session, text=""):
     """Run parsed statements; returns one output record per print/check.
 
-    An error keeps its type and gets the location of its statement."""
+    An error gets the location of its statement (see _located)."""
     outputs = []
     ev = Evaluator(session)
     for stmt in statements:
@@ -546,39 +563,40 @@ def execute_script(statements, session, text=""):
                     "index": session.counter,
                     "kind": kind,
                     "line": tok.line,
+                    "column": tok.column,
                     "result": value,
                 })
-        except DivisorForgeError as exc:
-            if exc.line is None:
-                exc.line, exc.column = tok.line, tok.column
-                exc.excerpt = caret_excerpt(text, tok.line, tok.column)
-            raise
+        except (DivisorForgeError, ValueError) as exc:
+            raise _located(exc, text, tok.line, tok.column)
     return outputs
 
 
-def render_outputs(outputs, json_mode=False):
+def _render(o, json_mode):
+    """One output record as a JSON object or a line of text."""
+    value = o["result"]
     if json_mode:
-        doc = {
-            "outputs": [
-                {
-                    "index": o["index"],
-                    "kind": o["kind"],
-                    "line": o["line"],
-                    **_value_to_json(o["result"]),
-                }
-                for o in outputs
-            ]
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    lines = []
+        return {"index": o["index"], "kind": o["kind"], "line": o["line"],
+                **_value_to_json(value)}
+    if isinstance(value, bool):
+        shown = "true" if value else "false"
+    else:
+        shown = repr(value)
+    return "o%d = %s" % (o["index"], shown)
+
+
+def render_outputs(outputs, json_mode=False, text=""):
+    """The outputs as text or JSON; text is the script they came from, for
+    the excerpt of an output that cannot be printed."""
+    rendered = []
     for o in outputs:
-        value = o["result"]
-        if isinstance(value, bool):
-            shown = "true" if value else "false"
-        else:
-            shown = repr(value)
-        lines.append("o%d = %s" % (o["index"], shown))
-    return "".join(line + "\n" for line in lines)
+        try:
+            rendered.append(_render(o, json_mode))
+        except ValueError as exc:
+            raise _located(exc, text, o["line"], o["column"])
+    if json_mode:
+        return json.dumps({"outputs": rendered}, indent=2,
+                          sort_keys=True) + "\n"
+    return "".join(line + "\n" for line in rendered)
 
 
 # ---------------------------------------------------------------------------
@@ -605,16 +623,10 @@ def _run(text, session, json_mode, out, err):
     if all three succeed; returns the exit code."""
     try:
         rendered = render_outputs(
-            execute_script(parse_script(text), session, text), json_mode)
+            execute_script(parse_script(text), session, text), json_mode,
+            text)
     except DivisorForgeError as exc:
         return _fail(exc, err)
-    except ValueError as exc:
-        # CPython's cap on int -> str conversion, met in printing a result
-        # or in formatting an error message
-        if "integer string conversion" not in str(exc):
-            raise
-        return _fail(ScriptError("cannot print a number of more than %d "
-                                 "digits" % sys.get_int_max_str_digits()), err)
     out.write(rendered)
     return 0
 

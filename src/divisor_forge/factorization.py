@@ -14,13 +14,20 @@ first, in any number of variables, each one confirmed by exact division:
   has: the axis itself, or else the first small-integer grid line on which
   the polynomial does not vanish.
 
-Only a cofactor of degree 2 or more goes to sympy: it becomes a sympy.Poly
-over QQ through Poly.from_dict (exponent tuples map to the generators t0,
-t1, ... in order), and its factors come back through Poly.terms().  The
-factorization over QQ is unique, so the peel changes no answer; a factor it
-misses is left to sympy.  A degree cap (DIVISOR_FORGE_MAXDEG, default 512)
-refuses the nonlinear inputs whose Kronecker-substituted univariate degree
-would explode; it is checked on the input, before the peel.
+The peel is exhaustive when every root search ran to its end: every
+direction found a line, and no root search of degree 3 or more met a
+coefficient past ROOT_COEFF_LIMIT (linear and quadratic ones need no bound).
+After an exhaustive peel the cofactor has no rational linear factor, so a
+cofactor of degree 2 or 3 is irreducible, since a reducible quadric or cubic
+has a linear factor.  Only the other cofactors of degree 2 or more go to
+sympy: those of degree 4 or more, and those left by a peel that gave up.
+Such a cofactor becomes a sympy.Poly over QQ through Poly.from_dict
+(exponent tuples map to the generators t0, t1, ... in order), and its
+factors come back through Poly.terms().  The factorization over QQ is
+unique, so the peel changes no answer; a factor it misses is left to sympy.
+A degree cap (DIVISOR_FORGE_MAXDEG, default 512) refuses the inputs of
+total degree 4 or more whose Kronecker-substituted univariate degree would
+explode; it is checked on the input, before the peel.
 """
 
 import math
@@ -35,8 +42,9 @@ from .errors import FactorDegreeExceeded
 
 DEFAULT_MAXDEG = 512
 
-# the rational root search enumerates the divisors of the constant and the
-# leading coefficient only when both are at most this in absolute value
+# the rational root search of degree 3 or more enumerates the divisors of
+# the constant and the leading coefficient only when both are at most this
+# in absolute value
 ROOT_COEFF_LIMIT = 10**6
 
 # lines tried per direction before the peel leaves that direction to sympy
@@ -73,13 +81,16 @@ def factor_terms(terms, nvars, key):
     """
     if not terms:
         raise ValueError("cannot factor the zero polynomial")
-    if (engine.total_degree(terms) > 1
+    if (engine.total_degree(terms) > 3
             and _kronecker_degree(terms, nvars) > _maxdeg()):
         raise FactorDegreeExceeded(
             "substituted univariate degree exceeds cap %d" % _maxdeg())
-    linear, rest = _peel(_integral(terms), nvars)
+    linear, rest, exhaustive = _peel(_integral(terms), nvars)
     out = [(_monic(_form(v), key), mult) for v, mult in linear]
-    if engine.total_degree(rest) > 1:
+    degree = engine.total_degree(rest)
+    if exhaustive and degree in (2, 3):
+        out.append((_monic(rest, key), 1))
+    elif degree > 1:
         out += _sympy_factors(rest, nvars, key)
     out.sort(key=lambda fm: engine.canonical(fm[0], key))
     # every factor is monic, so the unit is the input's leading coefficient
@@ -137,8 +148,10 @@ def _peel(f, n):
     """Rational linear factors of an integer term dict f in n variables,
     each confirmed by exact division.
 
-    Returns ([(v, multiplicity), ...], rest) with distinct forms v, and rest
-    their cofactor, a constant or a polynomial of degree 2 or more.
+    Returns ([(v, multiplicity), ...], rest, exhaustive) with distinct forms
+    v, rest their cofactor, a constant or a polynomial of degree 2 or more,
+    and exhaustive true when the search was complete, so that rest has no
+    rational linear factor.
     """
     found = []
     for i in range(n):
@@ -147,9 +160,13 @@ def _peel(f, n):
             found.append((_axis(i, n + 1), k))
             f = {m[:i] + (m[i] - k,) + m[i + 1 :]: c for m, c in f.items()}
     degree = engine.total_degree(f)
+    exhaustive = True
     if degree > 1:
-        for a in _directions(f, n, degree):
-            for v in _candidates(f, a):
+        directions, exhaustive = _directions(f, n, degree)
+        for a in directions:
+            candidates, complete = _candidates(f, a)
+            exhaustive = exhaustive and complete
+            for v in candidates:
                 f, k = _divide_out(f, v)
                 if k:
                     found.append((v, k))
@@ -163,7 +180,7 @@ def _peel(f, n):
         g = math.gcd(*v)
         found.append((tuple(c // g for c in v), 1))
         f = {(0,) * n: g}
-    return found, f
+    return found, f, exhaustive
 
 
 def _directions(f, n, degree):
@@ -172,21 +189,26 @@ def _directions(f, n, degree):
 
     Those are the linear factors of the top form with x_(n-1) set to 1,
     homogenized (the form's constant becomes the coefficient of x_(n-1)),
-    and x_(n-1) itself when it divides the top form.
+    and x_(n-1) itself when it divides the top form.  Returns (directions,
+    exhaustive), exhaustive as for the peel that finds them.
     """
     top = {m: c for m, c in f.items() if sum(m) == degree}
-    out = [v for v, _ in _peel({m[:-1]: c for m, c in top.items()}, n - 1)[0]]
+    found, _, exhaustive = _peel({m[:-1]: c for m, c in top.items()}, n - 1)
+    out = [v for v, _ in found]
     if all(m[-1] for m in top):
         out.append(_axis(n - 1, n))
-    return out
+    return out, exhaustive
 
 
 def _candidates(f, a):
-    """Linear forms a.x + c that may divide f.
+    """Linear forms a.x + c that may divide f, and whether they are all of
+    them.
 
     With x_j the first variable of a, c comes from a rational root of f
     restricted to a line parallel to the x_j axis: the axis first, else
-    the first of the LINES grid lines on which f does not vanish.
+    the first of the LINES grid lines on which f does not vanish.  The list
+    is incomplete when f vanishes on all of them, or when the root search
+    gave up.
     """
     n = len(a)
     j = next(i for i, ai in enumerate(a) if ai)
@@ -204,10 +226,14 @@ def _candidates(f, a):
         if h:
             # on the line, a.x + c = a_j t + s + c vanishes at t = -(s+c)/a_j
             s = sum(ai * pi for ai, pi in zip(a, p)) - a[j]
-            for t in _rational_roots(h):
+            roots, complete = _rational_roots(h)
+            out = []
+            for t in roots:
                 c = -(a[j] * t + s)
-                yield tuple(c.denominator * ai for ai in a) + (c.numerator,)
-            return
+                out.append(tuple(c.denominator * ai for ai in a)
+                           + (c.numerator,))
+            return out, complete
+    return [], False
 
 
 def _grid(m):
@@ -230,20 +256,34 @@ def _sphere(m, r):
 
 
 def _rational_roots(h):
-    """Distinct rational roots of the nonzero integer polynomial
-    sum h[k] t^k.
+    """(roots, complete): distinct rational roots of the nonzero integer
+    polynomial sum h[k] t^k, and whether they are all of them.
 
-    By the rational root theorem a root p/q in lowest terms has p dividing
-    the lowest coefficient and q the highest; (q - p) divides h(1) and
-    (q + p) divides h(-1).  Beyond ROOT_COEFF_LIMIT no divisors are tried.
+    Apart from the root 0, the roots of a linear or quadratic h / t^low
+    come from a formula, and those of higher degree from the rational root
+    theorem: a root p/q in lowest terms has p dividing the lowest
+    coefficient and q the highest; (q - p) divides h(1) and (q + p)
+    divides h(-1).  Beyond ROOT_COEFF_LIMIT no divisors are tried, and only
+    the root 0 is known.
     """
     low, high = min(h), max(h)
     roots = [Fraction(0)] if low else []
     a0, ad = h[low], h[high]
+    if high == low:
+        return roots, True
     if high - low == 1:
-        return roots + [Fraction(-a0, ad)]
-    if high == low or max(abs(a0), abs(ad)) > ROOT_COEFF_LIMIT:
-        return roots
+        return roots + [Fraction(-a0, ad)], True
+    if high - low == 2:
+        b = h.get(low + 1, 0)
+        disc = b * b - 4 * a0 * ad
+        r = math.isqrt(disc) if disc >= 0 else -1
+        if r * r == disc:
+            roots.append(Fraction(-b + r, 2 * ad))
+            if r:
+                roots.append(Fraction(-b - r, 2 * ad))
+        return roots, True
+    if max(abs(a0), abs(ad)) > ROOT_COEFF_LIMIT:
+        return roots, False
     coeffs = [h.get(k, 0) for k in range(high, low - 1, -1)]
     at_one = sum(coeffs)
     # h(-1) up to its sign, which divisibility ignores
@@ -256,7 +296,7 @@ def _rational_roots(h):
                 if (_divides(q - p, at_one) and _divides(q + p, at_minus_one)
                         and _vanishes(coeffs, p, q)):
                     roots.append(Fraction(p, q))
-    return roots
+    return roots, True
 
 
 def _divides(d, v):

@@ -26,9 +26,15 @@ def smallest_generator(I):
 
 
 def reflexify(I):
-    """Reflexive hull I** = (f) : ((f) : I) for any nonzero f in I."""
+    """Reflexive hull I** = (f) : ((f) : I) for any nonzero f in I.
+
+    A principal ideal of a normal domain is reflexive; in a polynomial ring
+    an ideal is principal exactly when its reduced basis has one element,
+    and it is then its own hull."""
     if I.is_zero():
         raise DivisorForgeError("reflexive hull of the zero ideal")
+    if I.ring.is_free() and len(I.quotient_gens()) == 1:
+        return I
     f = smallest_generator(I)
     principal = Ideal(I.ring, [f])
     return principal.quotient(principal.quotient(I))

@@ -79,6 +79,19 @@ def test_refused_inputs_get_their_exit_code(statement, code, message,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("json_mode", [False, True])
+@pytest.mark.parametrize("statement", [
+    "print -ideal(10^5000*x+1);",  # in formatting an error message
+    "print 10^5000*x;",  # in printing a result
+])
+def test_digit_limit_errors_get_their_location(statement, json_mode):
+    text = HEADER + "print 1;\n  " + statement + "\n"
+    code, out, err = run(text, json_mode)
+    assert (code, out) == (2, "")
+    assert err == "error: 5:3: cannot print a number of more than %s\n" \
+        "  %s\n  ^\n" % (DIGITS, statement)
+
+
 def test_nesting_up_to_the_bound_is_accepted():
     half = "+".join(["x"] * (MAX_DEPTH // 2 + 10))
     for statement, code in [
@@ -119,7 +132,7 @@ def test_nesting_at_the_bound_leaves_stack_to_spare():
 
 
 def test_factor_degree_cap_is_a_refusal(monkeypatch):
-    script = "ring R = QQ[x,y,z];\nprint divisor(x^2*y + z^3 + x*y*z);\n"
+    script = "ring R = QQ[x,y,z];\nprint divisor(x^4 + y^4 + z^4 + 1);\n"
     monkeypatch.setenv("DIVISOR_FORGE_MAXDEG", "2")
     code, out, err = run(script)
     assert (code, out) == (3, "")

@@ -2,7 +2,10 @@
 conversion it replaced, round trips, linear forms beyond the degree cap,
 and the peel of rational linear factors that spares sympy."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -123,9 +126,16 @@ def test_linear_forms_skip_the_degree_cap():
 
 def test_degree_cap_still_refuses_nonlinear_inputs():
     nvars = 10
-    square = engine.p_pow(variable_sum(nvars), 2)
+    # the cap applies from degree 4 on: the peel decides a square
+    form = variable_sum(nvars)
+    square = engine.p_pow(form, 2)
+    assert factor_terms(square, nvars, grevlex_key) == (1, [(form, 2)])
+    # the Kronecker image of x0^4+...+x9^4+1 has degree 5^10 - 1 > 512
+    quartic = {tuple(4 * int(i == j) for j in range(nvars)): Fraction(1)
+               for i in range(nvars)}
+    quartic[(0,) * nvars] = Fraction(1)
     with pytest.raises(FactorDegreeExceeded):
-        factor_terms(square, nvars, grevlex_key)
+        factor_terms(quartic, nvars, grevlex_key)
 
 
 def test_divisor_of_a_linear_form_in_ten_variables():
@@ -236,3 +246,136 @@ def test_coefficients_beyond_the_root_search_limit():
         for key in (grevlex_key, elim_key(1)):
             got = factor_terms(terms, len(names), key)
             assert got == reference_factor_terms(terms, len(names), key)
+
+
+# ---------------------------------------------------------------------------
+# quadrics and cubics decided by the peel
+
+def big_form(rng, nvars, bound):
+    """A linear form with integer coefficients up to bound and a variable."""
+    while True:
+        coeffs = [rng.choice([0, rng.randint(-bound, bound)])
+                  for _ in range(nvars + 1)]
+        if any(coeffs[:nvars]):
+            return {tuple(int(i == j) for j in range(nvars)): Fraction(c)
+                    for i, c in enumerate(coeffs) if c}
+
+
+def big_terms(rng, nvars, degree, bound):
+    """Two to five terms of degree at most `degree`, one of them of that
+    degree, with coefficients up to bound."""
+    while True:
+        terms = {}
+        for _ in range(rng.randint(2, 5)):
+            mono = [0] * nvars
+            for _ in range(rng.randint(0, degree)):
+                mono[rng.randrange(nvars)] += 1
+            c = rng.randint(-bound, bound)
+            if c:
+                terms[tuple(mono)] = Fraction(c)
+        if terms and engine.total_degree(terms) == degree:
+            return terms
+
+
+def quadric_or_cubic(rng, nvars, bound):
+    """A polynomial of degree 2 or 3 of one of the shapes: a product of
+    linear forms, a linear form times a quadric, or random terms."""
+    shape = rng.randrange(3)
+    if shape == 0:
+        f = big_form(rng, nvars, bound)
+        for _ in range(rng.randint(1, 2)):
+            f = engine.p_mul(f, big_form(rng, nvars, bound))
+        return f
+    if shape == 1:
+        return engine.p_mul(big_form(rng, nvars, bound),
+                            big_terms(rng, nvars, 2, bound))
+    return big_terms(rng, nvars, rng.choice([2, 3]), bound)
+
+
+def test_quadrics_and_cubics_match_sympy():
+    """Seeded inputs of degree 2 and 3 in 1-4 variables, with coefficients
+    up to 10^8, some past the root search's limit so that the peel gives up
+    and sympy answers: unit and factors agree with sympy's factor_list."""
+    rng = random.Random(0xC0B1C)
+    bounds = [3, 100, 10**4, 10**8]
+    irreducible = past_limit = 0
+    for _ in range(160):
+        nvars = rng.randint(1, 4)
+        terms = quadric_or_cubic(rng, nvars, rng.choice(bounds))
+        if max(abs(c) for c in terms.values()) > factorization.ROOT_COEFF_LIMIT:
+            past_limit += 1
+        for key in (grevlex_key, elim_key(1)):
+            got = factor_terms(terms, nvars, key)
+            assert got == reference_factor_terms(terms, nvars, key), terms
+        degrees = [engine.total_degree(f) for f, _ in got[1]]
+        irreducible += any(d > 1 for d in degrees)
+    assert irreducible >= 40 and past_limit >= 20
+
+
+def test_quadrics_and_cubics_within_the_root_search_need_no_sympy(
+        monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy was asked to factor")
+
+    monkeypatch.setattr(factorization, "_sympy_factors", refuse)
+    rng = random.Random(0x9EE7)
+    for _ in range(60):
+        nvars = rng.randint(1, 4)
+        terms = quadric_or_cubic(rng, nvars, 50)
+        unit, factors = factor_terms(terms, nvars, grevlex_key)
+        assert expand(unit, factors, nvars) == terms
+
+
+def test_a_peel_out_of_lines_leaves_the_cofactor_to_sympy(monkeypatch):
+    """(x0 + 1)*(x1*x2 + x3*x4) in nine variables vanishes on the first
+    LINES lines parallel to the x0 axis, so the peel cannot look for the
+    offset of x0 + 1; it gives up, and sympy finds the factor."""
+    names = tuple("x%d" % i for i in range(9))
+    terms = named("(x0 + 1)*(x1*x2 + x3*x4)", names)
+    asked = []
+    real = factorization._sympy_factors
+
+    def spy(*args):
+        asked.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(factorization, "_sympy_factors", spy)
+    got = factor_terms(terms, len(names), grevlex_key)
+    assert got == reference_factor_terms(terms, len(names), grevlex_key)
+    assert len(got[1]) == 2 and len(asked) == 1
+
+
+def test_huge_coefficients_on_quadrics_need_no_sympy(monkeypatch):
+    """A quadric restricted to a line is linear or quadratic in t, so its
+    roots need no coefficient bound."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy was asked to factor")
+
+    monkeypatch.setattr(factorization, "_sympy_factors", refuse)
+    for text, names, count in [
+        ("y*z + 10^5000*x", ("x", "y", "z"), 1),
+        ("x + 10^1000*y^2", ("x", "y"), 1),
+        ("x^2 + 10^5000*y^2 + 1", ("x", "y"), 1),
+        ("x^2 + 10^5000*y + 10^5000", ("x", "y"), 1),
+        ("(x + 10^60*y + 1)*(x - 10^60*y + 3)", ("x", "y"), 2),
+    ]:
+        terms = named(text, names)
+        unit, factors = factor_terms(terms, len(names), grevlex_key)
+        assert len(factors) == count
+        assert all(m == 1 for _, m in factors)
+        assert expand(unit, factors, len(names)) == terms
+
+
+def test_cone_table_with_a_huge_coefficient_exits_quickly():
+    """In the cone, divisor{1: ideal(x^2 + 10^5000*x)} factors the basis
+    element y*z + 10^5000*x; the answer is past the digit limit, exit 2."""
+    script = ("ring R = QQ[x,y,z] / (x^2 - y*z);\n"
+              "print divisor{1: ideal(x^2 + 10^5000*x)};\n")
+    src = os.path.dirname(os.path.dirname(factorization.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "divisor_forge.cli", "run", "-"],
+        input=script, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "cannot print a number of more than" in proc.stderr

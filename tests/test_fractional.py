@@ -10,6 +10,7 @@ from divisor_forge import (
     FractionalIdeal,
     Ideal,
     Polynomial,
+    QuotientRing,
     ideal,
     polynomial,
     reflexify,
@@ -146,3 +147,50 @@ def test_fractional_guards(cone3):
         FractionalIdeal(ideal(cone3, "x"), cone3.zero())
     with pytest.raises(DivisorForgeError):
         FractionalIdeal(Ideal(cone3, []), cone3.one())
+
+
+# -- principal ideals of polynomial rings are their own hull ----------------
+
+def random_principal(rng, ring):
+    """(f) for a random nonconstant f, given by f alone or with a multiple
+    of it."""
+    while True:
+        f = random_poly(rng, ring, maxdeg=3, nterms=rng.randint(1, 4))
+        if not f.is_zero() and f.total_degree() > 0:
+            break
+    gens = [f]
+    if rng.random() < 0.3:
+        gens.append(f * random_poly(rng, ring, maxdeg=1, nterms=2))
+    return Ideal(ring, gens)
+
+
+def test_principal_ideals_of_polynomial_rings_take_no_colon(monkeypatch):
+    rng = random.Random(0x4EF1)
+    rings = [QuotientRing(("x", "y")), QuotientRing(("x", "y", "z"))]
+    principal = [random_principal(rng, rings[i % 2]) for i in range(40)]
+    # the double colon, taken before the colon is switched off
+    hulls = [reflexify_via(I, I.quotient_gens()[0]).key for I in principal]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a colon was taken")
+
+    monkeypatch.setattr(Ideal, "quotient", refuse)
+    for I, hull in zip(principal, hulls):
+        assert reflexify(I).key == I.key == hull
+
+
+def test_polynomial_rings_still_hull_other_ideals():
+    R = QuotientRing(("x", "y"))
+    assert reflexify(ideal(R, "x", "y")).is_unit()
+    assert reflexify(ideal(R, "x^2", "x*y")) == ideal(R, "x")
+
+
+def test_quotient_rings_keep_the_double_colon(cone3, cone4):
+    rng = random.Random(0xC011)
+    for ring in (cone3, cone4):
+        for _ in range(12):
+            f = random_poly(rng, ring, maxdeg=2, nterms=2)
+            if f.is_zero():
+                continue
+            I = Ideal(ring, [f])
+            assert reflexify(I).key == reflexify_via(I, f).key
