@@ -78,12 +78,7 @@ class ScriptParser(ExprParser):
             node = self.expression()
             self.expect("op", ";")
             return (tok.text, node, tok)
-        if (
-            tok.kind == "id"
-            and self.tokens[self.i + 1].kind == "op"
-            and self.tokens[self.i + 1].text == "="
-        ):
-            self.i += 2
+        if self.named() is not None:
             node = self.expression()
             self.expect("op", ";")
             return ("bind", tok.text, node, tok)
@@ -129,21 +124,33 @@ def parse_script(text):
 
 
 # ---------------------------------------------------------------------------
-# printing parsed scripts (round-trip stable: fully parenthesized)
+# printing parsed scripts (the text parses back to the same tree, with
+# parentheses only where the grammar needs them)
 
-def format_node(node):
+# How tightly a chain binds, by its operator; a sign binds like `^`, and
+# any other node binds at 3.
+_RANK = {"+": 0, "-": 0, "*": 1, "/": 1, "^": 2}
+
+
+def format_node(node, least=0):
+    """node as text, in parentheses if it binds less tightly than least."""
     kind = node[0]
+    rank = _RANK[node[2][0][0]] if kind == "ops" else 2 if kind == "neg" else 3
+    if rank < least:
+        return "(%s)" % format_node(node)
     if kind == "int":
         return str(node[1])
     if kind == "name":
         return node[1]
     if kind == "neg":
-        return "(-%s)" % format_node(node[1])
+        return "-" + format_node(node[1], 2)
     if kind == "ops":
-        out = format_node(node[1])
+        # a chain's operands bind more tightly than it does, except that
+        # `^` nests to the right, so an exponent may itself be a power
+        out = format_node(node[1], rank + 1)
         for op, operand in node[2]:
-            out += " %s %s" % (op, format_node(operand))
-        return "(%s)" % out
+            out += " %s %s" % (op, format_node(operand, min(rank + 1, 2)))
+        return out
     if kind == "call":
         parts = [format_node(a) for a in node[2]]
         parts += ["%s=%s" % (k, format_node(v)) for k, v in node[3]]
@@ -186,16 +193,6 @@ def format_script(statements):
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-class Session:
-    """Named bindings plus the graded default; bindings replace, never mutate."""
-
-    def __init__(self, graded=False):
-        self.bindings = {}
-        self.current_ring = None
-        self.graded = graded
-        self.counter = 0
-
 
 def _element(value, ring, message):
     """`value` as a ring element for `ring`: a number is taken in `ring`, and
@@ -242,26 +239,32 @@ def _coerce(kind, value, what):
     raise ScriptError("%s must be %s" % (what, noun))
 
 
-class Evaluator:
-    def __init__(self, session):
-        self.session = session
+class Session:
+    """Named bindings plus the graded default, and the evaluation of
+    expressions over them; bindings replace, never mutate."""
+
+    def __init__(self, graded=False):
+        self.bindings = {}
+        self.current_ring = None
+        self.graded = graded
+        self.counter = 0
 
     # -- name resolution ----------------------------------------------------
 
     def lookup(self, name):
-        if name in self.session.bindings:
-            return self.session.bindings[name]
+        if name in self.bindings:
+            return self.bindings[name]
         if name == "true":
             return True
         if name == "false":
             return False
-        ring = self.session.current_ring
+        ring = self.current_ring
         if ring is not None and name in ring.names:
             return ring.variable(ring.names.index(name))
         raise ScriptError("unbound identifier %r" % name)
 
     def need_ring(self):
-        ring = self.session.current_ring
+        ring = self.current_ring
         if ring is None:
             raise ScriptError("no current ring; declare one with `ring`")
         return ring
@@ -366,7 +369,7 @@ class Evaluator:
                     if least < len(kinds) else str(least)
                 raise ScriptError("%s() takes %s argument%s (%d given)" % (
                     name, count, "" if count == "1" else "s", len(arg_nodes)))
-        kwargs = {"graded": self.session.graded} if "graded" in keywords \
+        kwargs = {"graded": self.graded} if "graded" in keywords \
             else {}
         seen = set()
         for key, vnode in kw_nodes:
@@ -471,8 +474,7 @@ def _value_to_json(value):
         return {"type": "divisor", "value": value.to_json()}
     if isinstance(value, Ideal):
         return {"type": "ideal",
-                "value": {"gens": [repr(g) for g in value.minimal_gens()]
-                          or ["0"]}}
+                "value": {"gens": [repr(g) for g in value.minimal_gens()]}}
     if isinstance(value, FractionalIdeal):
         return {
             "type": "fractionalIdeal",
@@ -521,7 +523,6 @@ def execute_script(statements, session, text=""):
 
     An error gets the location of its statement (see _located)."""
     outputs = []
-    ev = Evaluator(session)
     for stmt in statements:
         kind, tok = stmt[0], stmt[-1]
         try:
@@ -529,7 +530,7 @@ def execute_script(statements, session, text=""):
                 _, name, variables, relations, degrees, _ = stmt
                 grading = Grading(degrees) if degrees else None
                 probe = QuotientRing(tuple(variables), (), grading)
-                rels = [_element(ev.eval(r, probe), probe,
+                rels = [_element(session.eval(r, probe), probe,
                                  "relation must be a polynomial").terms
                         for r in relations]
                 ring = QuotientRing(tuple(variables), tuple(rels), grading)
@@ -542,7 +543,7 @@ def execute_script(statements, session, text=""):
                 if not isinstance(source, QuotientRing) or not isinstance(
                         target, QuotientRing):
                     raise ScriptError("map endpoints must be declared rings")
-                images = [_element(ev.eval(node, target), target,
+                images = [_element(session.eval(node, target), target,
                                    "map images must lie in the target ring")
                           for node in image_nodes]
                 session.bindings[name] = RingMap(source, target, images)
@@ -552,9 +553,9 @@ def execute_script(statements, session, text=""):
                     raise ScriptError("%r is not a ring" % stmt[1])
                 session.current_ring = ring
             elif kind == "bind":
-                session.bindings[stmt[1]] = ev.eval(stmt[2])
+                session.bindings[stmt[1]] = session.eval(stmt[2])
             else:  # print or check
-                value = ev.eval(stmt[1])
+                value = session.eval(stmt[1])
                 session.counter += 1
                 if kind == "check" and not isinstance(
                         value, (CheckReport, bool)):
@@ -579,6 +580,8 @@ def _render(o, json_mode):
                 **_value_to_json(value)}
     if isinstance(value, bool):
         shown = "true" if value else "false"
+    elif isinstance(value, (int, Fraction)):
+        shown = str(value)
     else:
         shown = repr(value)
     return "o%d = %s" % (o["index"], shown)

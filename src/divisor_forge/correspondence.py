@@ -37,7 +37,7 @@ def effective_ideal(D):
 
 def sheaf_of(D):
     """O(D) as a fractional ideal (1/f)((f * I_minus) : I_plus)."""
-    if D.tier != "Z" and not D.is_integral():
+    if not D.is_integral():
         raise NonIntegralCoercion("sheaf of a non-integral divisor")
     ring = D.ring
     i_plus = effective_ideal(D.positive_part())

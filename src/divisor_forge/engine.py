@@ -82,10 +82,6 @@ def p_sub(p, q):
     return r
 
 
-def p_mul_term(p, mono, coeff):
-    return {mono_mul(m, mono): c * coeff for m, c in p.items()}
-
-
 def p_mul(p, q):
     r = {}
     for m1, c1 in p.items():
@@ -164,15 +160,15 @@ def _neg_key(k):
 
 
 def normal_form(p, basis, key, lms=None):
-    """Fully reduced remainder of p modulo a list of nonzero polynomials.
-
-    lms, if given, holds the leading monomials of basis under key.
+    """Fully reduced remainder of p modulo a monic basis (a reduced
+    Groebner basis, or the list `buchberger` builds).  lms, if given, holds
+    the leading monomials of basis under key.
     """
     if not basis:
         return dict(p)
     if lms is None:
         lms = [max(g, key=key) for g in basis]
-    heads = [(lm, g[lm], g) for lm, g in zip(lms, basis)]
+    heads = list(zip(lms, basis))
     work = dict(p)
     # max-heap of candidate monomials with lazy deletion
     heap = [(_neg_key(key(m)), m) for m in work]
@@ -183,14 +179,13 @@ def normal_form(p, basis, key, lms=None):
         c = work.get(m)
         if c is None:
             continue
-        for lm, lc, g in heads:
+        for lm, g in heads:
             if mono_divides(lm, m):
                 q = mono_div(m, lm)
-                factor = c if lc == 1 else c / lc
                 for gm, gc in g.items():
                     t = mono_mul(gm, q)
                     old = work.get(t)
-                    s = (old if old is not None else ZERO) - gc * factor
+                    s = (old if old is not None else ZERO) - gc * c
                     if s:
                         if old is None:
                             heapq.heappush(heap, (_neg_key(key(t)), t))
@@ -205,19 +200,14 @@ def normal_form(p, basis, key, lms=None):
 
 
 def _shifted_tail(p, lm, lcm):
-    """The terms of p below its leading monomial lm, times lcm/lm and over
-    p's leading coefficient (no division when p is monic)."""
+    """The terms of monic p below its leading monomial lm, times lcm/lm."""
     q = mono_div(lcm, lm)
-    lc = p[lm]
-    if lc == 1:
-        return {mono_mul(m, q): c for m, c in p.items() if m != lm}
-    inv = ONE / lc
-    return {mono_mul(m, q): c * inv for m, c in p.items() if m != lm}
+    return {mono_mul(m, q): c for m, c in p.items() if m != lm}
 
 
 def s_poly(f, g, key, lms=None):
-    """S-polynomial of f and g; lms, if given, is their pair of leading
-    monomials under key.  The two leading terms cancel and are left out."""
+    """S-polynomial of monic f and g without their leading terms, which
+    cancel; lms, if given, is their pair of leading monomials under key."""
     mf, mg = lms if lms is not None else (max(f, key=key), max(g, key=key))
     lcm = mono_lcm(mf, mg)
     return p_sub(_shifted_tail(f, mf, lcm), _shifted_tail(g, mg, lcm))
@@ -293,9 +283,7 @@ def is_unit_ideal(gb):
 
 def lt_dimension(gb, nvars, key):
     """Krull dimension of k[x]/LT(I) from a reduced GB (unit ideal gives -1)."""
-    if any(not g for g in gb):
-        raise ValueError("zero polynomial in basis")
-    if gb and is_unit_ideal(gb):
+    if is_unit_ideal(gb):
         return -1
     lts = [max(g, key=key) for g in gb]
     for size in range(nvars, -1, -1):

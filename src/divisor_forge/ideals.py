@@ -79,7 +79,7 @@ class Ideal:
         return all(self.contains(g.terms) for g in other.gens)
 
     def is_unit(self):
-        return engine.is_unit_ideal(self.groebner) if self.groebner else False
+        return engine.is_unit_ideal(self.groebner)
 
     def is_zero(self):
         return not self.quotient_gens()
@@ -102,9 +102,6 @@ class Ideal:
 
     def __hash__(self):
         return hash((self.ring, self.key))
-
-    def __lt__(self, other):
-        return self.key < other.key
 
     def minimal_gens(self):
         """Irredundant generating set drawn from the quotient presentation."""
@@ -142,8 +139,6 @@ class Ideal:
         if not isinstance(other, Ideal):
             return NotImplemented
         self._check_ring(other)
-        if not self.gens or not other.gens:
-            return Ideal(self.ring, [])
         return Ideal(
             self.ring, [f * g for f in self.gens for g in other.gens])
 
@@ -497,8 +492,7 @@ def certify_prime(I):
 
 def symbolic_power(P, n):
     """n-th symbolic power of a height-one prime: reflexive hull of the
-    bracket power, which agrees with the true power in codimension one, or
-    (pi^n) for a principal prime (pi)."""
+    bracket power, which agrees with the true power in codimension one."""
     n = int(n)
     if n < 1:
         raise DivisorForgeError("symbolic power needs n >= 1")
@@ -506,20 +500,12 @@ def symbolic_power(P, n):
         raise HeightNotOne("symbolic powers here require a height-one prime")
     if n == 1:
         return P
-
-    def compute():
-        gens = P.quotient_gens()
-        if len(gens) == 1:
-            # a principal ideal of a normal domain is unmixed, so (pi^n) is
-            # already P-primary: it is P^(n)
-            return Ideal(P.ring, [gens[0] ** n])
-        from .fractional import reflexify
-
-        return reflexify(P.bracket_power(n))
+    from .fractional import reflexify
 
     # the hull depends on P only, not on its stored generators, so any
     # ideal with P's key may serve
-    return P.ring.memoized(("symbolic", P.key, n), compute)
+    return P.ring.memoized(("symbolic", P.key, n),
+                           lambda: reflexify(P.bracket_power(n)))
 
 
 def max_symbolic_containment(I, P):

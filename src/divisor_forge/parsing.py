@@ -115,6 +115,15 @@ class ExprParser:
     def at_op(self, text):
         return self.cur.kind == "op" and self.cur.text == text
 
+    def named(self):
+        """At `name =` (a binding or a keyword argument), consume both and
+        return the name; elsewhere None.  Only the operator has text "="."""
+        tok = self.cur
+        if tok.kind != "id" or self.tokens[self.i + 1].text != "=":
+            return None
+        self.i += 2
+        return tok.text
+
     def integer(self):
         tok = self.expect("int")
         try:
@@ -186,16 +195,11 @@ class ExprParser:
         args, kwargs = [], []
         if not self.at_op(")"):
             while True:
-                if (
-                    self.cur.kind == "id"
-                    and self.tokens[self.i + 1].kind == "op"
-                    and self.tokens[self.i + 1].text == "="
-                ):
-                    key = self.expect("id").text
-                    self.expect("op", "=")
-                    kwargs.append((key, self.expression()))
-                else:
+                key = self.named()
+                if key is None:
                     args.append(self.expression())
+                else:
+                    kwargs.append((key, self.expression()))
                 if not self.accept("op", ","):
                     break
         self.expect("op", ")")

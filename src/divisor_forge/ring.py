@@ -197,14 +197,11 @@ class Polynomial:
 
     def normal_form(self):
         """Unique representative modulo the defining ideal (idempotent)."""
-        if self._nf is None:
-            nf = self.ring.normal_form_raw(self.terms)
-            self._nf = nf
-        return Polynomial(self.ring, self._nf)
+        return Polynomial(self.ring, self.nf_terms())
 
     def nf_terms(self):
         if self._nf is None:
-            self.normal_form()
+            self._nf = self.ring.normal_form_raw(self.terms)
         return self._nf
 
     def is_zero(self):

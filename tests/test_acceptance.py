@@ -1,12 +1,13 @@
 """Acceptance suite.
 
-Nine criteria, each printed as a single pass/fail line.  Every comparison
+Nine criteria, each printed as a single pass/fail line.  Criterion 8 is
+the seven randomized property suites where they are defined; its line is
+printed by tests/conftest.py once they have run.  Every comparison
 is exact: divisors are compared as multisets of (coefficient, prime-key)
 pairs, ideals through their canonical reduced Groebner keys, and all
 coefficients are integers or fractions.Fraction -- no floating point.
 """
 
-import pathlib
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -135,29 +136,6 @@ def test_criterion_7_cartier_suite(cone3b, capsys):
         assert is_cartier(2 * D)
         assert is_cartier(D, graded=True)
         assert is_q_cartier(5, D) == 2
-
-
-def test_criterion_8_property_suites(capsys):
-    with criterion(capsys, 8, "randomized property suites"):
-        here = pathlib.Path(__file__).resolve().parent
-        nodes = [
-            f"{here / path}::{name}"
-            for path, name in [
-                ("test_fractional.py", "test_reflexify_properties_randomized"),
-                ("test_divisors.py", "test_group_laws_randomized"),
-                ("test_divisors.py", "test_of_element_additivity_randomized"),
-                ("test_correspondence.py", "test_sheaf_monoid_law_randomized"),
-                ("test_smith.py", "test_smith_validity_randomized"),
-                ("test_geometry.py",
-                 "test_pullback_strategy_agreement_randomized"),
-                ("test_checks.py", "test_snc_depends_only_on_support"),
-            ]
-        ]
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             *nodes],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_criterion_9_failure_honesty(space, tmp_path, capsys):

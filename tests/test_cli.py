@@ -66,6 +66,7 @@ def test_parse_print_round_trip():
         "use S;\n"
         "print pullback(f, divisor(a), strategy=sheaves);\n",
         "print ((1/2) - 3)^2;\n",
+        "print -x^-y^2 * (-x)^2 - (x - y) + (x^2)^3 / -(x*y);\n",
     ]
 
     def strip(statements):
@@ -146,6 +147,16 @@ def test_text_and_json_print_the_same_normal_form():
     code, out, _ = run_script(script, json_mode=True)
     assert code == 0
     assert json.loads(out)["outputs"][0]["value"] == "0"
+
+
+def test_text_and_json_print_the_same_numbers():
+    script = "print 1/2;\nprint 4/2;\nprint 10^5000 / 10^4999;\nprint -7;\n"
+    assert run_script(script) == (0, "o1 = 1/2\no2 = 2\no3 = 10\no4 = -7\n",
+                                  "")
+    code, out, _ = run_script(script, json_mode=True)
+    assert code == 0
+    assert [o["value"] for o in json.loads(out)["outputs"]] == [
+        "1/2", "2", "10", "-7"]
 
 
 def test_rational_scalars_widen_the_divisor_tier():

@@ -106,6 +106,23 @@ def test_nesting_up_to_the_bound_is_accepted():
         assert got == code, (statement[:40], err)
 
 
+def test_printing_adds_no_nesting():
+    """Accepted statements at or near the bound print as text that parses
+    back to the same tree."""
+    for statement in [
+        "print %sx;" % ("-" * 60),
+        "print %sx;" % ("-" * (MAX_DEPTH - 1)),
+        "print %s^1;" % "^".join(["1"] * (MAX_DEPTH - 1)),
+        "print %sx;" % ("-x^" * (MAX_DEPTH // 2 - 1)),
+        "print %s1%s;" % ("(" * (MAX_DEPTH - 1), ")" * (MAX_DEPTH - 1)),
+        "print %sx%s;" % ("(x - " * (MAX_DEPTH - 1), ")" * (MAX_DEPTH - 1)),
+    ]:
+        tree = parse_script(statement)
+        printed = format_script(tree)
+        assert [s[:-1] for s in parse_script(printed)] == [
+            s[:-1] for s in tree], statement[:40]
+
+
 def test_a_chain_of_any_length_is_one_level():
     code, out, _ = run("print %s;\n" % "+".join(["1"] * 3000))
     assert (code, out) == (0, "o1 = 3000\n")

@@ -97,12 +97,16 @@ def ref_normal_form(p, basis, key):
     return out
 
 
+def ref_mul_term(p, mono, coeff):
+    return {ref_mono_mul(m, mono): c * coeff for m, c in p.items()}
+
+
 def ref_s_poly(f, g, key):
     mf, mg = max(f, key=key), max(g, key=key)
     lcm = ref_mono_lcm(mf, mg)
     return engine.p_sub(
-        engine.p_mul_term(f, ref_mono_div(lcm, mf), 1 / f[mf]),
-        engine.p_mul_term(g, ref_mono_div(lcm, mg), 1 / g[mg]),
+        ref_mul_term(f, ref_mono_div(lcm, mf), 1 / f[mf]),
+        ref_mul_term(g, ref_mono_div(lcm, mg), 1 / g[mg]),
     )
 
 

@@ -6,8 +6,8 @@ it replaces:
 - in a polynomial ring (a UFD) `of_element` reads the primes off the
   factorization: it equals the sum of m * of_ideal((p)) over the
   irreducible factors p^m, in multiset, repr and JSON;
-- the n-th symbolic power of a principal prime (pi) is (pi^n), the
-  reflexive hull of the bracket power;
+- the n-th symbolic power of a principal prime (pi), the reflexive hull
+  of the bracket power, is (pi^n);
 - max_symbolic_containment(P, P) is 1, and an ideal that is not of
   height one still raises HeightNotOne.
 
@@ -108,6 +108,8 @@ def test_symbolic_power_of_a_principal_prime(name):
             for n in (2, 3, 4):
                 S = symbolic_power(P, n)
                 assert S.key == reflexify(P.bracket_power(n)).key, (P, n)
+                (pi,) = P.quotient_gens()
+                assert S.key == Ideal(P.ring, [pi**n]).key, (P, n)
                 assert max_symbolic_containment(S, P) == n
 
 
@@ -121,6 +123,7 @@ def test_symbolic_power_of_a_principal_prime_of_a_quotient_ring():
         for n in (2, 3, 4):
             S = symbolic_power(P, n)
             assert S.key == reflexify(P.bracket_power(n)).key, (gen, n)
+            assert S.key == ideal(R, "(%s)^%d" % (gen, n)).key, (gen, n)
 
 
 def test_a_prime_contains_itself_once(cone3, cone4, plane):
