@@ -22,6 +22,7 @@ from .divisors import WeilDivisor
 from .errors import (
     DecompositionIncomplete,
     DivisorForgeError,
+    FactorCoefficientsExceeded,
     FactorDegreeExceeded,
     GradingNotPositive,
     HeightNotOne,
@@ -53,6 +54,7 @@ __all__ = [
     "CheckReport",
     "DecompositionIncomplete",
     "DivisorForgeError",
+    "FactorCoefficientsExceeded",
     "FactorDegreeExceeded",
     "FractionalIdeal",
     "Grading",

@@ -39,6 +39,7 @@ from .divisors import WeilDivisor
 from .errors import (
     DecompositionIncomplete,
     DivisorForgeError,
+    FactorCoefficientsExceeded,
     FactorDegreeExceeded,
     ParseError,
     ScriptError,
@@ -239,6 +240,11 @@ def _coerce(kind, value, what):
     raise ScriptError("%s must be %s" % (what, noun))
 
 
+# a number power whose numerator or denominator would have more bits is
+# refused before it is computed
+MAX_POWER_BITS = 2**20
+
+
 class Session:
     """Named bindings plus the graded default, and the evaluation of
     expressions over them; bindings replace, never mutate."""
@@ -339,6 +345,12 @@ class Session:
                 raise ScriptError("negative power of an ideal element")
             return a ** n
         if isinstance(a, (int, Fraction)):
+            size = max(abs(a.numerator), a.denominator)
+            bits = abs(n) * size.bit_length()
+            if size > 1 and bits > MAX_POWER_BITS:
+                raise ScriptError(
+                    "a power of up to %d bits exceeds the cap of %d bits"
+                    % (bits, MAX_POWER_BITS))
             return Fraction(a) ** n if n < 0 else a ** n
         raise ScriptError("cannot raise %r to a power" % (a,))
 
@@ -609,7 +621,8 @@ def _exit_code(exc):
     """1 for a parse error, 3 for a refusal, 2 for any other error."""
     if isinstance(exc, ParseError):
         return 1
-    if isinstance(exc, (DecompositionIncomplete, FactorDegreeExceeded)):
+    if isinstance(exc, (DecompositionIncomplete, FactorDegreeExceeded,
+                        FactorCoefficientsExceeded)):
         return 3
     return 2
 

@@ -9,7 +9,7 @@ higher-level modules wrap these in ring-aware classes.
 import heapq
 from fractions import Fraction
 from itertools import combinations
-from operator import add, le, neg, sub
+from operator import add, le, lshift, neg, sub
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -32,7 +32,12 @@ def elim_key(k):
         a, b = e[:k], e[k:]
         return (sum(a), *map(neg, a[::-1]), sum(b), *map(neg, b[::-1]))
 
+    key.split = k
     return key
+
+
+# grevlex is the block order with an empty eliminated block
+grevlex_key.split = 0
 
 
 def mono_mul(a, b):
@@ -213,55 +218,112 @@ def s_poly(f, g, key, lms=None):
     return p_sub(_shifted_tail(f, mf, lcm), _shifted_tail(g, mg, lcm))
 
 
+def _packing(nvars, width, key):
+    """Monomials packed into one int each for buchberger's pair bookkeeping.
+
+    Every exponent gets a width-bit field that ends in a guard bit.  The
+    block that key.split eliminates lies above the rest, and the higher
+    variable index lies higher within a block.  For packed a and b whose
+    exponents are below 2**(width - 1), lcm(a, b) is their exponentwise
+    max, a + b their product, and a divides b iff not b - a & guard.
+    order(P) sorts like key(exponents of P) when P's degree is below
+    2**width: per block, the degree and then mask - P, whose fields are
+    the negated exponents.  A key without a split is called on P unpacked.
+    Returns (pack, lcm, order, guard).
+    """
+    split = getattr(key, "split", None)
+    k = min(split or 0, nvars)  # the eliminated block is variables 0..k-1
+    nb = nvars - k
+    shifts = [width * ((v - k) % nvars) for v in range(nvars)]
+    ones = sum(1 << width * p for p in range(nvars))
+    guard = ones << width - 1
+    mask, low, fm = guard - ones, (1 << width * nb) - 1, (1 << width) - 1
+    sb, sn, w1 = width * nb, width * nvars, width - 1
+
+    def pack(m):
+        return sum(map(lshift, m, shifts))
+
+    def lcm(a, b):
+        d = ((a | guard) - b) & guard  # guard bits where a's field >= b's
+        return b ^ (a ^ b) & (d - (d >> w1))
+
+    def order(P):
+        t = P * ones << width  # field p + 1: the degree of fields 0..p
+        deg_b, q = t >> sb & fm, mask - P
+        return (((t >> sn & fm) - deg_b << sn | q & ~low) << width
+                | deg_b << sb | q & low)
+
+    if split is None:
+        return pack, lcm, (lambda P: key(tuple(
+            P >> s & fm for s in shifts))), guard
+    return pack, lcm, order, guard
+
+
 def buchberger(gens, key):
     """Reduced Groebner basis, deterministic.
 
     Normal selection strategy; pairs are discarded by the product (coprime
     leading monomials) and chain criteria.  The output is monic, pairwise
     autoreduced and sorted by ascending leading monomial.  Each element's
-    leading monomial is found once and kept in lms beside G.
+    leading monomial is found once and kept in lms beside G, and packed
+    once (see _packing) into plms for the pair bookkeeping.
     """
     heads = [_lm_monic(g, key) for g in gens if g]
-    if not heads:
-        return []
+    if len(heads) < 2:
+        return [normal_form(g, [], key, []) for _, g in heads]
     heads.sort(key=lambda h: key(h[0]))
-    lms = [lm for lm, _ in heads]
-    G = [g for _, g in heads]
-    # normal selection via a heap keyed by the pair's lcm; (i, j) is unique,
-    # so the lcm carried last is never compared
-    pairs = []
-    for i in range(len(G)):
-        for j in range(i + 1, len(G)):
-            lcm = mono_lcm(lms[i], lms[j])
-            pairs.append((key(lcm), i, j, lcm))
-    heapq.heapify(pairs)
-    # popped[i]: the partners k of every pair (i, k) popped so far
-    popped = [set() for _ in G]
-    while pairs:
-        _, i, j, lcm = heapq.heappop(pairs)
-        popped[i].add(j)
-        popped[j].add(i)
-        if lcm == mono_mul(lms[i], lms[j]):
+    nvars, width = len(heads[0][0]), 8
+    pack, lcm, order, guard = _packing(nvars, width, key)
+    # normal selection via a heap keyed by the order of the pair's lcm;
+    # (i, j) is unique, so the packed lcm carried last is never compared.
+    # popped[i]: bitset of the partners k of every pair (i, k) popped so far
+    G, lms, plms, popped, pairs = [], [], [], [], []
+    new = heads
+    while True:
+        for lm, g in new:
+            # every leading monomial's degree stays below 2**(width - 2), so
+            # no lcm, product or degree reaches a guard bit; a wider packing
+            # sorts the same, so the heap keeps its pop sequence
+            deg = sum(lm)
+            if deg >> width - 2:
+                while deg >> width - 2:
+                    width *= 2
+                pack, lcm, order, guard = _packing(nvars, width, key)
+                plms = list(map(pack, lms))
+                pairs = [(order(L), i, j, L) for _, i, j, _ in pairs
+                         for L in (lcm(plms[i], plms[j]),)]
+                heapq.heapify(pairs)
+            P, n = pack(lm), len(G)
+            for i2, Q in enumerate(plms):
+                L = lcm(Q, P)
+                heapq.heappush(pairs, (order(L), i2, n, L))
+            G.append(g)
+            lms.append(lm)
+            plms.append(P)
+            popped.append(0)
+        new = ()
+        if not pairs:
+            break
+        _, i, j, L = heapq.heappop(pairs)
+        popped[i] |= 1 << j
+        popped[j] |= 1 << i
+        if L == plms[i] + plms[j]:
             continue  # product criterion
         # chain criterion: some lm_k divides the lcm and the pairs (i, k)
         # and (j, k) are already popped
-        if any(mono_divides(lms[k], lcm) for k in popped[i] & popped[j]):
+        b = popped[i] & popped[j]
+        while b and L - plms[(b & -b).bit_length() - 1] & guard:
+            b &= b - 1
+        if b:
             continue
         h = normal_form(s_poly(G[i], G[j], key, (lms[i], lms[j])), G, key, lms)
         if h:
-            lm, h = _lm_monic(h, key)
-            G.append(h)
-            lms.append(lm)
-            popped.append(set())
-            n = len(G) - 1
-            for i2 in range(n):
-                lcm = mono_lcm(lms[i2], lm)
-                heapq.heappush(pairs, (key(lcm), i2, n, lcm))
+            new = (_lm_monic(h, key),)
     # minimalize
     order_idx = sorted(range(len(G)), key=lambda i: key(lms[i]))
     minimal = []
     for i in order_idx:
-        if not any(mono_divides(lms[k], lms[i]) for k in minimal):
+        if all(plms[i] - plms[k] & guard for k in minimal):
             minimal.append(i)
     # interreduce: no other leading monomial divides a term at or above an
     # element's own monic leading term, so each remainder keeps it and the

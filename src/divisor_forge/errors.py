@@ -59,6 +59,10 @@ class FactorDegreeExceeded(DivisorForgeError):
     """Multivariate factorization refused: substituted degree above the cap."""
 
 
+class FactorCoefficientsExceeded(DivisorForgeError):
+    """Factorization by sympy refused: a coefficient above the bit cap."""
+
+
 class ScriptError(DivisorForgeError):
     """Error while parsing or executing a script."""
 

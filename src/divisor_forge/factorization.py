@@ -27,7 +27,9 @@ factors come back through Poly.terms().  The factorization over QQ is
 unique, so the peel changes no answer; a factor it misses is left to sympy.
 A degree cap (DIVISOR_FORGE_MAXDEG, default 512) refuses the inputs of
 total degree 4 or more whose Kronecker-substituted univariate degree would
-explode; it is checked on the input, before the peel.
+explode; it is checked on the input, before the peel.  A cofactor bound
+for sympy with an integer coefficient of more than MAX_COEFF_BITS bits is
+refused too.
 """
 
 import math
@@ -38,7 +40,7 @@ from itertools import chain, islice
 import sympy
 
 from . import engine
-from .errors import FactorDegreeExceeded
+from .errors import FactorCoefficientsExceeded, FactorDegreeExceeded
 
 DEFAULT_MAXDEG = 512
 
@@ -46,6 +48,11 @@ DEFAULT_MAXDEG = 512
 # the constant and the leading coefficient only when both are at most this
 # in absolute value
 ROOT_COEFF_LIMIT = 10**6
+
+# on a 2-vCPU machine, factor_terms(x^3 + c*y^3 + 1) spent 0.5 s in sympy
+# with c of 1024 bits, 1.9 s at 1329 bits and 35 s at 3322 bits (10^1000);
+# a cofactor with a larger integer coefficient is refused before sympy
+MAX_COEFF_BITS = 1024
 
 # lines tried per direction before the peel leaves that direction to sympy
 LINES = 16
@@ -100,6 +107,11 @@ def factor_terms(terms, nvars, key):
 def _sympy_factors(terms, nvars, key):
     """Monic irreducible factors of a term dict with integer coefficients,
     by sympy's factor_list over QQ."""
+    bits = max(abs(c).bit_length() for c in terms.values())
+    if bits > MAX_COEFF_BITS:
+        raise FactorCoefficientsExceeded(
+            "a coefficient of %d bits exceeds the factorization cap of %d "
+            "bits" % (bits, MAX_COEFF_BITS))
     rep = {m: sympy.QQ(c) for m, c in terms.items()}
     poly = sympy.Poly.from_dict(
         rep, *sympy.symbols("t0:%d" % nvars), domain=sympy.QQ)

@@ -12,6 +12,7 @@ from .engine import elim_key
 from .errors import (
     DecompositionIncomplete,
     DivisorForgeError,
+    FactorCoefficientsExceeded,
     FactorDegreeExceeded,
     HeightNotOne,
     RingMismatch,
@@ -424,8 +425,8 @@ def _certify_prime(ring, gb):
                 for g in _eliminate(polys, [i], n):
                     try:
                         factors = _proper_factors(ring, g)
-                    except FactorDegreeExceeded:  # too large to factor: skip
-                        continue
+                    except (FactorDegreeExceeded, FactorCoefficientsExceeded):
+                        continue  # too large to factor: skip
                     if factors and all(engine.normal_form(f, gb, ring.key)
                                        for f in factors):
                         return ("project", factors)

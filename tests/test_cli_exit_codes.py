@@ -7,11 +7,14 @@ message, never a Python traceback, and a REPL session survives it.
 
 import io
 import sys
+import time
 
 import pytest
 
 from divisor_forge.cli import (
-    _FUNCTIONS, format_script, main, parse_script, repl, run_text)
+    _FUNCTIONS, MAX_POWER_BITS, format_script, main, parse_script, repl,
+    run_text)
+from divisor_forge.factorization import MAX_COEFF_BITS
 from divisor_forge.parsing import MAX_DEPTH
 
 HEADER = (
@@ -19,6 +22,7 @@ HEADER = (
     "D = divisor(ideal(x,y));\n"
     "E = divisor(x);\n")
 DIGITS = "%d digits" % sys.get_int_max_str_digits()
+POWER_CAP = "exceeds the cap of %d bits" % MAX_POWER_BITS
 NESTED = "expression nested deeper than %d levels" % MAX_DEPTH
 
 # (statement, exit code, a fragment of the message)
@@ -59,6 +63,10 @@ CASES = [
     ("print -ideal(10^5000*x+1);", 2, DIGITS),
     ("ring S = QQ[x,y]; print divisor{1: ideal(x^2 + 10^5000*x)};", 2,
      DIGITS),
+    # number powers past the bit cap, refused before they are computed
+    ("print 3^(10^9);", 2, POWER_CAP),
+    ("print (2/3)^(-(10^7));", 2, POWER_CAP),
+    ("print (10^5000)^300;", 2, POWER_CAP),
 ]
 
 
@@ -156,6 +164,30 @@ def test_factor_degree_cap_is_a_refusal(monkeypatch):
     assert err.startswith("error: 2:1: ") and "exceeds cap 2" in err
     monkeypatch.delenv("DIVISOR_FORGE_MAXDEG")
     assert run(script)[0] == 0
+
+
+def test_number_powers_are_bounded_before_they_are_built():
+    start = time.perf_counter()
+    code, out, err = run("print 3^(10^9);\n")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert "a power of up to 2000000000 bits " + POWER_CAP in err
+    # under the cap, and powers whose base is 0, 1 or -1, are computed
+    code, out, _ = run("print 10^5000 / 10^4999;\nprint (1/2)^(-3);\n"
+                       "print (-1)^(10^9 + 1);\nprint 0^(10^9);\n")
+    assert (code, out) == (0, "o1 = 10\no2 = 8\no3 = -1\no4 = 0\n")
+
+
+def test_huge_coefficients_are_refused_before_sympy():
+    """The cubic's root search gives up on the coefficient, so the cubic
+    would go to sympy's factor_list, which takes minutes at 10^1000."""
+    start = time.perf_counter()
+    code, out, err = run("ring R = QQ[x,y,z];\n"
+                         "print divisor(x^3 + 10^5000*y^3 + 1);\n")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (3, "")
+    assert err.startswith("error: 2:1: a coefficient of 16610 bits exceeds "
+                          "the factorization cap of %d bits" % MAX_COEFF_BITS)
 
 
 def test_repl_survives_every_refused_input():

@@ -1,11 +1,13 @@
 """The engine against a frozen copy of its earlier nested-key version.
 
-The flat order keys, cached leading monomials and partner-set chain test
-must not change which S-pairs are reduced or any result: on seeded random
-small ideals under grevlex and elimination orders, both engines reduce the
-same S-polynomials in the same sequence and return the same reduced bases
-(same elements, same term order) and the same normal forms.  The
-comparison of normal_form inputs checks that the same pairs are reduced.
+The flat order keys, cached leading monomials and the packed pair
+bookkeeping must not change which S-pairs are reduced or any result: on
+seeded random small ideals under grevlex, elimination and lex orders, and
+on a squaring chain whose leading degrees outgrow the first packing width,
+both engines reduce the same S-polynomials in the same sequence and return
+the same reduced bases (same elements, same term order) and the same
+normal forms.  The comparison of normal_form inputs checks that the same
+pairs are reduced.
 """
 
 import heapq
@@ -174,10 +176,18 @@ def ref_buchberger(gens, key, log):
 # ---------------------------------------------------------------------------
 # the comparison
 
+def lex_key(e):
+    """Lex order; it carries no block split, so the engine orders its pairs
+    by calling it."""
+    return e
+
+
 ORDERS = {
     "grevlex": (engine.grevlex_key, ref_grevlex_key),
     "elim1": (engine.elim_key(1), ref_elim_key(1)),
     "elim2": (engine.elim_key(2), ref_elim_key(2)),
+    "elim3": (engine.elim_key(3), ref_elim_key(3)),
+    "lex": (lex_key, lex_key),
 }
 
 
@@ -214,28 +224,88 @@ def logged_buchberger(monkeypatch, gens, key):
         return engine.buchberger(gens, key), log
 
 
+def assert_matches_reference(monkeypatch, rng, nvars, gens, key, ref_key):
+    """Both engines reduce the same S-polynomials and return the same basis,
+    and four random polynomials drawn from rng have the same normal forms."""
+    snapshot = [dict(g) for g in gens]
+    ref_log = []
+    want = ref_buchberger(gens, ref_key, ref_log)
+    got, log = logged_buchberger(monkeypatch, gens, key)
+    assert gens == snapshot
+    assert as_items(got) == as_items(want)
+    assert [sorted(s.items()) for s in log] == [
+        sorted(s.items()) for s in ref_log]
+    for _ in range(4):
+        p = random_poly(rng, nvars, 4, 3)
+        nf = ref_normal_form(p, want, ref_key)
+        assert list(engine.normal_form(p, got, key).items()) == list(
+            nf.items())
+        lms = [max(g, key=key) for g in got]
+        assert list(engine.normal_form(p, got, key, lms).items()) == list(
+            nf.items())
+
+
 @pytest.mark.parametrize("order", sorted(ORDERS))
 def test_buchberger_matches_frozen_reference(order, monkeypatch):
     key, ref_key = ORDERS[order]
     rng = random.Random("engine-differential-" + order)
     for _ in range(80):
         nvars, gens = random_ideal(rng)
-        snapshot = [dict(g) for g in gens]
-        ref_log = []
-        want = ref_buchberger(gens, ref_key, ref_log)
-        got, log = logged_buchberger(monkeypatch, gens, key)
-        assert gens == snapshot
-        assert as_items(got) == as_items(want)
-        assert [sorted(s.items()) for s in log] == [
-            sorted(s.items()) for s in ref_log]
-        for _ in range(4):
-            p = random_poly(rng, nvars, 4, 3)
-            nf = ref_normal_form(p, want, ref_key)
-            assert list(engine.normal_form(p, got, key).items()) == list(
-                nf.items())
-            lms = [max(g, key=key) for g in got]
-            assert list(engine.normal_form(p, got, key, lms).items()) == list(
-                nf.items())
+        assert_matches_reference(monkeypatch, rng, nvars, gens, key, ref_key)
+
+
+@pytest.mark.parametrize("order", sorted(ORDERS))
+def test_buchberger_matches_frozen_reference_in_more_variables(
+        order, monkeypatch):
+    """Three binomials of degree at most 2 in 5 or 6 variables: hundreds of
+    reduced S-pairs per order, in about a second."""
+    key, ref_key = ORDERS[order]
+    rng = random.Random("engine-differential-wide-" + order)
+    for _ in range(20):
+        nvars = rng.randint(5, 6)
+        gens = [random_poly(rng, nvars, 2, 2) for _ in range(3)]
+        assert_matches_reference(monkeypatch, rng, nvars, gens, key, ref_key)
+
+
+def squaring_chain(length):
+    """t0 - y, t0 - t1^2, ..., t(length-1) - t(length)^2 in the variables
+    t0, ..., t(length), y: eliminating t0..t(length-1) leaves
+    y - t(length)^(2^length)."""
+    n = length + 2
+
+    def var(i):
+        return tuple(int(j == i) for j in range(n))
+
+    gens = [{var(0): Fraction(1), var(n - 1): Fraction(-1)}]
+    for i in range(length):
+        square = tuple(2 * e for e in var(i + 1))
+        gens.append({var(i): Fraction(1), square: Fraction(-1)})
+    return n, gens
+
+
+@pytest.mark.parametrize("length", [6, 7])
+def test_squaring_chain_repacks_wider_and_matches_reference(
+        length, monkeypatch):
+    """The leading monomial t6^64 (t7^128) reaches the degree bound 2^6 of
+    the first, 8-bit packing, so buchberger repacks at 16 bits mid-run and
+    still reduces the same S-pairs as the reference."""
+    nvars, gens = squaring_chain(length)
+    widths, real = [], engine._packing
+
+    def packing(nvars, width, key):
+        widths.append(width)
+        return real(nvars, width, key)
+
+    monkeypatch.setattr(engine, "_packing", packing)
+    rng = random.Random("squaring-chain-%d" % length)
+    key, ref_key = engine.elim_key(length), ref_elim_key(length)
+    assert_matches_reference(monkeypatch, rng, nvars, gens, key, ref_key)
+    assert widths == [8, 16]
+    want = {(0,) * length + (2**length, 0): Fraction(1),
+            (0,) * (length + 1) + (1,): Fraction(-1)}
+    assert want in engine.buchberger(gens, key)
+    assert_matches_reference(monkeypatch, rng, nvars, gens,
+                             engine.grevlex_key, ref_grevlex_key)
 
 
 @pytest.mark.parametrize("order", sorted(ORDERS))
@@ -251,3 +321,42 @@ def test_flat_keys_sort_like_nested_keys(order):
             for b in monos[:20]:
                 assert (key(a) < key(b)) == (ref_key(a) < ref_key(b))
                 assert (key(a) == key(b)) == (a == b)
+
+
+@pytest.mark.parametrize("order", sorted(ORDERS))
+@pytest.mark.parametrize("width", [8, 16])
+def test_packed_monomials_agree_with_tuples(order, width):
+    """The packed order compares (< and ==) like key on monomials of degree
+    up to 2**(width - 1) - 1, which bounds every pair's lcm, and packed lcm,
+    product and divisibility agree with the tuple operations on leading
+    monomials, whose degree stays below 2**(width - 2)."""
+    key = ORDERS[order][0]
+    rng = random.Random("packed-%s-%d" % (order, width))
+    for nvars in (1, 2, 3, 4, 6):
+        pack, lcm, packed_order, guard = engine._packing(nvars, width, key)
+
+        def monomial(top):
+            cuts = sorted(rng.randint(0, rng.randint(0, top))
+                          for _ in range(nvars - 1))
+            return tuple(b - a for a, b in zip([0] + cuts, cuts + [top]))
+
+        top = 2 ** (width - 1) - 1
+        monos = [monomial(top) for _ in range(40)]
+        monos += [tuple(top * (j == i) for j in range(nvars))
+                  for i in range(nvars)]
+        monos += [(0,) * nvars] + monos[:5]
+        for a in monos:
+            for b in monos:
+                pa, pb = packed_order(pack(a)), packed_order(pack(b))
+                assert (pa < pb) == (key(a) < key(b))
+                assert (pa == pb) == (key(a) == key(b))
+        heads = [monomial(2 ** (width - 2) - 1) for _ in range(30)]
+        heads += [engine.mono_lcm(heads[0], heads[1]), (0,) * nvars]
+        for a in heads:
+            for b in heads:
+                L = lcm(pack(a), pack(b))
+                assert L == pack(engine.mono_lcm(a, b))
+                assert (L == pack(a) + pack(b)) == (
+                    engine.mono_lcm(a, b) == engine.mono_mul(a, b))
+                assert (not pack(b) - pack(a) & guard) == engine.mono_divides(
+                    a, b)

@@ -12,7 +12,8 @@ import pytest
 import sympy
 
 from divisor_forge import (
-    FactorDegreeExceeded, QuotientRing, WeilDivisor, polynomial)
+    FactorCoefficientsExceeded, FactorDegreeExceeded, QuotientRing,
+    WeilDivisor, polynomial)
 from divisor_forge import engine, factorization
 from divisor_forge.engine import elim_key, grevlex_key
 from divisor_forge.factorization import factor_terms
@@ -136,6 +137,21 @@ def test_degree_cap_still_refuses_nonlinear_inputs():
     quartic[(0,) * nvars] = Fraction(1)
     with pytest.raises(FactorDegreeExceeded):
         factor_terms(quartic, nvars, grevlex_key)
+
+
+def test_coefficient_cap_refuses_only_above_it(monkeypatch):
+    """A quartic always goes to sympy; its integer coefficients may have
+    MAX_COEFF_BITS bits and no more."""
+    monkeypatch.setattr(factorization, "MAX_COEFF_BITS", 20)
+    at_cap = named("x^4 + %d*y^4 + 1" % (2**20 - 1), ("x", "y"))
+    unit, factors = factor_terms(at_cap, 2, grevlex_key)
+    assert expand(unit, factors, 2) == at_cap
+    # a rational input is scaled to integers first: 2^20/3 becomes 2^20
+    for text in ["x^4 + %d*y^4 + 1" % 2**20,
+                 "1/3*x^4 + %d/3*y^4 + 1/3" % 2**20,
+                 "x^4 + y^4 + 1/%d" % 2**20]:
+        with pytest.raises(FactorCoefficientsExceeded, match="21 bits"):
+            factor_terms(named(text, ("x", "y")), 2, grevlex_key)
 
 
 def test_divisor_of_a_linear_form_in_ten_variables():
