@@ -240,9 +240,20 @@ def _coerce(kind, value, what):
     raise ScriptError("%s must be %s" % (what, noun))
 
 
-# a number power whose numerator or denominator would have more bits is
-# refused before it is computed
+# a power of a number, or of a polynomial or ideal whose leading
+# coefficient's power would have a numerator or denominator of more bits,
+# is refused before it is computed
 MAX_POWER_BITS = 2**20
+
+
+def _bound_power(c, n):
+    """Refuse c^n when its numerator or denominator could pass
+    MAX_POWER_BITS bits."""
+    size = max(abs(c.numerator), c.denominator)
+    bits = abs(n) * size.bit_length()
+    if size > 1 and bits > MAX_POWER_BITS:
+        raise ScriptError("a power of up to %d bits exceeds the cap of %d bits"
+                          % (bits, MAX_POWER_BITS))
 
 
 class Session:
@@ -343,14 +354,14 @@ class Session:
         if isinstance(a, (Ideal, Polynomial)):
             if n < 0:
                 raise ScriptError("negative power of an ideal element")
+            # lc(g)^n is a coefficient of g^n under the ring order, and g^n
+            # is a stored generator of the n-th power of an ideal with g
+            for g in a.gens if isinstance(a, Ideal) else (a,):
+                if g.terms:
+                    _bound_power(g.terms[max(g.terms, key=g.ring.key)], n)
             return a ** n
         if isinstance(a, (int, Fraction)):
-            size = max(abs(a.numerator), a.denominator)
-            bits = abs(n) * size.bit_length()
-            if size > 1 and bits > MAX_POWER_BITS:
-                raise ScriptError(
-                    "a power of up to %d bits exceeds the cap of %d bits"
-                    % (bits, MAX_POWER_BITS))
+            _bound_power(a, n)
             return Fraction(a) ** n if n < 0 else a ** n
         raise ScriptError("cannot raise %r to a power" % (a,))
 

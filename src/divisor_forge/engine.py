@@ -4,15 +4,25 @@ Polynomials are plain dicts mapping exponent tuples to nonzero Fractions.
 All functions here are ring-agnostic: they take the number of variables
 implicitly from the exponent tuples and an order key explicitly.  The
 higher-level modules wrap these in ring-aware classes.
+
+Reduction works on packed polynomials instead: dicts from a monomial
+packed into one int (see _packing) to a coefficient that is an int when
+it is integral and a Fraction otherwise.  buchberger packs its generators
+on entry and unpacks its basis on exit; normal_form and s_poly pack their
+tuple-keyed arguments at the same kind of boundary.  Every polynomial that
+leaves the engine is tuple-keyed with Fraction coefficients.
 """
 
 import heapq
+from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations
 from operator import add, le, lshift, neg, sub
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_UNITS = {1: ONE, -1: -ONE}  # the Fractions of the commonest coefficients
 
 
 # ---------------------------------------------------------------------------
@@ -52,10 +62,6 @@ def mono_divides(a, b):
 def mono_div(a, b):
     """Exponent vector a - b; caller guarantees divisibility."""
     return tuple(map(sub, a, b))
-
-
-def mono_lcm(a, b):
-    return tuple(map(max, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -121,16 +127,13 @@ def leading(p, key):
     return m, p[m]
 
 
-def _lm_monic(p, key):
-    """(leading monomial, monic p) of a nonzero polynomial; p itself when
-    it is already monic."""
-    lm = max(p, key=key)
-    c = p[lm]
-    return lm, (p if c == 1 else {m: k / c for m, k in p.items()})
-
-
 def monic(p, key):
-    return _lm_monic(p, key)[1] if p else p
+    """p divided by its leading coefficient; p itself when it is zero or
+    already monic."""
+    if not p:
+        return p
+    c = p[max(p, key=key)]
+    return p if c == 1 else {m: k / c for m, k in p.items()}
 
 
 def canonical(p, key):
@@ -157,81 +160,29 @@ def differentiate(p, i):
 
 
 # ---------------------------------------------------------------------------
-# division and Buchberger
+# packed monomials
 
-def _neg_key(k):
-    """Elementwise negation of a flat integer key tuple; reverses the order."""
-    return tuple(map(neg, k))
+Packing = namedtuple("Packing", "width pack unpack lcm order down guard margin")
 
 
-def normal_form(p, basis, key, lms=None):
-    """Fully reduced remainder of p modulo a monic basis (a reduced
-    Groebner basis, or the list `buchberger` builds).  lms, if given, holds
-    the leading monomials of basis under key.
-    """
-    if not basis:
-        return dict(p)
-    if lms is None:
-        lms = [max(g, key=key) for g in basis]
-    heads = list(zip(lms, basis))
-    work = dict(p)
-    # max-heap of candidate monomials with lazy deletion
-    heap = [(_neg_key(key(m)), m) for m in work]
-    heapq.heapify(heap)
-    out = {}
-    while heap:
-        _, m = heapq.heappop(heap)
-        c = work.get(m)
-        if c is None:
-            continue
-        for lm, g in heads:
-            if mono_divides(lm, m):
-                q = mono_div(m, lm)
-                for gm, gc in g.items():
-                    t = mono_mul(gm, q)
-                    old = work.get(t)
-                    s = (old if old is not None else ZERO) - gc * c
-                    if s:
-                        if old is None:
-                            heapq.heappush(heap, (_neg_key(key(t)), t))
-                        work[t] = s
-                    else:
-                        work.pop(t, None)
-                break
-        else:
-            out[m] = c
-            del work[m]
-    return out
-
-
-def _shifted_tail(p, lm, lcm):
-    """The terms of monic p below its leading monomial lm, times lcm/lm."""
-    q = mono_div(lcm, lm)
-    return {mono_mul(m, q): c for m, c in p.items() if m != lm}
-
-
-def s_poly(f, g, key, lms=None):
-    """S-polynomial of monic f and g without their leading terms, which
-    cancel; lms, if given, is their pair of leading monomials under key."""
-    mf, mg = lms if lms is not None else (max(f, key=key), max(g, key=key))
-    lcm = mono_lcm(mf, mg)
-    return p_sub(_shifted_tail(f, mf, lcm), _shifted_tail(g, mg, lcm))
-
-
-def _packing(nvars, width, key):
-    """Monomials packed into one int each for buchberger's pair bookkeeping.
+@lru_cache(maxsize=None)
+def _packing(nvars, width, split):
+    """Monomials in nvars variables packed into one int each (Monagan and
+    Pearce, CASC 2007), for the block order that eliminates the first split
+    variables.
 
     Every exponent gets a width-bit field that ends in a guard bit.  The
-    block that key.split eliminates lies above the rest, and the higher
-    variable index lies higher within a block.  For packed a and b whose
-    exponents are below 2**(width - 1), lcm(a, b) is their exponentwise
-    max, a + b their product, and a divides b iff not b - a & guard.
-    order(P) sorts like key(exponents of P) when P's degree is below
-    2**width: per block, the degree and then mask - P, whose fields are
-    the negated exponents.  A key without a split is called on P unpacked.
-    Returns (pack, lcm, order, guard).
+    eliminated block lies above the rest, and the higher variable index
+    lies higher within a block.  A packed term is in range when it sets no
+    bit of margin, the top ceil(log2 nvars) + 1 bits of every field.  The
+    sum of two in-range terms carries out of no field, so for in-range a
+    and b: a + b is their product, lcm(a, b) their exponentwise max, a
+    divides b iff not b - a & guard, and no block degree reaches a guard
+    bit.  order(P) then sorts like the order key (per block: the degree,
+    then mask - P, whose fields are the negated exponents), and down(P) is
+    -order(P), for max-heaps.  With split None, order and down are None
+    (see _ordered).
     """
-    split = getattr(key, "split", None)
     k = min(split or 0, nvars)  # the eliminated block is variables 0..k-1
     nb = nvars - k
     shifts = [width * ((v - k) % nvars) for v in range(nvars)]
@@ -239,9 +190,13 @@ def _packing(nvars, width, key):
     guard = ones << width - 1
     mask, low, fm = guard - ones, (1 << width * nb) - 1, (1 << width) - 1
     sb, sn, w1 = width * nb, width * nvars, width - 1
+    margin = ones * (fm + 1 - (1 << width - (nvars - 1).bit_length() - 1))
 
     def pack(m):
         return sum(map(lshift, m, shifts))
+
+    def unpack(P):
+        return tuple([P >> s & fm for s in shifts])
 
     def lcm(a, b):
         d = ((a | guard) - b) & guard  # guard bits where a's field >= b's
@@ -253,10 +208,202 @@ def _packing(nvars, width, key):
         return (((t >> sn & fm) - deg_b << sn | q & ~low) << width
                 | deg_b << sb | q & low)
 
+    def down(P):
+        return -order(P)
+
     if split is None:
-        return pack, lcm, (lambda P: key(tuple(
-            P >> s & fm for s in shifts))), guard
-    return pack, lcm, order, guard
+        order = down = None
+    return Packing(width, pack, unpack, lcm, order, down, guard, margin)
+
+
+# normal_form's and s_poly's boundary holds the memo under its own name, so
+# that a wrapper of _packing sees buchberger's packings and repacks only
+# (the engine's tests read the widths buchberger uses that way)
+_boundary_packing = _packing
+
+
+def _ordered(pk, key):
+    """pk, or for a key without a block split, pk ordered by calling key on
+    the unpacked monomial."""
+    if pk.order is not None:
+        return pk
+    unpack = pk.unpack
+    return pk._replace(order=lambda P: key(unpack(P)),
+                       down=lambda P: tuple(map(neg, key(unpack(P)))))
+
+
+def _width(nvars, top, width=8):
+    """The least of width, 2 width, 4 width, ... at which the exponent top
+    is in range."""
+    spare = (nvars - 1).bit_length() + 1
+    while width <= spare or top >> width - spare:
+        width *= 2
+    return width
+
+
+def _pack(p, pk):
+    """The tuple-keyed p packed, each coefficient an int where integral."""
+    pack = pk.pack
+    return {pack(m): c.numerator if c.denominator == 1 else c
+            for m, c in p.items()}
+
+
+def _unpack(P, pk):
+    """The packed P as a tuple-keyed dict of Fractions."""
+    unpack = pk.unpack
+    return {unpack(m): c if c.__class__ is Fraction
+            else _UNITS.get(c) or Fraction(c) for m, c in P.items()}
+
+
+def _monic(P, lm):
+    """The packed P divided by its coefficient at lm, exactly."""
+    c = P[lm]
+    if c == 1:
+        return P
+    if c == -1:
+        return {m: -k for m, k in P.items()}
+    out = {}
+    for m, k in P.items():
+        q = Fraction(k) / c
+        out[m] = q.numerator if q.denominator == 1 else q
+    return out
+
+
+def _head(P, lm):
+    """The monic packed P with leading monomial lm as the pair (lm, tail),
+    the tail holding its other terms as (monomial, coefficient) pairs."""
+    return lm, tuple([t for t in P.items() if t[0] != lm])
+
+
+def _heads(polys, pk, lms):
+    """The monic tuple-keyed polys packed as (leading monomial, tail) pairs;
+    lms, if given, holds their leading monomials."""
+    out = []
+    for i, g in enumerate(polys):
+        P = _pack(g, pk)
+        out.append(_head(P, pk.pack(lms[i]) if lms is not None
+                         else max(P, key=pk.order)))
+    return out
+
+
+def _top(polys):
+    """The largest exponent of the nonzero tuple-keyed polys."""
+    return max(map(max, chain.from_iterable(polys)))
+
+
+def _enter(polys, key, width=8):
+    """The packing for the nonzero tuple-keyed polys at the boundary of
+    normal_form and s_poly: the narrowest, from width up, with every
+    exponent in range."""
+    nvars = len(next(iter(polys[0])))
+    return _ordered(_boundary_packing(nvars, _width(nvars, _top(polys), width),
+                                      getattr(key, "split", None)), key)
+
+
+# ---------------------------------------------------------------------------
+# division and Buchberger
+
+def _reduce(p, heads, pk):
+    """The one reduction loop: the packed p fully reduced by heads, a list
+    of (leading monomial, tail) of monic packed polynomials.  Returns the
+    remainder with its terms in descending order, or None as soon as a term
+    of p or of the work is out of range."""
+    guard, margin, down = pk.guard, pk.margin, pk.down
+    push, pop = heapq.heappush, heapq.heappop
+    work = dict(p)
+    # max-heap of candidate monomials with lazy deletion
+    heap = []
+    for m in work:
+        if m & margin:
+            return None
+        heap.append((down(m), m))
+    heapq.heapify(heap)
+    out = {}
+    while heap:
+        m = pop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue
+        if c.__class__ is not int and c.denominator == 1:
+            c = c.numerator
+        for lm, tail in heads:
+            q = m - lm
+            if not q & guard:
+                break
+        else:
+            out[m] = c
+            continue
+        for gm, gc in tail:
+            t = gm + q
+            old = work.get(t)
+            if old is None:
+                if t & margin:
+                    return None
+                work[t] = -gc * c
+                push(heap, (down(t), t))
+            else:
+                s = old - gc * c
+                if s:
+                    work[t] = s
+                else:
+                    del work[t]
+    return out
+
+
+def normal_form(p, basis, key, lms=None, packing=None):
+    """Fully reduced remainder of p modulo a monic basis (a reduced
+    Groebner basis, or the list `buchberger` builds).  lms, if given, holds
+    the leading monomials of basis under key.
+
+    Given a packing, everything is packed: basis holds its elements as
+    (leading monomial, tail) pairs (see _head), and the result is the
+    packed remainder, or None when a term leaves the packing's range.
+    Otherwise p and basis are packed here and the remainder unpacked.
+    """
+    if not basis:
+        return dict(p)
+    if packing is not None:
+        return _reduce(p, basis, packing)
+    if not p:
+        return {}
+    width = 8
+    while True:
+        pk = _enter((p, *basis), key, width)
+        r = _reduce(_pack(p, pk), _heads(basis, pk, lms), pk)
+        if r is not None:
+            return _unpack(r, pk)
+        width = pk.width * 2
+
+
+def _s_poly(f, g, pk):
+    """S-polynomial of the monic packed polynomials f and g, given as
+    (leading monomial, tail) pairs."""
+    (lf, f), (lg, g) = f, g
+    L = pk.lcm(lf, lg)
+    qf, qg = L - lf, L - lg
+    r = {m + qf: c for m, c in f}
+    for m, c in g:
+        t = m + qg
+        s = r.get(t, 0) - c
+        if s:
+            r[t] = s
+        else:
+            del r[t]
+    return r
+
+
+def s_poly(f, g, key, lms=None, packing=None):
+    """S-polynomial of monic f and g without their leading terms, which
+    cancel; lms, if given, is their pair of leading monomials under key.
+
+    Given a packing, f and g are monic packed polynomials as (leading
+    monomial, tail) pairs (see _head), and the result is packed: its terms
+    may be out of range, but are exact.
+    """
+    if packing is not None:
+        return _s_poly(f, g, packing)
+    pk = _enter((f, g), key)
+    return _unpack(_s_poly(*_heads((f, g), pk, lms), pk), pk)
 
 
 def buchberger(gens, key):
@@ -264,42 +411,61 @@ def buchberger(gens, key):
 
     Normal selection strategy; pairs are discarded by the product (coprime
     leading monomials) and chain criteria.  The output is monic, pairwise
-    autoreduced and sorted by ascending leading monomial.  Each element's
-    leading monomial is found once and kept in lms beside G, and packed
-    once (see _packing) into plms for the pair bookkeeping.
+    autoreduced and sorted by ascending leading monomial.
+
+    The work is packed (see _packing): the generators on entry, the basis
+    unpacked on exit.  G holds each element as a monic packed dict, heads
+    as its (leading monomial, tail) pair and plms its leading monomial.
+    Every term stays in range: when a reduction meets one that is not, the
+    width doubles, G, heads, plms and the pair heap are repacked, and the
+    reduction is redone by calling _reduce directly, so the normal_form
+    and s_poly calls are the same at every width.
     """
-    heads = [_lm_monic(g, key) for g in gens if g]
-    if len(heads) < 2:
-        return [normal_form(g, [], key, []) for _, g in heads]
-    heads.sort(key=lambda h: key(h[0]))
-    nvars, width = len(heads[0][0]), 8
-    pack, lcm, order, guard = _packing(nvars, width, key)
+    gens = [g for g in gens if g]
+    if not gens:
+        return []
+    nvars, split = len(next(iter(gens[0]))), getattr(key, "split", None)
+    pk = _ordered(_packing(nvars, _width(nvars, _top(gens)), split), key)
+    new = []
+    for g in gens:
+        P = _pack(g, pk)
+        lm = max(P, key=pk.order)
+        new.append((lm, _monic(P, lm)))
+    new.sort(key=lambda h: pk.order(h[0]))
     # normal selection via a heap keyed by the order of the pair's lcm;
     # (i, j) is unique, so the packed lcm carried last is never compared.
     # popped[i]: bitset of the partners k of every pair (i, k) popped so far
-    G, lms, plms, popped, pairs = [], [], [], [], []
-    new = heads
+    G, heads, plms, popped, pairs = [], [], [], [], []
+
+    def widen():
+        """Repack everything at twice the width; returns the repacking."""
+        nonlocal pk
+        old = pk
+        pk = _ordered(_packing(nvars, old.width * 2, split), key)
+
+        def re(P):
+            return pk.pack(old.unpack(P))
+
+        G[:] = [{re(m): c for m, c in g.items()} for g in G]
+        heads[:] = [(re(lm), tuple([(re(m), c) for m, c in tail]))
+                    for lm, tail in heads]
+        plms[:] = [lm for lm, _ in heads]
+        # the wider keys sort the same, so the heap keeps its pop sequence
+        pairs[:] = [(pk.order(L), i, j, L) for _, i, j, L0 in pairs
+                    for L in (re(L0),)]
+        heapq.heapify(pairs)
+        return re
+
     while True:
+        lcm, order = pk.lcm, pk.order
         for lm, g in new:
-            # every leading monomial's degree stays below 2**(width - 2), so
-            # no lcm, product or degree reaches a guard bit; a wider packing
-            # sorts the same, so the heap keeps its pop sequence
-            deg = sum(lm)
-            if deg >> width - 2:
-                while deg >> width - 2:
-                    width *= 2
-                pack, lcm, order, guard = _packing(nvars, width, key)
-                plms = list(map(pack, lms))
-                pairs = [(order(L), i, j, L) for _, i, j, _ in pairs
-                         for L in (lcm(plms[i], plms[j]),)]
-                heapq.heapify(pairs)
-            P, n = pack(lm), len(G)
+            n = len(G)
             for i2, Q in enumerate(plms):
-                L = lcm(Q, P)
+                L = lcm(Q, lm)
                 heapq.heappush(pairs, (order(L), i2, n, L))
             G.append(g)
-            lms.append(lm)
-            plms.append(P)
+            heads.append(_head(g, lm))
+            plms.append(lm)
             popped.append(0)
         new = ()
         if not pairs:
@@ -311,18 +477,24 @@ def buchberger(gens, key):
             continue  # product criterion
         # chain criterion: some lm_k divides the lcm and the pairs (i, k)
         # and (j, k) are already popped
-        b = popped[i] & popped[j]
+        b, guard = popped[i] & popped[j], pk.guard
         while b and L - plms[(b & -b).bit_length() - 1] & guard:
             b &= b - 1
         if b:
             continue
-        h = normal_form(s_poly(G[i], G[j], key, (lms[i], lms[j])), G, key, lms)
+        S = s_poly(heads[i], heads[j], key, None, pk)
+        h = normal_form(S, heads, key, None, pk)
+        while h is None:  # a term out of range: widen and redo
+            re = widen()
+            S = {re(m): c for m, c in S.items()}
+            h = _reduce(S, heads, pk)
         if h:
-            new = (_lm_monic(h, key),)
+            lm = next(iter(h))  # the remainder's terms are in descending order
+            new = ((lm, _monic(h, lm)),)
     # minimalize
-    order_idx = sorted(range(len(G)), key=lambda i: key(lms[i]))
+    order, guard = pk.order, pk.guard
     minimal = []
-    for i in order_idx:
+    for i in sorted(range(len(G)), key=lambda i: order(plms[i])):
         if all(plms[i] - plms[k] & guard for k in minimal):
             minimal.append(i)
     # interreduce: no other leading monomial divides a term at or above an
@@ -331,8 +503,11 @@ def buchberger(gens, key):
     reduced = []
     for pos, i in enumerate(minimal):
         rest = minimal[:pos] + minimal[pos + 1 :]
-        reduced.append(normal_form(
-            G[i], [G[k] for k in rest], key, [lms[k] for k in rest]))
+        r = normal_form(G[i], [heads[k] for k in rest], key, None, pk)
+        while r is None:
+            widen()
+            r = _reduce(G[i], [heads[k] for k in rest], pk)
+        reduced.append(_unpack(r, pk))
     return reduced
 
 

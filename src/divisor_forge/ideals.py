@@ -45,8 +45,7 @@ class Ideal:
             probe = ("gb", tuple(sorted(
                 engine.canonical(g.terms, ring.key) for g in self.gens)))
             self._gb = ring.memoized(probe, lambda: engine.buchberger(
-                [dict(g.terms) for g in self.gens]
-                + [dict(g) for g in ring.quotient_gb], ring.key))
+                [g.terms for g in self.gens] + ring.quotient_gb, ring.key))
         return self._gb
 
     @property

@@ -67,6 +67,10 @@ CASES = [
     ("print 3^(10^9);", 2, POWER_CAP),
     ("print (2/3)^(-(10^7));", 2, POWER_CAP),
     ("print (10^5000)^300;", 2, POWER_CAP),
+    # polynomial and ideal powers, bounded by their leading coefficients
+    ("print (2*x)^(10^7);", 2, POWER_CAP),
+    ("print ideal(2*x)^(10^7);", 2, POWER_CAP),
+    ("print ideal(y, x/3)^(10^6);", 2, POWER_CAP),
 ]
 
 
@@ -176,6 +180,24 @@ def test_number_powers_are_bounded_before_they_are_built():
     code, out, _ = run("print 10^5000 / 10^4999;\nprint (1/2)^(-3);\n"
                        "print (-1)^(10^9 + 1);\nprint 0^(10^9);\n")
     assert (code, out) == (0, "o1 = 10\no2 = 8\no3 = -1\no4 = 0\n")
+
+
+def test_polynomial_and_ideal_powers_are_bounded_before_they_are_built():
+    """lc(f)^n is a coefficient of f^n, and of a generator of I^n for each
+    stored generator f of I, so its size bounds what would be built."""
+    for base, bits in (("(2*x)", 20000000), ("ideal(2*x)", 20000000),
+                       ("ideal(x, y - 10^9*x)", 300000000)):
+        start = time.perf_counter()
+        code, out, err = run("ring R = QQ[x,y];\nprint %s^(10^7);\n" % base)
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "")
+        assert "a power of up to %d bits %s" % (bits, POWER_CAP) in err
+    # monic leading coefficients leave the power uncapped
+    code, out, _ = run("ring R = QQ[x,y];\nprint (x+y)^3;\n"
+                       "print ideal(x - 2*y)^2;\nprint (2*x)^3;\n")
+    assert (code, out) == (0, "o1 = x^3 + 3*x^2*y + 3*x*y^2 + y^3\n"
+                           "o2 = ideal(x^2 - 4*x*y + 4*y^2)\n"
+                           "o3 = 8*x^3\n")
 
 
 def test_huge_coefficients_are_refused_before_sympy():

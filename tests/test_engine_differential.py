@@ -4,10 +4,12 @@ The flat order keys, cached leading monomials and the packed pair
 bookkeeping must not change which S-pairs are reduced or any result: on
 seeded random small ideals under grevlex, elimination and lex orders, and
 on a squaring chain whose leading degrees outgrow the first packing width,
-both engines reduce the same S-polynomials in the same sequence and return
-the same reduced bases (same elements, same term order) and the same
-normal forms.  The comparison of normal_form inputs checks that the same
-pairs are reduced.
+on ideals with non-monic integer leading coefficients and rational
+coefficients, and on a reduction whose terms climb out of the first
+packing's range, both engines reduce the same S-polynomials in the same
+sequence and return the same reduced bases (same elements, same term
+order) and the same normal forms, all with Fraction coefficients.  The
+comparison of normal_form inputs checks that the same pairs are reduced.
 """
 
 import heapq
@@ -212,11 +214,11 @@ def as_items(basis):
 
 def logged_buchberger(monkeypatch, gens, key):
     """engine.buchberger, logging the first argument of every normal_form
-    call it makes."""
+    call it makes, unpacked by the packing it comes with."""
     log, real = [], engine.normal_form
 
     def normal_form(p, *args):
-        log.append(p)
+        log.append({args[-1].unpack(m): c for m, c in p.items()})
         return real(p, *args)
 
     with monkeypatch.context() as m:
@@ -308,6 +310,74 @@ def test_squaring_chain_repacks_wider_and_matches_reference(
                              engine.grevlex_key, ref_grevlex_key)
 
 
+def non_monic_ideal(rng, key):
+    """Two or three polynomials with rational coefficients and a leading
+    coefficient of 2, 3 or -5 under key."""
+    nvars, gens = rng.randint(2, 3), []
+    for _ in range(rng.randint(2, 3)):
+        g = {tuple(rng.randint(0, 2) for _ in range(nvars)):
+             Fraction(rng.choice([-7, -3, -2, -1, 1, 2, 4, 7]),
+                      rng.randint(1, 5))
+             for _ in range(rng.randint(2, 3))}
+        g[max(g, key=key)] = Fraction(rng.choice([2, 3, -5]))
+        gens.append(g)
+    return nvars, gens
+
+
+@pytest.mark.parametrize("order", sorted(ORDERS))
+def test_int_and_fraction_coefficients_stay_exact(order, monkeypatch):
+    """Packed reduction keeps integral coefficients as ints and the rest as
+    Fractions; what leaves the engine is all Fractions, equal to the
+    reference's, and no float is formed on the way."""
+    key, ref_key = ORDERS[order]
+    rng = random.Random("engine-exact-" + order)
+    for _ in range(25):
+        nvars, gens = non_monic_ideal(rng, key)
+        assert_matches_reference(monkeypatch, rng, nvars, gens, key, ref_key)
+        got, log = logged_buchberger(monkeypatch, gens, key)
+        p = random_poly(rng, nvars, 4, 3)
+        nf = engine.normal_form(p, got, key)
+        assert nf == ref_normal_form(p, ref_buchberger(gens, ref_key, []),
+                                     ref_key)
+        assert all(type(c) is Fraction for g in got + [nf]
+                   for c in g.values())
+        assert all(type(c) in (int, Fraction) for s in log
+                   for c in s.values())
+
+
+def test_a_term_inside_a_reduction_widens_the_packing(monkeypatch):
+    """t^20*x - 1 and t - y^2 under elim_key(1) have every exponent in the
+    range of the first, 8-bit packing (below 2^5 in three variables), and
+    so has their S-polynomial 1 - t^19*x*y^2.  Its reduction by t - y^2
+    climbs to x*y^40, so a term of that reduction is the first out of
+    range: the packing widens to 16 bits during that normal_form call, and
+    the same normal_form calls are made, in the same sequence, as by the
+    reference."""
+    gens = [{(20, 1, 0): Fraction(1), (0, 0, 0): Fraction(-1)},
+            {(1, 0, 0): Fraction(1), (0, 0, 2): Fraction(-1)}]
+    key = engine.elim_key(1)
+    rng = random.Random("widen-in-reduction")
+    assert_matches_reference(monkeypatch, rng, 3, gens, key, ref_elim_key(1))
+    events, packing, normal_form = [], engine._packing, engine.normal_form
+
+    def logged_packing(nvars, width, split):
+        events.append("pack %d" % width)
+        return packing(nvars, width, split)
+
+    def logged_normal_form(p, *args):
+        events.append("reduce %s" % sorted(
+            args[-1].unpack(m) for m in p))
+        return normal_form(p, *args)
+
+    monkeypatch.setattr(engine, "_packing", logged_packing)
+    monkeypatch.setattr(engine, "normal_form", logged_normal_form)
+    got = engine.buchberger(gens, key)
+    assert events == ["pack 8", "reduce [(0, 0, 0), (19, 1, 2)]", "pack 16",
+                      "reduce [(0, 0, 0), (0, 1, 40)]",
+                      "reduce [(0, 0, 2), (1, 0, 0)]"]
+    assert got[0] == {(0, 1, 40): Fraction(1), (0, 0, 0): Fraction(-1)}
+
+
 @pytest.mark.parametrize("order", sorted(ORDERS))
 def test_flat_keys_sort_like_nested_keys(order):
     key, ref_key = ORDERS[order]
@@ -333,7 +403,9 @@ def test_packed_monomials_agree_with_tuples(order, width):
     key = ORDERS[order][0]
     rng = random.Random("packed-%s-%d" % (order, width))
     for nvars in (1, 2, 3, 4, 6):
-        pack, lcm, packed_order, guard = engine._packing(nvars, width, key)
+        pk = engine._ordered(engine._packing(
+            nvars, width, getattr(key, "split", None)), key)
+        pack, lcm, packed_order, guard = pk.pack, pk.lcm, pk.order, pk.guard
 
         def monomial(top):
             cuts = sorted(rng.randint(0, rng.randint(0, top))
@@ -351,12 +423,12 @@ def test_packed_monomials_agree_with_tuples(order, width):
                 assert (pa < pb) == (key(a) < key(b))
                 assert (pa == pb) == (key(a) == key(b))
         heads = [monomial(2 ** (width - 2) - 1) for _ in range(30)]
-        heads += [engine.mono_lcm(heads[0], heads[1]), (0,) * nvars]
+        heads += [ref_mono_lcm(heads[0], heads[1]), (0,) * nvars]
         for a in heads:
             for b in heads:
                 L = lcm(pack(a), pack(b))
-                assert L == pack(engine.mono_lcm(a, b))
+                assert L == pack(ref_mono_lcm(a, b))
                 assert (L == pack(a) + pack(b)) == (
-                    engine.mono_lcm(a, b) == engine.mono_mul(a, b))
+                    ref_mono_lcm(a, b) == engine.mono_mul(a, b))
                 assert (not pack(b) - pack(a) & guard) == engine.mono_divides(
                     a, b)
