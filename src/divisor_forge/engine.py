@@ -8,9 +8,10 @@ higher-level modules wrap these in ring-aware classes.
 Reduction works on packed polynomials instead: dicts from a monomial
 packed into one int (see _packing) to a coefficient that is an int when
 it is integral and a Fraction otherwise.  buchberger packs its generators
-on entry and unpacks its basis on exit; normal_form and s_poly pack their
-tuple-keyed arguments at the same kind of boundary.  Every polynomial that
-leaves the engine is tuple-keyed with Fraction coefficients.
+on entry and unpacks its basis on exit; normal_form packs its tuple-keyed
+arguments at the same kind of boundary, and s_poly, called from buchberger
+only, is packed throughout.  Every polynomial that leaves the engine is
+tuple-keyed with Fraction coefficients.
 """
 
 import heapq
@@ -216,9 +217,9 @@ def _packing(nvars, width, split):
     return Packing(width, pack, unpack, lcm, order, down, guard, margin)
 
 
-# normal_form's and s_poly's boundary holds the memo under its own name, so
-# that a wrapper of _packing sees buchberger's packings and repacks only
-# (the engine's tests read the widths buchberger uses that way)
+# normal_form's boundary holds the memo under its own name, so that a
+# wrapper of _packing sees buchberger's packings and repacks only (the
+# engine's tests read the widths buchberger uses that way)
 _boundary_packing = _packing
 
 
@@ -275,29 +276,15 @@ def _head(P, lm):
     return lm, tuple([t for t in P.items() if t[0] != lm])
 
 
-def _heads(polys, pk, lms):
-    """The monic tuple-keyed polys packed as (leading monomial, tail) pairs;
-    lms, if given, holds their leading monomials."""
-    out = []
-    for i, g in enumerate(polys):
-        P = _pack(g, pk)
-        out.append(_head(P, pk.pack(lms[i]) if lms is not None
-                         else max(P, key=pk.order)))
-    return out
+def _heads(polys, pk):
+    """The monic tuple-keyed polys packed as (leading monomial, tail) pairs."""
+    return [_head(P, max(P, key=pk.order))
+            for P in [_pack(g, pk) for g in polys]]
 
 
 def _top(polys):
     """The largest exponent of the nonzero tuple-keyed polys."""
     return max(map(max, chain.from_iterable(polys)))
-
-
-def _enter(polys, key, width=8):
-    """The packing for the nonzero tuple-keyed polys at the boundary of
-    normal_form and s_poly: the narrowest, from width up, with every
-    exponent in range."""
-    nvars = len(next(iter(polys[0])))
-    return _ordered(_boundary_packing(nvars, _width(nvars, _top(polys), width),
-                                      getattr(key, "split", None)), key)
 
 
 # ---------------------------------------------------------------------------
@@ -350,15 +337,15 @@ def _reduce(p, heads, pk):
     return out
 
 
-def normal_form(p, basis, key, lms=None, packing=None):
+def normal_form(p, basis, key, packing=None):
     """Fully reduced remainder of p modulo a monic basis (a reduced
-    Groebner basis, or the list `buchberger` builds).  lms, if given, holds
-    the leading monomials of basis under key.
+    Groebner basis, or the list `buchberger` builds).
 
     Given a packing, everything is packed: basis holds its elements as
     (leading monomial, tail) pairs (see _head), and the result is the
     packed remainder, or None when a term leaves the packing's range.
-    Otherwise p and basis are packed here and the remainder unpacked.
+    Otherwise p and basis are packed here, at the narrowest width from 8 up
+    that holds the reduction, and the remainder unpacked.
     """
     if not basis:
         return dict(p)
@@ -366,20 +353,23 @@ def normal_form(p, basis, key, lms=None, packing=None):
         return _reduce(p, basis, packing)
     if not p:
         return {}
-    width = 8
+    nvars, split = len(next(iter(p))), getattr(key, "split", None)
+    width = _width(nvars, _top((p, *basis)))
     while True:
-        pk = _enter((p, *basis), key, width)
-        r = _reduce(_pack(p, pk), _heads(basis, pk, lms), pk)
+        pk = _ordered(_boundary_packing(nvars, width, split), key)
+        r = _reduce(_pack(p, pk), _heads(basis, pk), pk)
         if r is not None:
             return _unpack(r, pk)
-        width = pk.width * 2
+        width *= 2
 
 
-def _s_poly(f, g, pk):
+def s_poly(f, g, packing):
     """S-polynomial of the monic packed polynomials f and g, given as
-    (leading monomial, tail) pairs."""
+    (leading monomial, tail) pairs (see _head), without their leading
+    terms, which cancel.  Its terms may be out of the packing's range, but
+    are exact."""
     (lf, f), (lg, g) = f, g
-    L = pk.lcm(lf, lg)
+    L = packing.lcm(lf, lg)
     qf, qg = L - lf, L - lg
     r = {m + qf: c for m, c in f}
     for m, c in g:
@@ -392,20 +382,6 @@ def _s_poly(f, g, pk):
     return r
 
 
-def s_poly(f, g, key, lms=None, packing=None):
-    """S-polynomial of monic f and g without their leading terms, which
-    cancel; lms, if given, is their pair of leading monomials under key.
-
-    Given a packing, f and g are monic packed polynomials as (leading
-    monomial, tail) pairs (see _head), and the result is packed: its terms
-    may be out of range, but are exact.
-    """
-    if packing is not None:
-        return _s_poly(f, g, packing)
-    pk = _enter((f, g), key)
-    return _unpack(_s_poly(*_heads((f, g), pk, lms), pk), pk)
-
-
 def buchberger(gens, key):
     """Reduced Groebner basis, deterministic.
 
@@ -415,11 +391,8 @@ def buchberger(gens, key):
 
     The work is packed (see _packing): the generators on entry, the basis
     unpacked on exit.  G holds each element as a monic packed dict, heads
-    as its (leading monomial, tail) pair and plms its leading monomial.
-    Every term stays in range: when a reduction meets one that is not, the
-    width doubles, G, heads, plms and the pair heap are repacked, and the
-    reduction is redone by calling _reduce directly, so the normal_form
-    and s_poly calls are the same at every width.
+    as its (leading monomial, tail) pair and plms its leading monomial;
+    reduce keeps every term in range.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -437,24 +410,34 @@ def buchberger(gens, key):
     # popped[i]: bitset of the partners k of every pair (i, k) popped so far
     G, heads, plms, popped, pairs = [], [], [], [], []
 
-    def widen():
-        """Repack everything at twice the width; returns the repacking."""
+    def reduce(P, rest=None):
+        """The traced normal_form of the packed P by heads, or by the heads
+        at the indices rest.  When a term leaves the range, the width
+        doubles, G, heads, plms and the pair heap are repacked and the
+        reduction is redone by _reduce, so the normal_form and s_poly calls
+        are the same at every width."""
         nonlocal pk
-        old = pk
-        pk = _ordered(_packing(nvars, old.width * 2, split), key)
+        h = normal_form(P, heads if rest is None else [heads[k] for k in rest],
+                        key, pk)
+        while h is None:
+            old = pk
+            pk = _ordered(_packing(nvars, old.width * 2, split), key)
 
-        def re(P):
-            return pk.pack(old.unpack(P))
+            def re(m):
+                return pk.pack(old.unpack(m))
 
-        G[:] = [{re(m): c for m, c in g.items()} for g in G]
-        heads[:] = [(re(lm), tuple([(re(m), c) for m, c in tail]))
-                    for lm, tail in heads]
-        plms[:] = [lm for lm, _ in heads]
-        # the wider keys sort the same, so the heap keeps its pop sequence
-        pairs[:] = [(pk.order(L), i, j, L) for _, i, j, L0 in pairs
-                    for L in (re(L0),)]
-        heapq.heapify(pairs)
-        return re
+            G[:] = [{re(m): c for m, c in g.items()} for g in G]
+            heads[:] = [(re(lm), tuple([(re(m), c) for m, c in tail]))
+                        for lm, tail in heads]
+            plms[:] = [lm for lm, _ in heads]
+            # the wider keys sort the same, so the heap keeps its pop sequence
+            pairs[:] = [(pk.order(L), i, j, L) for _, i, j, L0 in pairs
+                        for L in (re(L0),)]
+            heapq.heapify(pairs)
+            P = {re(m): c for m, c in P.items()}
+            h = _reduce(P, heads if rest is None else [heads[k] for k in rest],
+                        pk)
+        return h
 
     while True:
         lcm, order = pk.lcm, pk.order
@@ -482,12 +465,7 @@ def buchberger(gens, key):
             b &= b - 1
         if b:
             continue
-        S = s_poly(heads[i], heads[j], key, None, pk)
-        h = normal_form(S, heads, key, None, pk)
-        while h is None:  # a term out of range: widen and redo
-            re = widen()
-            S = {re(m): c for m, c in S.items()}
-            h = _reduce(S, heads, pk)
+        h = reduce(s_poly(heads[i], heads[j], pk))
         if h:
             lm = next(iter(h))  # the remainder's terms are in descending order
             new = ((lm, _monic(h, lm)),)
@@ -502,11 +480,7 @@ def buchberger(gens, key):
     # result stays monic and in ascending order
     reduced = []
     for pos, i in enumerate(minimal):
-        rest = minimal[:pos] + minimal[pos + 1 :]
-        r = normal_form(G[i], [heads[k] for k in rest], key, None, pk)
-        while r is None:
-            widen()
-            r = _reduce(G[i], [heads[k] for k in rest], pk)
+        r = reduce(G[i], minimal[:pos] + minimal[pos + 1 :])
         reduced.append(_unpack(r, pk))
     return reduced
 

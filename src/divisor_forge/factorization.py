@@ -27,7 +27,8 @@ factors come back through Poly.terms().  The factorization over QQ is
 unique, so the peel changes no answer; a factor it misses is left to sympy.
 A degree cap (DIVISOR_FORGE_MAXDEG, default 512) refuses the inputs of
 total degree 4 or more whose Kronecker-substituted univariate degree would
-explode; it is checked on the input, before the peel.  A cofactor bound
+explode; it is checked before the peel, on the input with its monomial
+content taken out, which the peel's first step removes.  A cofactor bound
 for sympy with an integer coefficient of more than MAX_COEFF_BITS bits is
 refused too.
 """
@@ -66,15 +67,15 @@ def _maxdeg():
 
 
 def _kronecker_degree(terms, nvars):
-    """Degree of the univariate image under Kronecker substitution."""
-    if not terms:
-        return 0
-    bounds = [max(m[i] for m in terms) + 1 for i in range(nvars)]
+    """Degree of the univariate image under Kronecker substitution of the
+    nonzero terms with their monomial content taken out, as the peel's
+    first step does: each variable contributes its exponent span."""
     deg = 0
     stride = 1
     for i in range(nvars):
-        deg += (bounds[i] - 1) * stride
-        stride *= bounds[i]
+        span = max(m[i] for m in terms) - min(m[i] for m in terms)
+        deg += span * stride
+        stride *= span + 1
     return deg
 
 

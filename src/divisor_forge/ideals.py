@@ -146,10 +146,16 @@ class Ideal:
         n = int(n)
         if n < 0:
             raise DivisorForgeError("negative ideal power")
-        out = Ideal(self.ring, [self.ring.one()])
+        # each distinct product once: ideal(x, y)**n keeps n + 1 generators
+        gens, key = [self.ring.one()], self.ring.key
         for _ in range(n):
-            out = out * self
-        return out
+            step = {}
+            for f in gens:
+                for g in self.gens:
+                    h = f * g
+                    step.setdefault(engine.canonical(h.terms, key), h)
+            gens = list(step.values())
+        return Ideal(self.ring, gens)
 
     def bracket_power(self, n):
         """Ideal generated by the n-th powers of the stored generators."""

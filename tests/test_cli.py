@@ -9,6 +9,17 @@ import sys
 import jsonschema
 import pytest
 
+from divisor_forge import (
+    QuotientRing,
+    WeilDivisor,
+    canonical_divisor,
+    divisor_of_fractional_ideal,
+    divisor_with_section,
+    ideal,
+    polynomial,
+    reflexify,
+    sheaf_of,
+)
 from divisor_forge.cli import (
     Session,
     execute_script,
@@ -208,6 +219,49 @@ def test_json_outputs_validate_against_schema():
     doc = json.loads(out)
     jsonschema.validate(doc, schema)
     assert len(doc["outputs"]) == 8
+
+
+CONE = "ring R = QQ[x,y,z] / (x^2 - y*z);\nD = divisor(ideal(x,y));\n" \
+    "F = OO(D);\n"
+
+# (expression, the library call it maps to on the cone, with D = Div(x, y)
+# and F = O(D))
+CALLS = [
+    ("reflexify(F)", lambda R, F: F.reflexive_hull()),
+    ("reflexify(ideal(x,y))", lambda R, F: reflexify(ideal(R, "x", "y"))),
+    ("reflexify(x)", lambda R, F: reflexify(ideal(R, "x"))),
+    ("divisor(F)",
+     lambda R, F: divisor_of_fractional_ideal(F, graded=False)),
+    ("divisor(F, section=y)",
+     lambda R, F: divisor_with_section(F, polynomial(R, "y")).divisor),
+    ("divisorOf(F, true)",
+     lambda R, F: divisor_of_fractional_ideal(F, graded=True)),
+    ("canonicalDivisor()", lambda R, F: canonical_divisor(R)),
+    ("F*F", lambda R, F: F.product(F)),
+    ("F^2", lambda R, F: F.power(2)),
+    ("F^(-1)", lambda R, F: F.power(-1)),
+    ("x*ideal(y)", lambda R, F: ideal(R, "x") * ideal(R, "y")),
+    ("ideal(y)*x", lambda R, F: ideal(R, "y") * ideal(R, "x")),
+    ("true", lambda R, F: True),
+]
+
+
+@pytest.mark.parametrize("expression, call", CALLS,
+                         ids=[e for e, _ in CALLS])
+def test_script_calls_print_their_library_call(expression, call):
+    """Each call prints, in text and in schema-valid JSON, exactly what the
+    library call it maps to renders as."""
+    with open(SCHEMA_PATH, "r", encoding="utf-8") as handle:
+        schema = json.load(handle)
+    R = QuotientRing(("x", "y", "z"), ("x^2 - y*z",))
+    F = sheaf_of(WeilDivisor.of_ideal(ideal(R, "x", "y")))
+    want = call(R, F)
+    record = {"index": 1, "kind": "print", "line": 4, "column": 1,
+              "result": want}
+    for json_mode in (False, True):
+        got = run_script(CONE + "print %s;\n" % expression, json_mode)
+        assert got == (0, render_outputs([record], json_mode), "")
+    jsonschema.validate(json.loads(got[1]), schema)
 
 
 # -- exit codes ---------------------------------------------------------------

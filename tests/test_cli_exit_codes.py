@@ -170,6 +170,15 @@ def test_factor_degree_cap_is_a_refusal(monkeypatch):
     assert run(script)[0] == 0
 
 
+def test_degree_cap_does_not_count_monomial_content():
+    """The peel takes monomial content out first, so the cap measures the
+    input without it: monomials of any degree are answered, not refused."""
+    code, out, err = run("ring R = QQ[x];\nprint divisor(x^600);\n"
+                         "ring S = QQ[x,y];\nprint divisor(x^30*y^30);\n")
+    assert (code, err) == (0, "")
+    assert out == "o1 = 600*Div(x)\no2 = 30*Div(y) + 30*Div(x)\n"
+
+
 def test_number_powers_are_bounded_before_they_are_built():
     start = time.perf_counter()
     code, out, err = run("print 3^(10^9);\n")

@@ -75,9 +75,15 @@ def test_buchberger_criterion_oracle():
         if not gens:
             continue
         gb = engine.buchberger(gens, key)
+        lms = [max(g, key=key) for g in gb]
         for i in range(len(gb)):
             for j in range(i + 1, len(gb)):
-                s = engine.s_poly(gb[i], gb[j], key)
+                # gb is monic, so the leading terms cancel in the difference
+                lcm = tuple(map(max, lms[i], lms[j]))
+                fi, fj = ({engine.mono_div(lcm, lms[k]): engine.ONE}
+                          for k in (i, j))
+                s = engine.p_sub(engine.p_mul(fi, gb[i]),
+                                 engine.p_mul(fj, gb[j]))
                 assert engine.normal_form(s, gb, key) == {}
         # the input reduces to zero as well
         for g in gens:

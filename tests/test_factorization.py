@@ -139,6 +139,17 @@ def test_degree_cap_still_refuses_nonlinear_inputs():
         factor_terms(quartic, nvars, grevlex_key)
 
 
+def test_degree_cap_does_not_count_monomial_content():
+    """x^600 and x^30*y^30 * (y - 2x) are peeled at once: the cap measures
+    each variable's exponent span, as left after the content comes out."""
+    assert factor_terms({(600,): Fraction(1)}, 1, grevlex_key) == (
+        1, [({(1,): Fraction(1)}, 600)])
+    terms = named("3*x^30*y^31 - 6*x^31*y^30", ("x", "y"))
+    unit, factors = factor_terms(terms, 2, grevlex_key)
+    assert unit == -6 and expand(unit, factors, 2) == terms
+    assert sorted(mult for _, mult in factors) == [1, 30, 30]
+
+
 def test_coefficient_cap_refuses_only_above_it(monkeypatch):
     """A quartic always goes to sympy; its integer coefficients may have
     MAX_COEFF_BITS bits and no more."""

@@ -9,6 +9,7 @@ import pytest
 from divisor_forge import (
     DecompositionIncomplete,
     Ideal,
+    engine,
     factor_polynomial,
     graded_piece_basis,
     ideal,
@@ -56,6 +57,25 @@ def test_sum_product_power(cone4):
     assert IJ.contains(polynomial(cone4, "u*v"))
     assert (I ** 2).key == (I * I).key
     assert (I ** 0).is_unit()
+
+
+def test_power_keeps_each_distinct_product_once(plane, cone4):
+    """I**n stores each distinct product of generators once, in the order
+    of first appearance in I * I * ... * I, and has that product's key:
+    ideal(x, y)**100 has 101 generators, not 2**100."""
+    for n in (12, 100):
+        assert len((ideal(plane, "x", "y") ** n).gens) == n + 1
+    for I in (ideal(plane, "x", "y"), ideal(plane, "x + y", "x - y", "x*y"),
+              ideal(cone4, "x", "u", "x")):
+        key = I.ring.key
+        product = unit_ideal(I.ring)
+        for n in range(5):
+            power = I ** n
+            assert power.key == product.key
+            stored = [engine.canonical(g.terms, key) for g in power.gens]
+            assert stored == list(dict.fromkeys(
+                engine.canonical(g.terms, key) for g in product.gens))
+            product = product * I
 
 
 def test_sum_and_product_refuse_non_ideals(cone4):
