@@ -31,6 +31,7 @@ from .errors import (
     NotCompleteIntersection,
     ParseError,
     PrimalityUncertain,
+    Refusal,
     RingMismatch,
     ScriptError,
 )
@@ -68,6 +69,7 @@ __all__ = [
     "Polynomial",
     "PrimalityUncertain",
     "QuotientRing",
+    "Refusal",
     "RingMap",
     "RingMismatch",
     "ScriptError",

@@ -9,8 +9,9 @@ Statements::
     print 3*D + E;
     check isCartier(D, graded=true);
 
-Exit codes: 0 success, 1 parse error, 2 mathematical error, 3 refusal
-(incomplete decomposition, or a factorization over the degree cap).
+Exit codes: 0 success, 1 parse error or malformed command line, 2
+mathematical error, 3 refusal (an `errors.Refusal`: incomplete
+decomposition, or a factorization over a degree or coefficient cap).
 """
 
 import argparse
@@ -36,14 +37,7 @@ from .correspondence import (
     sheaf_of,
 )
 from .divisors import WeilDivisor
-from .errors import (
-    DecompositionIncomplete,
-    DivisorForgeError,
-    FactorCoefficientsExceeded,
-    FactorDegreeExceeded,
-    ParseError,
-    ScriptError,
-)
+from .errors import DivisorForgeError, ParseError, Refusal, ScriptError
 from .fractional import FractionalIdeal, reflexify
 from .geometry import base_locus, map_to_projective_space, pullback
 from .ideals import Ideal, symbolic_power
@@ -632,8 +626,7 @@ def _exit_code(exc):
     """1 for a parse error, 3 for a refusal, 2 for any other error."""
     if isinstance(exc, ParseError):
         return 1
-    if isinstance(exc, (DecompositionIncomplete, FactorDegreeExceeded,
-                        FactorCoefficientsExceeded)):
+    if isinstance(exc, Refusal):
         return 3
     return 2
 
@@ -693,7 +686,10 @@ def main(argv=None):
                           help="execute a script file")
     runp.add_argument("script", help="path to a script file, or - for stdin")
     sub.add_parser("repl", parents=[common], help="interactive session")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage or the help
+        return 1 if exc.code else 0
     if args.command == "repl":
         return repl(json_mode=args.json, graded=args.graded)
     try:

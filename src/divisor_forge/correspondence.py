@@ -50,13 +50,14 @@ def sheaf_of(D):
 
 
 def divisor_of_fractional_ideal(F, graded=False):
-    """A divisor E with O(E) isomorphic to F.
+    """The divisor of the fractional ideal F = N/d, as it is stored.
 
-    Ungraded: divisor(numerator) - divisor(denominator), the representative
-    fixed by the stored presentation.  Graded: the embedding of F in the
-    fraction field carries its grading, and the graded-correct divisor is
-    the negation of the ungraded one; O(E) is then graded-isomorphic to the
-    reflexive hull of F by a degree-zero map.
+    The reflexive hull of F is O(div(d) - div(N)).  Ungraded: div(N) -
+    div(d), its negation, so for F = O(D) the result is -D, and O(-D) need
+    not be isomorphic to F (on xy = uv, D = Div(x, u) generates the class
+    group Z).  Graded: div(d) - div(N), the E with O(E) the reflexive hull
+    of F; the embedding of F in the fraction field carries its grading, so
+    O(E) is graded-isomorphic to that hull by a degree-zero map.
     """
     base = WeilDivisor.of_ideal(F.numerator) - WeilDivisor.of_element(
         F.denominator)

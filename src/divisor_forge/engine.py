@@ -163,14 +163,14 @@ def differentiate(p, i):
 # ---------------------------------------------------------------------------
 # packed monomials
 
-Packing = namedtuple("Packing", "width pack unpack lcm order down guard margin")
+Packing = namedtuple("Packing", "width pack unpack lcm order guard margin")
 
 
 @lru_cache(maxsize=None)
 def _packing(nvars, width, split):
     """Monomials in nvars variables packed into one int each (Monagan and
-    Pearce, CASC 2007), for the block order that eliminates the first split
-    variables.
+    Pearce, CASC 2007), for the order of every key with key.split == split:
+    the block order eliminating the first split variables (grevlex for 0).
 
     Every exponent gets a width-bit field that ends in a guard bit.  The
     eliminated block lies above the rest, and the higher variable index
@@ -180,11 +180,9 @@ def _packing(nvars, width, split):
     and b: a + b is their product, lcm(a, b) their exponentwise max, a
     divides b iff not b - a & guard, and no block degree reaches a guard
     bit.  order(P) then sorts like the order key (per block: the degree,
-    then mask - P, whose fields are the negated exponents), and down(P) is
-    -order(P), for max-heaps.  With split None, order and down are None
-    (see _ordered).
+    then mask - P, whose fields are the negated exponents).
     """
-    k = min(split or 0, nvars)  # the eliminated block is variables 0..k-1
+    k = min(split, nvars)  # the eliminated block is variables 0..k-1
     nb = nvars - k
     shifts = [width * ((v - k) % nvars) for v in range(nvars)]
     ones = sum(1 << width * p for p in range(nvars))
@@ -209,28 +207,7 @@ def _packing(nvars, width, split):
         return (((t >> sn & fm) - deg_b << sn | q & ~low) << width
                 | deg_b << sb | q & low)
 
-    def down(P):
-        return -order(P)
-
-    if split is None:
-        order = down = None
-    return Packing(width, pack, unpack, lcm, order, down, guard, margin)
-
-
-# normal_form's boundary holds the memo under its own name, so that a
-# wrapper of _packing sees buchberger's packings and repacks only (the
-# engine's tests read the widths buchberger uses that way)
-_boundary_packing = _packing
-
-
-def _ordered(pk, key):
-    """pk, or for a key without a block split, pk ordered by calling key on
-    the unpacked monomial."""
-    if pk.order is not None:
-        return pk
-    unpack = pk.unpack
-    return pk._replace(order=lambda P: key(unpack(P)),
-                       down=lambda P: tuple(map(neg, key(unpack(P)))))
+    return Packing(width, pack, unpack, lcm, order, guard, margin)
 
 
 def _width(nvars, top, width=8):
@@ -295,7 +272,7 @@ def _reduce(p, heads, pk):
     of (leading monomial, tail) of monic packed polynomials.  Returns the
     remainder with its terms in descending order, or None as soon as a term
     of p or of the work is out of range."""
-    guard, margin, down = pk.guard, pk.margin, pk.down
+    guard, margin, order = pk.guard, pk.margin, pk.order
     push, pop = heapq.heappush, heapq.heappop
     work = dict(p)
     # max-heap of candidate monomials with lazy deletion
@@ -303,7 +280,7 @@ def _reduce(p, heads, pk):
     for m in work:
         if m & margin:
             return None
-        heap.append((down(m), m))
+        heap.append((-order(m), m))
     heapq.heapify(heap)
     out = {}
     while heap:
@@ -327,7 +304,7 @@ def _reduce(p, heads, pk):
                 if t & margin:
                     return None
                 work[t] = -gc * c
-                push(heap, (down(t), t))
+                push(heap, (-order(t), t))
             else:
                 s = old - gc * c
                 if s:
@@ -353,10 +330,10 @@ def normal_form(p, basis, key, packing=None):
         return _reduce(p, basis, packing)
     if not p:
         return {}
-    nvars, split = len(next(iter(p))), getattr(key, "split", None)
+    nvars = len(next(iter(p)))
     width = _width(nvars, _top((p, *basis)))
     while True:
-        pk = _ordered(_boundary_packing(nvars, width, split), key)
+        pk = _packing(nvars, width, key.split)
         r = _reduce(_pack(p, pk), _heads(basis, pk), pk)
         if r is not None:
             return _unpack(r, pk)
@@ -397,8 +374,8 @@ def buchberger(gens, key):
     gens = [g for g in gens if g]
     if not gens:
         return []
-    nvars, split = len(next(iter(gens[0]))), getattr(key, "split", None)
-    pk = _ordered(_packing(nvars, _width(nvars, _top(gens)), split), key)
+    nvars, split = len(next(iter(gens[0]))), key.split
+    pk = _packing(nvars, _width(nvars, _top(gens)), split)
     new = []
     for g in gens:
         P = _pack(g, pk)
@@ -421,7 +398,7 @@ def buchberger(gens, key):
                         key, pk)
         while h is None:
             old = pk
-            pk = _ordered(_packing(nvars, old.width * 2, split), key)
+            pk = _packing(nvars, old.width * 2, split)
 
             def re(m):
                 return pk.pack(old.unpack(m))

@@ -20,6 +20,10 @@ class DivisorForgeError(Exception):
         return base
 
 
+class Refusal(DivisorForgeError):
+    """A computation declined instead of answered; a script run exits 3."""
+
+
 class RingMismatch(DivisorForgeError):
     """Operands belong to different rings."""
 
@@ -32,7 +36,7 @@ class PrimalityUncertain(DivisorForgeError):
     """An ideal given as a prime is shown not prime, or cannot be certified."""
 
 
-class DecompositionIncomplete(DivisorForgeError):
+class DecompositionIncomplete(Refusal):
     """The splitting procedure could neither split nor certify a component.
 
     Raised instead of ever returning a possibly-wrong decomposition.
@@ -55,11 +59,11 @@ class GradingNotPositive(DivisorForgeError):
     """Graded operation requested on a ring whose grading is not positive."""
 
 
-class FactorDegreeExceeded(DivisorForgeError):
+class FactorDegreeExceeded(Refusal):
     """Multivariate factorization refused: substituted degree above the cap."""
 
 
-class FactorCoefficientsExceeded(DivisorForgeError):
+class FactorCoefficientsExceeded(Refusal):
     """Factorization by sympy refused: a coefficient above the bit cap."""
 
 

@@ -12,9 +12,8 @@ from .engine import elim_key
 from .errors import (
     DecompositionIncomplete,
     DivisorForgeError,
-    FactorCoefficientsExceeded,
-    FactorDegreeExceeded,
     HeightNotOne,
+    Refusal,
     RingMismatch,
 )
 from .ring import Polynomial
@@ -146,15 +145,24 @@ class Ideal:
         n = int(n)
         if n < 0:
             raise DivisorForgeError("negative ideal power")
-        # each distinct product once: ideal(x, y)**n keeps n + 1 generators
-        gens, key = [self.ring.one()], self.ring.key
-        for _ in range(n):
+
+        def times(A, B):
+            # each distinct product once: ideal(x, y)**n keeps n + 1 generators
             step = {}
-            for f in gens:
-                for g in self.gens:
+            for f in A:
+                for g in B:
                     h = f * g
                     step.setdefault(engine.canonical(h.terms, key), h)
-            gens = list(step.values())
+            return list(step.values())
+
+        # square and multiply, as engine.p_pow does for polynomials
+        gens, base, key = [self.ring.one()], list(self.gens), self.ring.key
+        while n:
+            if n & 1:
+                gens = times(gens, base)
+            n >>= 1
+            if n:
+                base = times(base, base)
         return Ideal(self.ring, gens)
 
     def bracket_power(self, n):
@@ -279,16 +287,11 @@ def _intersect(A, B, nvars):
     """Ambient generators of the intersection of the ideals generated by
     the term-dict lists A and B in nvars variables: the elements free of t
     in an elimination basis of t*A + (1-t)*B, t a new first variable."""
-    t = {(1,) + (0,) * nvars: Fraction(1)}
-    one_minus_t = engine.p_sub({(0,) * (nvars + 1): Fraction(1)}, t)
-    gens = [engine.p_mul(t, _prepend_var(g)) for g in A]
-    gens += [engine.p_mul(one_minus_t, _prepend_var(g)) for g in B]
+    gens = [{(1,) + m: c for m, c in g.items()} for g in A]
+    gens += [{**{(0,) + m: c for m, c in g.items()},
+              **{(1,) + m: -c for m, c in g.items()}} for g in B]
     return [{m[1:]: c for m, c in g.items()}
             for g in _eliminate(gens, [0], nvars + 1)]
-
-
-def _prepend_var(terms):
-    return {(0,) + m: c for m, c in terms.items()}
 
 
 def _exact_div(p, f, key):
@@ -430,7 +433,7 @@ def _certify_prime(ring, gb):
                 for g in _eliminate(polys, [i], n):
                     try:
                         factors = _proper_factors(ring, g)
-                    except (FactorDegreeExceeded, FactorCoefficientsExceeded):
+                    except Refusal:
                         continue  # too large to factor: skip
                     if factors and all(engine.normal_form(f, gb, ring.key)
                                        for f in factors):

@@ -264,6 +264,23 @@ def test_script_calls_print_their_library_call(expression, call):
     jsonschema.validate(json.loads(got[1]), schema)
 
 
+def test_printed_ring_map_names_both_rings():
+    code, out, _ = run_script(
+        "ring R = QQ[x,y,z] / (x*y - z^2);\n"
+        "map f : R -> R = (y, x, z);\n"
+        "print f;\n")
+    assert (code, out) == (0, "o1 = map(QQ[x,y,z]/(x*y - z^2) -> "
+                              "QQ[x,y,z]/(x*y - z^2), {y, x, z})\n")
+
+
+def test_divisor_of_the_unit_ideal_is_zero():
+    code, out, _ = run_script(
+        "ring R = QQ[x,y,z] / (x*y - z^2);\n"
+        "print divisor(ideal(x, 1 - x));\n"
+        "print 1 - x;\n")
+    assert (code, out) == (0, "o1 = 0\no2 = -x + 1\n")
+
+
 # -- exit codes ---------------------------------------------------------------
 
 def test_exit_code_parse_error():

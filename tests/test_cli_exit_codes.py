@@ -11,9 +11,10 @@ import time
 
 import pytest
 
+from divisor_forge import errors
 from divisor_forge.cli import (
-    _FUNCTIONS, MAX_POWER_BITS, format_script, main, parse_script, repl,
-    run_text)
+    _FUNCTIONS, MAX_POWER_BITS, _exit_code, format_script, main, parse_script,
+    repl, run_text)
 from divisor_forge.factorization import MAX_COEFF_BITS
 from divisor_forge.parsing import MAX_DEPTH
 
@@ -242,6 +243,50 @@ def test_unreadable_script_is_exit_1(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.df")]) == 1
     assert main(["run", str(binary)]) == 1
     assert capsys.readouterr().err.count("error: ") == 2
+
+
+# every exception class of errors.py and the exit code a script run gives it
+ERROR_EXIT_CODES = {
+    "DivisorForgeError": 2,
+    "Refusal": 3,
+    "RingMismatch": 2,
+    "HeightNotOne": 2,
+    "PrimalityUncertain": 2,
+    "DecompositionIncomplete": 3,
+    "NonIntegralCoercion": 2,
+    "NoSolution": 2,
+    "NotCompleteIntersection": 2,
+    "GradingNotPositive": 2,
+    "FactorDegreeExceeded": 3,
+    "FactorCoefficientsExceeded": 3,
+    "ScriptError": 2,
+    "ParseError": 1,
+}
+
+
+def test_the_exit_code_table_names_every_error_class():
+    assert ERROR_EXIT_CODES.keys() == {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, Exception)}
+
+
+@pytest.mark.parametrize("name, code", sorted(ERROR_EXIT_CODES.items()))
+def test_every_error_class_has_its_exit_code(name, code):
+    assert _exit_code(getattr(errors, name)("message")) == code
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["run"], ["foo"], ["run", "-", "--bogus"]])
+def test_malformed_command_line_is_exit_1(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: divisor-forge")
+
+
+def test_help_is_exit_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: divisor-forge")
 
 
 def test_readme_lists_every_declared_signature():

@@ -2,6 +2,7 @@
 symbolic powers and graded pieces."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,37 @@ def test_power_keeps_each_distinct_product_once(plane, cone4):
             assert stored == list(dict.fromkeys(
                 engine.canonical(g.terms, key) for g in product.gens))
             product = product * I
+
+
+def multiplied_power(I, n):
+    """I**n as a list of generators, multiplying by I n times and keeping
+    each distinct product once."""
+    gens = [I.ring.one()]
+    for _ in range(n):
+        step = {}
+        for f in gens:
+            for g in I.gens:
+                h = f * g
+                step.setdefault(engine.canonical(h.terms, I.ring.key), h)
+        gens = list(step.values())
+    return gens
+
+
+def test_power_by_squaring_matches_repeated_multiplication(plane):
+    """Square and multiply stores the generators n multiplications by I
+    store, in the same order, and its cost grows with log n: (x)**(10**7)
+    takes milliseconds."""
+    key = plane.key
+    for I in (ideal(plane, "x"), ideal(plane, "x", "y"),
+              ideal(plane, "x^2 + y", "x*y", "y^3 - 1")):
+        for n in range(7):
+            got = [engine.canonical(g.terms, key) for g in (I ** n).gens]
+            assert got == [engine.canonical(g.terms, key)
+                           for g in multiplied_power(I, n)]
+    start = time.perf_counter()
+    power = ideal(plane, "x") ** 10**7
+    assert time.perf_counter() - start < 1
+    assert [g.terms for g in power.gens] == [{(10**7, 0): Fraction(1)}]
 
 
 def test_sum_and_product_refuse_non_ideals(cone4):
@@ -239,6 +271,14 @@ def test_decomposition_incomplete_is_raised(space):
     I = ideal(space, "x*z - y^2", "y*w - z^2", "x*w - y*z")
     with pytest.raises(DecompositionIncomplete):
         minimal_height_one_primes(I)
+
+
+def test_unit_ideal_has_no_height_one_primes(plane, cone3):
+    """The certificate reads the unit ideal's basis {1} as 'unit', and the
+    splitting returns no component for it."""
+    for ring in (plane, cone3):
+        assert minimal_height_one_primes(unit_ideal(ring)) == []
+        assert minimal_height_one_primes(ideal(ring, "x", "1 - x")) == []
 
 
 # -- symbolic powers ----------------------------------------------------------

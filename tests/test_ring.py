@@ -110,6 +110,21 @@ def test_scalar_coercion_and_fractions(plane):
     assert isinstance(f, Polynomial)
 
 
+def test_subtraction_and_hashing(plane, cone3):
+    x, y = plane.variables()
+    assert str(1 - x) == "-x + 1"
+    assert x - 1 == -(1 - x)
+    assert (x - y) + y == x
+    assert len({x, x + 0, y}) == 2
+    # equal modulo the relation, so one element of a set
+    assert len({polynomial(cone3, "x*y"), polynomial(cone3, "z^2")}) == 1
+    for other in (None, ideal(plane, "x")):
+        with pytest.raises(TypeError):
+            x - other
+        with pytest.raises(TypeError):
+            other - x
+
+
 def test_constant_recognition(plane):
     assert polynomial(plane, "5").is_unit()
     assert not polynomial(plane, "x").is_unit()
