@@ -11,7 +11,7 @@ from math import lcm
 
 from . import engine
 from .correspondence import sheaf_of
-from .errors import NonIntegralCoercion
+from .errors import DivisorForgeError, NonIntegralCoercion
 from .ideals import Ideal, irrelevant_ideal
 from .ring import Polynomial
 
@@ -75,7 +75,7 @@ def is_q_cartier(bound, D):
     """
     bound = int(bound)
     if bound < 1:
-        raise ValueError("bound must be positive")
+        raise DivisorForgeError("bound must be positive")
     denominators = [c.denominator for c, _ in D.terms.values()] or [1]
     step = lcm(*denominators)
     n = step

@@ -107,19 +107,22 @@ def p_mul(p, q):
     return r
 
 
-def p_pow(p, n):
+def power(x, n, mul, one):
+    """x**n for an int n >= 0 by square and multiply with the product mul:
+    one when n is 0, x itself when n is 1."""
     r = None
-    base = dict(p)
     while n:
         if n & 1:
-            r = p_mul(r, base) if r is not None else base
+            r = x if r is None else mul(r, x)
         n >>= 1
         if n:
-            base = p_mul(base, base)
-    if r is None:
-        nvars = len(next(iter(p))) if p else 0
-        return {(0,) * nvars: ONE}
-    return r
+            x = mul(x, x)
+    return one if r is None else r
+
+
+def p_pow(p, n):
+    nvars = len(next(iter(p))) if p else 0
+    return power(dict(p), n, p_mul, {(0,) * nvars: ONE})
 
 
 def leading(p, key):

@@ -25,16 +25,14 @@ Such a cofactor becomes a sympy.Poly over QQ through Poly.from_dict
 (exponent tuples map to the generators t0, t1, ... in order), and its
 factors come back through Poly.terms().  The factorization over QQ is
 unique, so the peel changes no answer; a factor it misses is left to sympy.
-A degree cap (DIVISOR_FORGE_MAXDEG, default 512) refuses the inputs of
-total degree 4 or more whose Kronecker-substituted univariate degree would
-explode; it is checked before the peel, on the input with its monomial
-content taken out, which the peel's first step removes.  A cofactor bound
-for sympy with an integer coefficient of more than MAX_COEFF_BITS bits is
-refused too.
+A degree cap (MAXDEG = 512) refuses the inputs of total degree 4 or more
+whose Kronecker-substituted univariate degree would explode; it is checked
+before the peel, on the input with its monomial content taken out, which
+the peel's first step removes.  A cofactor bound for sympy with an integer
+coefficient of more than MAX_COEFF_BITS bits is refused too.
 """
 
 import math
-import os
 from fractions import Fraction
 from itertools import chain, islice
 
@@ -43,7 +41,8 @@ import sympy
 from . import engine
 from .errors import FactorCoefficientsExceeded, FactorDegreeExceeded
 
-DEFAULT_MAXDEG = 512
+# the degree cap of the module docstring
+MAXDEG = 512
 
 # the rational root search of degree 3 or more enumerates the divisors of
 # the constant and the leading coefficient only when both are at most this
@@ -57,13 +56,6 @@ MAX_COEFF_BITS = 1024
 
 # lines tried per direction before the peel leaves that direction to sympy
 LINES = 16
-
-
-def _maxdeg():
-    try:
-        return int(os.environ.get("DIVISOR_FORGE_MAXDEG", DEFAULT_MAXDEG))
-    except ValueError:
-        return DEFAULT_MAXDEG
 
 
 def _kronecker_degree(terms, nvars):
@@ -90,9 +82,9 @@ def factor_terms(terms, nvars, key):
     if not terms:
         raise ValueError("cannot factor the zero polynomial")
     if (engine.total_degree(terms) > 3
-            and _kronecker_degree(terms, nvars) > _maxdeg()):
+            and _kronecker_degree(terms, nvars) > MAXDEG):
         raise FactorDegreeExceeded(
-            "substituted univariate degree exceeds cap %d" % _maxdeg())
+            "substituted univariate degree exceeds cap %d" % MAXDEG)
     linear, rest, exhaustive = _peel(_integral(terms), nvars)
     out = [(_monic(_form(v), key), mult) for v, mult in linear]
     degree = engine.total_degree(rest)

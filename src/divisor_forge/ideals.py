@@ -155,15 +155,10 @@ class Ideal:
                     step.setdefault(engine.canonical(h.terms, key), h)
             return list(step.values())
 
-        # square and multiply, as engine.p_pow does for polynomials
-        gens, base, key = [self.ring.one()], list(self.gens), self.ring.key
-        while n:
-            if n & 1:
-                gens = times(gens, base)
-            n >>= 1
-            if n:
-                base = times(base, base)
-        return Ideal(self.ring, gens)
+        # each generator once, then square and multiply as engine.p_pow does
+        one, key = [self.ring.one()], self.ring.key
+        return Ideal(self.ring,
+                     engine.power(times(one, self.gens), n, times, one))
 
     def bracket_power(self, n):
         """Ideal generated by the n-th powers of the stored generators."""
@@ -286,12 +281,14 @@ def _unpermute(polys, perm):
 def _intersect(A, B, nvars):
     """Ambient generators of the intersection of the ideals generated by
     the term-dict lists A and B in nvars variables: the elements free of t
-    in an elimination basis of t*A + (1-t)*B, t a new first variable."""
+    in an elimination basis of t*A + (1-t)*B, t a new first variable.  t
+    comes first, where elim_key(1) wants it, so no variable is permuted."""
     gens = [{(1,) + m: c for m, c in g.items()} for g in A]
     gens += [{**{(0,) + m: c for m, c in g.items()},
               **{(1,) + m: -c for m, c in g.items()}} for g in B]
     return [{m[1:]: c for m, c in g.items()}
-            for g in _eliminate(gens, [0], nvars + 1)]
+            for g in engine.buchberger(gens, elim_key(1))
+            if not any(m[0] for m in g)]
 
 
 def _exact_div(p, f, key):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from divisor_forge import (
+    DivisorForgeError,
     NonIntegralCoercion,
     WeilDivisor,
     ideal,
@@ -46,6 +47,12 @@ def test_q_cartier_rational_coefficients(cone3b):
     # Cartier but 4*(1/2)D = 2D is
     assert is_q_cartier(3, half) == 4
     assert is_q_cartier(1, half) == 0
+
+
+@pytest.mark.parametrize("bound", [0, -3])
+def test_q_cartier_bound_below_one_is_a_library_error(cone3b, bound):
+    with pytest.raises(DivisorForgeError, match="bound must be positive"):
+        is_q_cartier(bound, ruling(cone3b))
 
 
 def test_non_cartier_locus_requires_integrality(cone3b):

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from divisor_forge import errors
+from divisor_forge import errors, factorization
 from divisor_forge.cli import (
     _FUNCTIONS, MAX_POWER_BITS, _exit_code, format_script, main, parse_script,
     repl, run_text)
@@ -163,11 +163,11 @@ def test_nesting_at_the_bound_leaves_stack_to_spare():
 
 def test_factor_degree_cap_is_a_refusal(monkeypatch):
     script = "ring R = QQ[x,y,z];\nprint divisor(x^4 + y^4 + z^4 + 1);\n"
-    monkeypatch.setenv("DIVISOR_FORGE_MAXDEG", "2")
+    monkeypatch.setattr(factorization, "MAXDEG", 2)
     code, out, err = run(script)
     assert (code, out) == (3, "")
     assert err.startswith("error: 2:1: ") and "exceeds cap 2" in err
-    monkeypatch.delenv("DIVISOR_FORGE_MAXDEG")
+    monkeypatch.undo()
     assert run(script)[0] == 0
 
 

@@ -52,6 +52,35 @@ def test_power_matches_repeated_product():
             prod = engine.p_mul(prod, a)
 
 
+def looped_p_pow(p, n):
+    """p**n by the square-and-multiply loop p_pow ran itself before it
+    shared engine.power, kept as the reference."""
+    r = None
+    base = dict(p)
+    while n:
+        if n & 1:
+            r = engine.p_mul(r, base) if r is not None else base
+        n >>= 1
+        if n:
+            base = engine.p_mul(base, base)
+    if r is None:
+        nvars = len(next(iter(p))) if p else 0
+        return {(0,) * nvars: Fraction(1)}
+    return r
+
+
+def test_power_returns_the_dict_of_its_own_loop():
+    """Equal dicts with their keys in the same order, never p itself."""
+    rng = random.Random(0x9F)
+    polys = [{}, {(0, 0, 0): Fraction(3)}]
+    polys += [random_poly(rng, rng.randint(1, 3)) for _ in range(20)]
+    for a in polys:
+        for n in range(7):
+            got = engine.p_pow(a, n)
+            assert list(got.items()) == list(looped_p_pow(a, n).items())
+            assert got is not a
+
+
 def test_buchberger_known_basis():
     key = engine.grevlex_key
     # <x, xy - uv> in QQ[x,y,u,v]: reduced basis is {uv, x}

@@ -229,7 +229,7 @@ SPECIAL = [
 
 @pytest.mark.parametrize("key_name", ["grevlex", "elim1"])
 def test_peeled_products_match_reference(key_name, monkeypatch):
-    monkeypatch.setenv("DIVISOR_FORGE_MAXDEG", str(10**6))
+    monkeypatch.setattr(factorization, "MAXDEG", 10**6)
     key = grevlex_key if key_name == "grevlex" else elim_key(1)
     rng = random.Random(0x9EE1 + len(key_name))
     inputs = [named(text, names) for text, names in SPECIAL]
@@ -242,7 +242,7 @@ def test_peeled_products_match_reference(key_name, monkeypatch):
 
 
 def test_products_of_linear_forms_need_no_sympy(monkeypatch):
-    monkeypatch.setenv("DIVISOR_FORGE_MAXDEG", str(10**6))
+    monkeypatch.setattr(factorization, "MAXDEG", 10**6)
     def refuse(*args, **kwargs):
         raise AssertionError("sympy was asked to factor")
 

@@ -20,7 +20,8 @@ from divisor_forge import (
     symbolic_power,
     unit_ideal,
 )
-from divisor_forge.ideals import certify_prime, monomials_of_multidegree
+from divisor_forge.ideals import (
+    _eliminate, _intersect, certify_prime, monomials_of_multidegree)
 
 
 def random_poly(rng, ring, maxdeg=2, nterms=2):
@@ -108,6 +109,72 @@ def test_power_by_squaring_matches_repeated_multiplication(plane):
     power = ideal(plane, "x") ** 10**7
     assert time.perf_counter() - start < 1
     assert [g.terms for g in power.gens] == [{(10**7, 0): Fraction(1)}]
+
+
+def looped_power(I, n):
+    """I**n by the square-and-multiply loop Ideal.__pow__ ran itself before
+    it shared engine.power, kept as the reference."""
+    key = I.ring.key
+
+    def times(A, B):
+        step = {}
+        for f in A:
+            for g in B:
+                h = f * g
+                step.setdefault(engine.canonical(h.terms, key), h)
+        return list(step.values())
+
+    gens, base = [I.ring.one()], list(I.gens)
+    while n:
+        if n & 1:
+            gens = times(gens, base)
+        n >>= 1
+        if n:
+            base = times(base, base)
+    return gens
+
+
+def test_power_stores_the_generator_list_of_its_own_loop(plane, cone4):
+    """The shared loop stores the very list the former one did: equal term
+    dicts with their keys in the same order, repeated generators too."""
+    for I in (ideal(plane, "x"), ideal(plane, "x", "y"),
+              ideal(plane, "x^2 + y", "x*y", "y^3 - 1"),
+              ideal(plane, "y", "x", "y", "x + y"),
+              ideal(cone4, "x", "u", "x"), ideal(cone4, "x*y - 1", "u + v"),
+              Ideal(plane, [])):
+        for n in range(7):
+            got = [list(g.terms.items()) for g in (I ** n).gens]
+            assert got == [list(g.terms.items()) for g in looped_power(I, n)]
+
+
+def eliminated_intersection(A, B, nvars):
+    """The intersection as _intersect built it on _eliminate, kept as the
+    reference: the permutation that moves t first is the identity."""
+    gens = [{(1,) + m: c for m, c in g.items()} for g in A]
+    gens += [{**{(0,) + m: c for m, c in g.items()},
+              **{(1,) + m: -c for m, c in g.items()}} for g in B]
+    return [{m[1:]: c for m, c in g.items()}
+            for g in _eliminate(gens, [0], nvars + 1)]
+
+
+def test_intersect_matches_the_elimination_route(plane, cone3, cone4):
+    """_intersect calls Buchberger on t*A + (1-t)*B itself; it returns the
+    list _eliminate's route returns, equal dicts in the same key order, for
+    the inputs intersection and the colon give it."""
+    rng = random.Random(0x1E7)
+    for ring in (plane, cone3, cone4):
+        for _ in range(12):
+            I = Ideal(ring, [random_poly(rng, ring, nterms=rng.randint(1, 3))
+                             for _ in range(rng.randint(1, 3))])
+            J = Ideal(ring, [random_poly(rng, ring, nterms=rng.randint(1, 3))
+                             for _ in range(rng.randint(1, 2))])
+            f = random_poly(rng, ring, nterms=2)
+            for A, B in ((I.groebner, J.groebner), (I.groebner, [f.terms]),
+                         ([f.terms], J.groebner)):
+                got = _intersect(A, B, ring.nvars)
+                want = eliminated_intersection(A, B, ring.nvars)
+                assert ([list(g.items()) for g in got]
+                        == [list(g.items()) for g in want])
 
 
 def test_sum_and_product_refuse_non_ideals(cone4):
