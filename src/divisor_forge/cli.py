@@ -651,13 +651,15 @@ def _run(text, session, json_mode, out, err):
     return 0
 
 
-def run_text(text, json_mode=False, graded=False, out=sys.stdout,
-             err=sys.stderr):
-    return _run(text, Session(graded=graded), json_mode, out, err)
+def run_text(text, json_mode=False, graded=False, out=None, err=None):
+    """Run a script; a stream left None (here and in repl) is the sys one
+    at the call, so a redirect made after import is honoured."""
+    return _run(text, Session(graded=graded), json_mode, out or sys.stdout,
+                err or sys.stderr)
 
 
-def repl(json_mode=False, graded=False, stdin=sys.stdin, out=sys.stdout,
-         err=sys.stderr):
+def repl(json_mode=False, graded=False, stdin=None, out=None, err=None):
+    stdin, out, err = stdin or sys.stdin, out or sys.stdout, err or sys.stderr
     session = Session(graded=graded)
     buffer = ""
     out.write("divisor-forge repl; end statements with ';', exit with "

@@ -18,7 +18,7 @@ from .errors import (
 )
 from .fractional import FractionalIdeal, reflexify, smallest_generator
 from .ideals import Ideal, unit_ideal
-from .ring import Polynomial, QuotientRing
+from .ring import Polynomial, QuotientRing, as_int
 from .smith import solve_diophantine
 
 
@@ -102,7 +102,7 @@ def find_element_of_degree(ring, target):
     A = [list(row) for row in ring.grading.rows]
     if isinstance(target, int):
         target = (target,) * len(A)
-    target = [int(t) for t in target]
+    target = [as_int(t, "a degree") for t in target]
     if len(target) != len(A):
         raise DivisorForgeError("target multidegree has wrong length")
     return tuple(solve_diophantine(A, target))

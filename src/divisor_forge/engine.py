@@ -12,6 +12,11 @@ on entry and unpacks its basis on exit; normal_form packs its tuple-keyed
 arguments at the same kind of boundary, and s_poly, called from buchberger
 only, is packed throughout.  Every polynomial that leaves the engine is
 tuple-keyed with Fraction coefficients.
+
+There is one widening rule (_widening): each of these two steps, a whole
+Buchberger run or one normal form, runs at the narrowest packing that holds
+its input, and is redone from the start at double the width whenever a
+term of its work leaves the packing's range.
 """
 
 import heapq
@@ -213,15 +218,6 @@ def _packing(nvars, width, split):
     return Packing(width, pack, unpack, lcm, order, guard, margin)
 
 
-def _width(nvars, top, width=8):
-    """The least of width, 2 width, 4 width, ... at which the exponent top
-    is in range."""
-    spare = (nvars - 1).bit_length() + 1
-    while width <= spare or top >> width - spare:
-        width *= 2
-    return width
-
-
 def _pack(p, pk):
     """The tuple-keyed p packed, each coefficient an int where integral."""
     pack = pk.pack
@@ -262,9 +258,20 @@ def _heads(polys, pk):
             for P in [_pack(g, pk) for g in polys]]
 
 
-def _top(polys):
-    """The largest exponent of the nonzero tuple-keyed polys."""
-    return max(map(max, chain.from_iterable(polys)))
+def _widening(polys, split, attempt):
+    """attempt(pk) at the packing of the least width 8, 16, 32, ... that
+    holds every exponent of the nonzero tuple-keyed polys, the width doubled
+    and attempt called again each time it returns None (a term of its work
+    left the packing's range)."""
+    nvars = len(next(iter(polys[0])))
+    top = max(map(max, chain.from_iterable(polys)))
+    spare, width = (nvars - 1).bit_length() + 1, 8
+    while True:
+        if width > spare and not top >> width - spare:
+            r = attempt(_packing(nvars, width, split))
+            if r is not None:
+                return r
+        width *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +331,8 @@ def normal_form(p, basis, key, packing=None):
     Given a packing, everything is packed: basis holds its elements as
     (leading monomial, tail) pairs (see _head), and the result is the
     packed remainder, or None when a term leaves the packing's range.
-    Otherwise p and basis are packed here, at the narrowest width from 8 up
-    that holds the reduction, and the remainder unpacked.
+    Otherwise p and basis are packed here, at the width _widening finds,
+    and the remainder unpacked.
     """
     if not basis:
         return dict(p)
@@ -333,14 +340,12 @@ def normal_form(p, basis, key, packing=None):
         return _reduce(p, basis, packing)
     if not p:
         return {}
-    nvars = len(next(iter(p)))
-    width = _width(nvars, _top((p, *basis)))
-    while True:
-        pk = _packing(nvars, width, key.split)
+
+    def attempt(pk):
         r = _reduce(_pack(p, pk), _heads(basis, pk), pk)
-        if r is not None:
-            return _unpack(r, pk)
-        width *= 2
+        return None if r is None else _unpack(r, pk)
+
+    return _widening((p, *basis), key.split, attempt)
 
 
 def s_poly(f, g, packing):
@@ -369,58 +374,32 @@ def buchberger(gens, key):
     leading monomials) and chain criteria.  The output is monic, pairwise
     autoreduced and sorted by ascending leading monomial.
 
-    The work is packed (see _packing): the generators on entry, the basis
-    unpacked on exit.  G holds each element as a monic packed dict, heads
-    as its (leading monomial, tail) pair and plms its leading monomial;
-    reduce keeps every term in range.
+    The work is packed (see _packing) at the width _widening finds: a run
+    that meets a remainder out of the packing's range is abandoned, and the
+    whole run is redone at double the width.
     """
     gens = [g for g in gens if g]
     if not gens:
         return []
-    nvars, split = len(next(iter(gens[0]))), key.split
-    pk = _packing(nvars, _width(nvars, _top(gens)), split)
+    return _widening(gens, key.split, lambda pk: _buchberger(gens, key, pk))
+
+
+def _buchberger(gens, key, pk):
+    """buchberger's run at the packing pk, or None as soon as a remainder
+    leaves its range.  G holds each element as a monic packed dict, heads
+    as its (leading monomial, tail) pair and plms its leading monomial."""
+    lcm, order, guard = pk.lcm, pk.order, pk.guard
     new = []
     for g in gens:
         P = _pack(g, pk)
-        lm = max(P, key=pk.order)
+        lm = max(P, key=order)
         new.append((lm, _monic(P, lm)))
-    new.sort(key=lambda h: pk.order(h[0]))
+    new.sort(key=lambda h: order(h[0]))
     # normal selection via a heap keyed by the order of the pair's lcm;
     # (i, j) is unique, so the packed lcm carried last is never compared.
     # popped[i]: bitset of the partners k of every pair (i, k) popped so far
     G, heads, plms, popped, pairs = [], [], [], [], []
-
-    def reduce(P, rest=None):
-        """The traced normal_form of the packed P by heads, or by the heads
-        at the indices rest.  When a term leaves the range, the width
-        doubles, G, heads, plms and the pair heap are repacked and the
-        reduction is redone by _reduce, so the normal_form and s_poly calls
-        are the same at every width."""
-        nonlocal pk
-        h = normal_form(P, heads if rest is None else [heads[k] for k in rest],
-                        key, pk)
-        while h is None:
-            old = pk
-            pk = _packing(nvars, old.width * 2, split)
-
-            def re(m):
-                return pk.pack(old.unpack(m))
-
-            G[:] = [{re(m): c for m, c in g.items()} for g in G]
-            heads[:] = [(re(lm), tuple([(re(m), c) for m, c in tail]))
-                        for lm, tail in heads]
-            plms[:] = [lm for lm, _ in heads]
-            # the wider keys sort the same, so the heap keeps its pop sequence
-            pairs[:] = [(pk.order(L), i, j, L) for _, i, j, L0 in pairs
-                        for L in (re(L0),)]
-            heapq.heapify(pairs)
-            P = {re(m): c for m, c in P.items()}
-            h = _reduce(P, heads if rest is None else [heads[k] for k in rest],
-                        pk)
-        return h
-
     while True:
-        lcm, order = pk.lcm, pk.order
         for lm, g in new:
             n = len(G)
             for i2, Q in enumerate(plms):
@@ -440,17 +419,18 @@ def buchberger(gens, key):
             continue  # product criterion
         # chain criterion: some lm_k divides the lcm and the pairs (i, k)
         # and (j, k) are already popped
-        b, guard = popped[i] & popped[j], pk.guard
+        b = popped[i] & popped[j]
         while b and L - plms[(b & -b).bit_length() - 1] & guard:
             b &= b - 1
         if b:
             continue
-        h = reduce(s_poly(heads[i], heads[j], pk))
+        h = normal_form(s_poly(heads[i], heads[j], pk), heads, key, pk)
+        if h is None:
+            return None
         if h:
             lm = next(iter(h))  # the remainder's terms are in descending order
             new = ((lm, _monic(h, lm)),)
     # minimalize
-    order, guard = pk.order, pk.guard
     minimal = []
     for i in sorted(range(len(G)), key=lambda i: order(plms[i])):
         if all(plms[i] - plms[k] & guard for k in minimal):
@@ -460,7 +440,10 @@ def buchberger(gens, key):
     # result stays monic and in ascending order
     reduced = []
     for pos, i in enumerate(minimal):
-        r = reduce(G[i], minimal[:pos] + minimal[pos + 1 :])
+        rest = minimal[:pos] + minimal[pos + 1 :]
+        r = normal_form(G[i], [heads[k] for k in rest], key, pk)
+        if r is None:
+            return None
         reduced.append(_unpack(r, pk))
     return reduced
 

@@ -7,6 +7,7 @@ module resolutions anywhere.
 
 from .errors import DivisorForgeError, RingMismatch
 from .ideals import Ideal
+from .ring import as_int
 
 
 def smallest_generator(I):
@@ -94,7 +95,7 @@ class FractionalIdeal:
     def power(self, n):
         """Reflexive power; negative exponents dualize first.  Bracket powers
         of the numerator suffice because the hull is taken afterwards."""
-        n = int(n)
+        n = as_int(n, "an exponent")
         if n == 0:
             return FractionalIdeal.unit(self.ring)
         base = self if n > 0 else self.dual()

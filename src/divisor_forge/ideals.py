@@ -16,7 +16,7 @@ from .errors import (
     Refusal,
     RingMismatch,
 )
-from .ring import Polynomial
+from .ring import Polynomial, as_int
 
 
 class Ideal:
@@ -142,7 +142,7 @@ class Ideal:
             self.ring, [f * g for f in self.gens for g in other.gens])
 
     def __pow__(self, n):
-        n = int(n)
+        n = as_int(n, "an exponent")
         if n < 0:
             raise DivisorForgeError("negative ideal power")
 
@@ -162,7 +162,7 @@ class Ideal:
 
     def bracket_power(self, n):
         """Ideal generated by the n-th powers of the stored generators."""
-        n = int(n)
+        n = as_int(n, "an exponent")
         if n < 1:
             raise DivisorForgeError("bracket power needs n >= 1")
         return Ideal(self.ring, [g**n for g in self.gens])
@@ -499,7 +499,7 @@ def certify_prime(I):
 def symbolic_power(P, n):
     """n-th symbolic power of a height-one prime: reflexive hull of the
     bracket power, which agrees with the true power in codimension one."""
-    n = int(n)
+    n = as_int(n, "an exponent")
     if n < 1:
         raise DivisorForgeError("symbolic power needs n >= 1")
     if P.height() != 1:
@@ -546,7 +546,7 @@ def monomials_of_multidegree(ring, target):
     w = ring.grading.require_positive()
     A = ring.grading.rows
     k = len(A)
-    target = tuple(int(t) for t in target)
+    target = tuple(as_int(t, "a degree") for t in target)
     budget = sum(wi * ti for wi, ti in zip(w, target))
     if budget < 0:
         return []
@@ -582,7 +582,7 @@ def graded_piece_basis(I, degree):
     ring = I.ring
     if isinstance(degree, int):
         degree = (degree,) * ring.grading.ncomponents
-    degree = tuple(int(d) for d in degree)
+    degree = tuple(as_int(d, "a degree") for d in degree)
     if len(degree) != ring.grading.ncomponents:
         raise DivisorForgeError("multidegree has wrong length")
     lts = [engine.leading(g, ring.key)[0] for g in ring.quotient_gb]

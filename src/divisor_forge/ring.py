@@ -15,11 +15,19 @@ from .engine import grevlex_key
 from .errors import DivisorForgeError, GradingNotPositive, RingMismatch
 
 
+def as_int(n, what):
+    """n as an int, when it is an int or an integral Fraction; anything else,
+    a float included, is a DivisorForgeError naming what n is."""
+    if isinstance(n, (int, Fraction)) and n.denominator == 1:
+        return int(n)
+    raise DivisorForgeError("%s must be an integer, not %s" % (what, n))
+
+
 class Grading:
     """Integer degree matrix: one row per grading component, one column per variable."""
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(tuple(as_int(x, "a degree") for x in r) for r in rows)
         if not rows:
             raise DivisorForgeError("grading needs at least one row")
         n = len(rows[0])
@@ -254,7 +262,7 @@ class Polynomial:
         return Polynomial(self.ring, engine.p_neg(self.terms))
 
     def __pow__(self, n):
-        n = int(n)
+        n = as_int(n, "an exponent")
         if n < 0:
             raise DivisorForgeError("negative polynomial power")
         if n == 0:

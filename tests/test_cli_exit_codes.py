@@ -237,6 +237,61 @@ def test_repl_survives_every_refused_input():
         assert message in messages
 
 
+PLANE = "ring R = QQ[x,y];\n"
+TARGET = PLANE + "ring S = QQ[a,b];\n"
+
+# (script, exit code, first line of stderr): script errors of the evaluator
+# and two values it must accept
+BRANCHES = [
+    ("print ideal(1);", 2,
+     "error: 1:1: no current ring; declare one with `ring`"),
+    (PLANE + "ring S = QQ[a,b]/(divisor(a));", 2,
+     "error: 2:1: relation must be a polynomial"),
+    (TARGET + "map f : S -> R = (divisor(x), y);", 2,
+     "error: 3:1: map images must lie in the target ring"),
+    (PLANE + "map f : T -> R = (x, y);", 2,
+     "error: 2:1: map endpoints must be declared rings"),
+    (HEADER + "use D;", 2, "error: 4:1: 'D' is not a ring"),
+    (PLANE + "print divisor{x: ideal(x)};", 2,
+     "error: 2:1: divisor coefficient must be a number"),
+    (PLANE + "print foo(x);", 2, "error: 2:1: unknown function 'foo'"),
+    (PLANE + "print x^-1;", 2,
+     "error: 2:1: negative power of an ideal element"),
+    (PLANE + "print x/y;", 2, "error: 2:1: unsupported division"),
+    (PLANE + "print divisor(x)^2;", 2,
+     "error: 2:1: cannot raise Div(x) to a power"),
+    (PLANE + "print divisor(true);", 2,
+     "error: 2:1: divisor() takes an element, ideal or sheaf"),
+    ("ring R = QQ[x,y] degrees [[1,1,1]];", 2,
+     "error: 1:1: grading has wrong number of columns"),
+    (TARGET + "map f : S -> R = (1, y); print f;", 0, ""),
+    (HEADER + "print divisorOf(OO(D), isCartier(D));", 0, ""),
+]
+
+
+@pytest.mark.parametrize("script, code, first_line", BRANCHES)
+def test_script_errors_get_their_exit_code(script, code, first_line):
+    got, out, err = run(script + "\n")
+    assert (got, err.partition("\n")[0]) == (code, first_line)
+    assert bool(out) == (code == 0)
+
+
+def test_run_reads_a_script_from_stdin(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(PLANE + "print x*y;\n"))
+    assert main(["run", "-"]) == 0
+    assert capsys.readouterr() == ("o1 = x*y\n", "")
+
+
+def test_repl_prints_each_statement_and_stops_at_quit():
+    out, err = io.StringIO(), io.StringIO()
+    stdin = io.StringIO(PLANE + "print x +\n y;\nquit;\nprint 7;\n")
+    assert repl(stdin=stdin, out=out, err=err) == 0
+    assert out.getvalue().splitlines() == [
+        "divisor-forge repl; end statements with ';', exit with Ctrl-D or "
+        "'quit;'", "o1 = x + y"]
+    assert err.getvalue() == ""
+
+
 def test_unreadable_script_is_exit_1(tmp_path, capsys):
     binary = tmp_path / "binary.df"
     binary.write_bytes(b"print \xff;\n")

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from divisor_forge import (
+    DivisorForgeError,
     FractionalIdeal,
     NotCompleteIntersection,
     WeilDivisor,
@@ -118,6 +119,14 @@ def test_find_element_of_degree(cone4, weighted):
     # negative degrees force genuine fractions
     eneg = find_element_of_degree(cone4, (-2,))
     assert sum(eneg) == -2
+
+
+@pytest.mark.parametrize("target", [(Fraction(3, 2), 1), (1.5, 1), (2.0, 1)])
+def test_non_integral_target_degrees_are_refused(weighted, target):
+    with pytest.raises(DivisorForgeError, match="a degree must be"):
+        find_element_of_degree(weighted, target)
+    assert find_element_of_degree(weighted, (Fraction(2), Fraction(1))) == \
+        find_element_of_degree(weighted, (2, 1))
 
 
 def test_canonical_divisor_cones(cone3, cone3b):

@@ -9,7 +9,9 @@ coefficients, and on a reduction whose terms climb out of the first
 packing's range, both engines reduce the same S-polynomials in the same
 sequence and return the same reduced bases (same elements, same term
 order) and the same normal forms, all with Fraction coefficients.  The
-comparison of normal_form inputs checks that the same pairs are reduced.
+comparison of normal_form inputs checks that the same pairs are reduced:
+the run at the widest packing makes exactly the reference's calls, and a
+run abandoned at a narrower packing made a prefix of them.
 """
 
 import heapq
@@ -207,11 +209,13 @@ def as_items(basis):
 
 def logged_buchberger(monkeypatch, gens, key):
     """engine.buchberger, logging the first argument of every normal_form
-    call it makes, unpacked by the packing it comes with."""
-    log, real = [], engine.normal_form
+    call it makes, unpacked by the packing it comes with; the log maps each
+    packing width to the calls made at it."""
+    log, real = {}, engine.normal_form
 
     def normal_form(p, *args):
-        log.append({args[-1].unpack(m): c for m, c in p.items()})
+        log.setdefault(args[-1].width, []).append(
+            {args[-1].unpack(m): c for m, c in p.items()})
         return real(p, *args)
 
     with monkeypatch.context() as m:
@@ -221,15 +225,20 @@ def logged_buchberger(monkeypatch, gens, key):
 
 def assert_matches_reference(monkeypatch, rng, nvars, gens, key, ref_key):
     """Both engines reduce the same S-polynomials and return the same basis,
-    and four random polynomials drawn from rng have the same normal forms."""
+    and four random polynomials drawn from rng have the same normal forms.
+    The run at the widest packing reduces exactly the reference's
+    polynomials, and each abandoned narrower run a prefix of them."""
     snapshot = [dict(g) for g in gens]
     ref_log = []
     want = ref_buchberger(gens, ref_key, ref_log)
     got, log = logged_buchberger(monkeypatch, gens, key)
     assert gens == snapshot
     assert as_items(got) == as_items(want)
-    assert [sorted(s.items()) for s in log] == [
-        sorted(s.items()) for s in ref_log]
+    calls = {w: [sorted(s.items()) for s in log[w]] for w in log}
+    widest = calls.pop(max(calls, default=0), [])
+    assert widest == [sorted(s.items()) for s in ref_log]
+    for narrower in calls.values():
+        assert narrower == widest[:len(narrower)]
     for _ in range(4):
         p = random_poly(rng, nvars, 4, 3)
         nf = ref_normal_form(p, want, ref_key)
@@ -279,8 +288,8 @@ def squaring_chain(length):
 def test_squaring_chain_repacks_wider_and_matches_reference(
         length, monkeypatch):
     """The leading monomial t6^64 (t7^128) reaches the degree bound 2^6 of
-    the first, 8-bit packing, so buchberger repacks at 16 bits mid-run and
-    still reduces the same S-pairs as the reference."""
+    the first, 8-bit packing, so buchberger abandons that run, redoes it at
+    16 bits and still reduces the same S-pairs as the reference."""
     nvars, gens = squaring_chain(length)
     widths, real = [], engine._packing
 
@@ -333,8 +342,8 @@ def test_int_and_fraction_coefficients_stay_exact(order, monkeypatch):
                                      ref_key)
         assert all(type(c) is Fraction for g in got + [nf]
                    for c in g.values())
-        assert all(type(c) in (int, Fraction) for s in log
-                   for c in s.values())
+        assert all(type(c) in (int, Fraction) for calls in log.values()
+                   for s in calls for c in s.values())
 
 
 def test_a_term_inside_a_reduction_widens_the_packing(monkeypatch):
@@ -342,9 +351,9 @@ def test_a_term_inside_a_reduction_widens_the_packing(monkeypatch):
     range of the first, 8-bit packing (below 2^5 in three variables), and
     so has their S-polynomial 1 - t^19*x*y^2.  Its reduction by t - y^2
     climbs to x*y^40, so a term of that reduction is the first out of
-    range: the packing widens to 16 bits during that normal_form call, and
-    the same normal_form calls are made, in the same sequence, as by the
-    reference."""
+    range: that normal_form call returns None, the run is abandoned and
+    redone at 16 bits, where it makes the same normal_form calls, in the
+    same sequence, as the reference."""
     gens = [{(20, 1, 0): Fraction(1), (0, 0, 0): Fraction(-1)},
             {(1, 0, 0): Fraction(1), (0, 0, 2): Fraction(-1)}]
     key = engine.elim_key(1)
@@ -365,6 +374,7 @@ def test_a_term_inside_a_reduction_widens_the_packing(monkeypatch):
     monkeypatch.setattr(engine, "normal_form", logged_normal_form)
     got = engine.buchberger(gens, key)
     assert events == ["pack 8", "reduce [(0, 0, 0), (19, 1, 2)]", "pack 16",
+                      "reduce [(0, 0, 0), (19, 1, 2)]",
                       "reduce [(0, 0, 0), (0, 1, 40)]",
                       "reduce [(0, 0, 2), (1, 0, 0)]"]
     assert got[0] == {(0, 1, 40): Fraction(1), (0, 0, 0): Fraction(-1)}

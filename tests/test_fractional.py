@@ -194,3 +194,12 @@ def test_quotient_rings_keep_the_double_colon(cone3, cone4):
                 continue
             I = Ideal(ring, [f])
             assert reflexify(I).key == reflexify_via(I, f).key
+
+
+@pytest.mark.parametrize("n", [Fraction(1, 2), Fraction(-3, 2), 0.5, 2.0])
+def test_non_integral_fractional_powers_are_refused(plane, n):
+    f = FractionalIdeal(ideal(plane, "x"), polynomial(plane, "1"))
+    with pytest.raises(DivisorForgeError, match="an exponent must be"):
+        f.power(n)
+    for k in (-2, 0, 2):
+        assert repr(f.power(Fraction(k))) == repr(f.power(k))

@@ -202,3 +202,11 @@ def test_sheaf_and_locus_recomputed_alike(cone3):
         assert answers(other) == first
         assert [repr(x) for x in [sheaf_of(other)] + answers(other)] == shown
     assert vars(D).keys() == {"ring", "terms", "tier"}
+
+
+@pytest.mark.parametrize("degree", [(Fraction(3, 2),), (1.5,), (2.0,)])
+def test_non_integral_piece_degrees_are_refused(cone3, degree):
+    m = ideal(cone3, "x", "z")
+    with pytest.raises(DivisorForgeError, match="a degree must be"):
+        graded_piece_basis(m, degree)
+    assert graded_piece_basis(m, (Fraction(2),)) == graded_piece_basis(m, 2)

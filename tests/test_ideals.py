@@ -9,6 +9,7 @@ import pytest
 
 from divisor_forge import (
     DecompositionIncomplete,
+    DivisorForgeError,
     Ideal,
     engine,
     factor_polynomial,
@@ -393,3 +394,35 @@ def test_graded_piece_basis_dimensions(cone3):
     # degree-2 piece of R: 6 ambient monomials minus 1 relation
     basis3 = graded_piece_basis(unit_ideal(cone3), (2,))
     assert len(basis3) == 5
+
+
+@pytest.mark.parametrize("n", [Fraction(1, 2), Fraction(5, 2), 2.5, 2.0])
+def test_non_integral_ideal_powers_are_refused(plane, n):
+    m = ideal(plane, "x", "y")
+    with pytest.raises(DivisorForgeError, match="an exponent must be"):
+        m ** n
+    assert (m ** Fraction(2)).key == (m ** 2).key
+
+
+@pytest.mark.parametrize("n", [Fraction(5, 2), 2.5, 2.0])
+def test_non_integral_bracket_powers_are_refused(plane, n):
+    m = ideal(plane, "x", "y")
+    with pytest.raises(DivisorForgeError, match="an exponent must be"):
+        m.bracket_power(n)
+    assert m.bracket_power(Fraction(2)).key == m.bracket_power(2).key
+
+
+@pytest.mark.parametrize("n", [Fraction(5, 2), 2.5, 2.0])
+def test_non_integral_symbolic_powers_are_refused(plane, n):
+    p = ideal(plane, "x")
+    with pytest.raises(DivisorForgeError, match="an exponent must be"):
+        symbolic_power(p, n)
+    assert symbolic_power(p, Fraction(2)).key == symbolic_power(p, 2).key
+
+
+@pytest.mark.parametrize("target", [(Fraction(3, 2),), (1.5,), (2.0,)])
+def test_non_integral_target_degrees_are_refused(plane, target):
+    with pytest.raises(DivisorForgeError, match="a degree must be"):
+        monomials_of_multidegree(plane, target)
+    assert monomials_of_multidegree(plane, (Fraction(2),)) == \
+        monomials_of_multidegree(plane, (2,))

@@ -161,3 +161,18 @@ def test_constructors_refuse_an_element_of_another_ring(plane, cone3):
         with pytest.raises(RingMismatch, match=message):
             build()
 
+
+
+@pytest.mark.parametrize("n", [Fraction(5, 2), 2.5, 2.0, "2"])
+def test_non_integral_exponents_are_refused(plane, n):
+    x = polynomial(plane, "x")
+    with pytest.raises(DivisorForgeError, match="an exponent must be"):
+        x ** n
+    assert x ** Fraction(4, 2) == x ** 2 == polynomial(plane, "x^2")
+
+
+@pytest.mark.parametrize("d", [Fraction(3, 2), 1.5, 1.0])
+def test_non_integral_grading_rows_are_refused(d):
+    with pytest.raises(DivisorForgeError, match="a degree must be"):
+        Grading([(d, 1)])
+    assert Grading([(Fraction(2, 1), 1)]).rows == ((2, 1),)
