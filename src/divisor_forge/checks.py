@@ -13,7 +13,7 @@ from . import engine
 from .correspondence import sheaf_of
 from .errors import DivisorForgeError, NonIntegralCoercion
 from .ideals import Ideal, irrelevant_ideal
-from .ring import Polynomial
+from .ring import Polynomial, as_int
 
 
 @dataclass
@@ -73,7 +73,7 @@ def is_q_cartier(bound, D):
     clears the coefficient denominators, stopping at the first multiple at
     or past bound*l.
     """
-    bound = int(bound)
+    bound = as_int(bound, "a bound")
     if bound < 1:
         raise DivisorForgeError("bound must be positive")
     denominators = [c.denominator for c, _ in D.terms.values()] or [1]

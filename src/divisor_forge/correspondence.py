@@ -8,7 +8,6 @@ graded divisor of a fractional ideal can be read off directly.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .divisors import WeilDivisor
 from .errors import (
@@ -18,7 +17,7 @@ from .errors import (
 )
 from .fractional import FractionalIdeal, reflexify, smallest_generator
 from .ideals import Ideal, unit_ideal
-from .ring import Polynomial, QuotientRing, as_int
+from .ring import Polynomial, QuotientRing
 from .smith import solve_diophantine
 
 
@@ -100,9 +99,7 @@ def find_element_of_degree(ring, target):
     entries mean a fraction of monomials.
     """
     A = [list(row) for row in ring.grading.rows]
-    if isinstance(target, int):
-        target = (target,) * len(A)
-    target = [as_int(t, "a degree") for t in target]
+    target = ring.grading.expand(target)
     if len(target) != len(A):
         raise DivisorForgeError("target multidegree has wrong length")
     return tuple(solve_diophantine(A, target))
@@ -112,8 +109,8 @@ def laurent_monomial(ring, exps):
     """Split Laurent exponents into (numerator, denominator) monomials."""
     pos = tuple(max(e, 0) for e in exps)
     neg = tuple(max(-e, 0) for e in exps)
-    num = Polynomial(ring, {pos: Fraction(1)})
-    den = Polynomial(ring, {neg: Fraction(1)})
+    num = Polynomial(ring, {pos: 1})
+    den = Polynomial(ring, {neg: 1})
     return num, den
 
 

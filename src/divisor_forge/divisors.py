@@ -100,15 +100,24 @@ class WeilDivisor:
 
     @classmethod
     def of_ideal(cls, I):
-        """Effective divisor of an ideal in codimension one."""
+        """Effective divisor of an ideal in codimension one.
+
+        Its primes and display ideals are canonical, and the decomposition
+        reads I through its key only, so the value is memoized in the ring
+        under ("divisor", I.key).  A refusal is raised before anything is
+        stored, and so again on the next call."""
         if I.is_zero():
             raise DivisorForgeError("divisor of the zero ideal")
-        terms = {}
-        for P in minimal_height_one_primes(I):
-            n = max_symbolic_containment(I, P)
-            if n:
-                terms[P] = (Fraction(n), P)
-        return cls(I.ring, terms)
+
+        def compute():
+            terms = {}
+            for P in minimal_height_one_primes(I):
+                n = max_symbolic_containment(I, P)
+                if n:
+                    terms[P] = (Fraction(n), P)
+            return cls(I.ring, terms)
+
+        return I.ring.memoized(("divisor", I.key), compute)
 
     @classmethod
     def of_fraction(cls, num, den):

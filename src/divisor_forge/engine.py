@@ -1,17 +1,23 @@
 """Exact multivariate polynomial engine.
 
-Polynomials are plain dicts mapping exponent tuples to nonzero Fractions.
-All functions here are ring-agnostic: they take the number of variables
-implicitly from the exponent tuples and an order key explicitly.  The
-higher-level modules wrap these in ring-aware classes.
+Polynomials are plain dicts mapping exponent tuples to nonzero rational
+coefficients.  One rule holds for coefficients throughout the library: an
+integral coefficient is an int, and any other is a Fraction.  The two agree
+on numerator, denominator, ==, hash and str, so canonical keys and printed
+text do not depend on which one a coefficient is.  A division of one
+coefficient by another goes through coeff_div, which is exact and returns
+an int when the quotient is integral; plain / on two ints would make a
+float.  All functions here are ring-agnostic: they take the number of
+variables implicitly from the exponent tuples and an order key explicitly.
+The higher-level modules wrap these in ring-aware classes.
 
 Reduction works on packed polynomials instead: dicts from a monomial
-packed into one int (see _packing) to a coefficient that is an int when
-it is integral and a Fraction otherwise.  buchberger packs its generators
-on entry and unpacks its basis on exit; normal_form packs its tuple-keyed
-arguments at the same kind of boundary, and s_poly, called from buchberger
-only, is packed throughout.  Every polynomial that leaves the engine is
-tuple-keyed with Fraction coefficients.
+packed into one int (see _packing) to a coefficient under the same rule.
+buchberger packs its generators on entry and unpacks its basis on exit;
+normal_form packs its tuple-keyed arguments at the same kind of boundary,
+and s_poly, called from buchberger only, is packed throughout.  Every
+polynomial that leaves buchberger or normal_form keeps the rule, its
+integral coefficients ints.
 
 There is one widening rule (_widening): each of these two steps, a whole
 Buchberger run or one normal form, runs at the narrowest packing that holds
@@ -26,9 +32,18 @@ from functools import lru_cache
 from itertools import chain, combinations
 from operator import add, le, lshift, neg, sub
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-_UNITS = {1: ONE, -1: -ONE}  # the Fractions of the commonest coefficients
+ONE = 1  # the coefficient of a monomial alone
+
+
+def coefficient(c):
+    """The int or Fraction c under the coefficient rule: an int when it is
+    integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def coeff_div(k, c):
+    """The exact quotient k / c of two coefficients, under the rule."""
+    return coefficient(Fraction(k) / c)
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +91,7 @@ def mono_div(a, b):
 def p_add(p, q):
     r = dict(p)
     for m, c in q.items():
-        s = r.get(m, ZERO) + c
+        s = r.get(m, 0) + c
         if s:
             r[m] = s
         else:
@@ -91,7 +106,7 @@ def p_neg(p):
 def p_sub(p, q):
     r = dict(p)
     for m, c in q.items():
-        s = r.get(m, ZERO) - c
+        s = r.get(m, 0) - c
         if s:
             r[m] = s
         else:
@@ -104,7 +119,7 @@ def p_mul(p, q):
     for m1, c1 in p.items():
         for m2, c2 in q.items():
             m = mono_mul(m1, m2)
-            s = r.get(m, ZERO) + c1 * c2
+            s = r.get(m, 0) + c1 * c2
             if s:
                 r[m] = s
             else:
@@ -142,7 +157,7 @@ def monic(p, key):
     if not p:
         return p
     c = p[max(p, key=key)]
-    return p if c == 1 else {m: k / c for m, k in p.items()}
+    return p if c == 1 else {m: coeff_div(k, c) for m, k in p.items()}
 
 
 def canonical(p, key):
@@ -219,17 +234,17 @@ def _packing(nvars, width, split):
 
 
 def _pack(p, pk):
-    """The tuple-keyed p packed, each coefficient an int where integral."""
+    """The tuple-keyed p packed, each coefficient under the rule (the body
+    of coefficient(), inline)."""
     pack = pk.pack
     return {pack(m): c.numerator if c.denominator == 1 else c
             for m, c in p.items()}
 
 
 def _unpack(P, pk):
-    """The packed P as a tuple-keyed dict of Fractions."""
+    """The packed P as a tuple-keyed dict, its coefficients as they are."""
     unpack = pk.unpack
-    return {unpack(m): c if c.__class__ is Fraction
-            else _UNITS.get(c) or Fraction(c) for m, c in P.items()}
+    return {unpack(m): c for m, c in P.items()}
 
 
 def _monic(P, lm):
@@ -239,11 +254,7 @@ def _monic(P, lm):
         return P
     if c == -1:
         return {m: -k for m, k in P.items()}
-    out = {}
-    for m, k in P.items():
-        q = Fraction(k) / c
-        out[m] = q.numerator if q.denominator == 1 else q
-    return out
+    return {m: coeff_div(k, c) for m, k in P.items()}
 
 
 def _head(P, lm):

@@ -86,10 +86,10 @@ def factor_terms(terms, nvars, key):
         raise FactorDegreeExceeded(
             "substituted univariate degree exceeds cap %d" % MAXDEG)
     linear, rest, exhaustive = _peel(_integral(terms), nvars)
-    out = [(_monic(_form(v), key), mult) for v, mult in linear]
+    out = [(engine.monic(_form(v), key), mult) for v, mult in linear]
     degree = engine.total_degree(rest)
     if exhaustive and degree in (2, 3):
-        out.append((_monic(rest, key), 1))
+        out.append((engine.monic(rest, key), 1))
     elif degree > 1:
         out += _sympy_factors(rest, nvars, key)
     out.sort(key=lambda fm: engine.canonical(fm[0], key))
@@ -113,7 +113,8 @@ def _sympy_factors(terms, nvars, key):
         fdict = {}
         for mono, coeff in fac.terms():
             coeff = sympy.Rational(coeff)
-            fdict[tuple(int(e) for e in mono)] = Fraction(coeff.p, coeff.q)
+            fdict[tuple(int(e) for e in mono)] = engine.coefficient(
+                Fraction(int(coeff.p), int(coeff.q)))
         out.append((engine.monic(fdict, key), mult))
     return out
 
@@ -142,11 +143,6 @@ def _form(v):
     monomial, which is _axis(n, n)."""
     n = len(v) - 1
     return {_axis(i, n): c for i, c in enumerate(v) if c}
-
-
-def _monic(p, key):
-    lc = p[max(p, key=key)]
-    return {m: Fraction(c, lc) for m, c in p.items()}
 
 
 def _peel(f, n):

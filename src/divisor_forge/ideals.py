@@ -5,8 +5,6 @@ Every ideal of a quotient ring is handled through its full ambient preimage
 preimage is the ideal's canonical key, so ideal equality is key equality.
 """
 
-from fractions import Fraction
-
 from . import engine, factorization
 from .engine import elim_key
 from .errors import (
@@ -301,11 +299,11 @@ def _exact_div(p, f, key):
         if not engine.mono_divides(lmf, m):
             raise DivisorForgeError("inexact polynomial division")
         q = engine.mono_div(m, lmf)
-        coeff = c / lcf
+        coeff = engine.coeff_div(c, lcf)
         out[q] = coeff
         for gm, gc in f.items():
             t = engine.mono_mul(gm, q)
-            s = work.get(t, Fraction(0)) - gc * coeff
+            s = work.get(t, 0) - gc * coeff
             if s:
                 work[t] = s
             else:
@@ -376,7 +374,8 @@ def _solvable_variable(p, nvars):
     for i in range(nvars):
         x_i = tuple(int(j == i) for j in range(nvars))
         if [m for m in p if m[i]] == [x_i]:
-            return i, {m: -c / p[x_i] for m, c in p.items() if not m[i]}
+            return i, {m: engine.coeff_div(-c, p[x_i])
+                       for m, c in p.items() if not m[i]}
     return None
 
 
@@ -580,9 +579,7 @@ def graded_piece_basis(I, degree):
     row echelon basis over the standard monomials, so it is unique.
     """
     ring = I.ring
-    if isinstance(degree, int):
-        degree = (degree,) * ring.grading.ncomponents
-    degree = tuple(as_int(d, "a degree") for d in degree)
+    degree = ring.grading.expand(degree)
     if len(degree) != ring.grading.ncomponents:
         raise DivisorForgeError("multidegree has wrong length")
     lts = [engine.leading(g, ring.key)[0] for g in ring.quotient_gb]

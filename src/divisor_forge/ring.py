@@ -44,6 +44,13 @@ class Grading:
     def degree(self, exps):
         return tuple(sum(a * e for a, e in zip(row, exps)) for row in self.rows)
 
+    def expand(self, degree):
+        """degree as a tuple of ints: a scalar, an int or an integral
+        Fraction, stands for itself in every component."""
+        if isinstance(degree, (tuple, list)):
+            return tuple(as_int(d, "a degree") for d in degree)
+        return (as_int(degree, "a degree"),) * self.ncomponents
+
     def positivity_witness(self):
         """Integer row vector w with w*A positive in every column, or None.
 
@@ -123,12 +130,12 @@ class QuotientRing:
         return Polynomial(self, {})
 
     def one(self):
-        return Polynomial(self, {(0,) * self.nvars: Fraction(1)})
+        return Polynomial(self, {(0,) * self.nvars: 1})
 
     def variable(self, i):
         e = [0] * self.nvars
         e[i] = 1
-        return Polynomial(self, {tuple(e): Fraction(1)})
+        return Polynomial(self, {tuple(e): 1})
 
     def variables(self):
         return [self.variable(i) for i in range(self.nvars)]
@@ -143,7 +150,8 @@ class QuotientRing:
         elif isinstance(value, str):
             return polynomial(self, value)
         elif isinstance(value, (int, Fraction)):
-            return Polynomial(self, {(0,) * self.nvars: Fraction(value)})
+            return Polynomial(
+                self, {(0,) * self.nvars: engine.coefficient(value)})
         raise RingMismatch(mismatch)
 
     def normal_form_raw(self, terms):
@@ -322,8 +330,8 @@ class RingMap:
     def _apply_raw(self, terms):
         out = self.target.zero()
         for m, c in terms.items():
-            val = Polynomial(
-                self.target, {(0,) * self.target.nvars: Fraction(c)})
+            val = Polynomial(self.target, {
+                (0,) * self.target.nvars: engine.coefficient(c)})
             for i, e in enumerate(m):
                 if e:
                     val = val * (self.images[i] ** e)
@@ -382,7 +390,7 @@ def _apply_op(op, x, y):
     if op == "*":
         return x * y
     # '^' and '/' take a rational constant
-    c = y.nf_terms().get((0,) * y.ring.nvars, Fraction(0)) \
+    c = y.nf_terms().get((0,) * y.ring.nvars, 0) \
         if y.is_constant() else None
     if op == "^":
         if c is None or c.denominator != 1:
@@ -392,7 +400,7 @@ def _apply_op(op, x, y):
         raise DivisorForgeError("division only by nonzero rational constants")
     if not c:
         raise DivisorForgeError("division by zero")
-    return x * (Fraction(1) / c)
+    return x * engine.coeff_div(1, c)
 
 
 def _format_mono(m, names):

@@ -55,6 +55,20 @@ def test_q_cartier_bound_below_one_is_a_library_error(cone3b, bound):
         is_q_cartier(bound, ruling(cone3b))
 
 
+def test_q_cartier_takes_an_integral_fraction_bound(cone3b):
+    assert is_q_cartier(Fraction(2), ruling(cone3b)) == 2
+    with pytest.raises(DivisorForgeError, match="bound must be positive"):
+        is_q_cartier(Fraction(0), ruling(cone3b))
+
+
+@pytest.mark.parametrize("bound", [1.9, Fraction(3, 2), 0.5, 2.0])
+def test_q_cartier_refuses_a_bound_that_is_not_an_integer(cone3, bound):
+    # on the ruling div(x, z) of xy - z^2 a bound truncated to 1 answers 0
+    D = WeilDivisor.from_primes([1], [ideal(cone3, "x", "z")])
+    with pytest.raises(DivisorForgeError, match="a bound must be an integer"):
+        is_q_cartier(bound, D)
+
+
 def test_non_cartier_locus_requires_integrality(cone3b):
     D = Fraction(1, 2) * ruling(cone3b)
     with pytest.raises(NonIntegralCoercion):

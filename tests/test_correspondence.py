@@ -129,6 +129,14 @@ def test_non_integral_target_degrees_are_refused(weighted, target):
         find_element_of_degree(weighted, (2, 1))
 
 
+def test_a_scalar_target_may_be_an_integral_fraction(cone3):
+    assert find_element_of_degree(cone3, Fraction(2)) == \
+        find_element_of_degree(cone3, 2)
+    for target in (Fraction(3, 2), 1.5, 2.0):
+        with pytest.raises(DivisorForgeError, match="a degree must be"):
+            find_element_of_degree(cone3, target)
+
+
 def test_canonical_divisor_cones(cone3, cone3b):
     # quadric cone: K = -2 * (ruling) in both presentations
     K = canonical_divisor(cone3)

@@ -67,7 +67,7 @@ def ref_graded_piece_basis(I, degree):
             if prod:
                 vec = [Fraction(0)] * len(std)
                 for mm, c in prod.items():
-                    vec[col[mm]] = c
+                    vec[col[mm]] = Fraction(c)
                 rows.append(vec)
     basis_rows = ref_rref(rows)
     out = []
@@ -210,3 +210,11 @@ def test_non_integral_piece_degrees_are_refused(cone3, degree):
     with pytest.raises(DivisorForgeError, match="a degree must be"):
         graded_piece_basis(m, degree)
     assert graded_piece_basis(m, (Fraction(2),)) == graded_piece_basis(m, 2)
+
+
+def test_a_scalar_degree_may_be_an_integral_fraction(cone3):
+    m = ideal(cone3, "x", "z")
+    assert graded_piece_basis(m, Fraction(2)) == graded_piece_basis(m, 2)
+    for degree in (Fraction(3, 2), 1.5, 2.0):
+        with pytest.raises(DivisorForgeError, match="a degree must be"):
+            graded_piece_basis(m, degree)

@@ -5,17 +5,23 @@ prime keys, reprs and JSON."""
 import io
 import json
 
+import pytest
+
 from divisor_forge import (
+    DecompositionIncomplete,
     QuotientRing,
+    RingMap,
     WeilDivisor,
     ideal,
     polynomial,
     symbolic_power,
 )
 from divisor_forge.cli import run_text
+from divisor_forge.geometry import extend_ideal
 
 CONE = ("x", "y", "z"), ("x*y - z^2",)
 PLANE = ("x", "y"), ()
+TWISTED_CUBIC = ("x", "y", "z", "w"), ("x*z - y^2", "y*w - z^2", "x*w - y*z")
 
 # per ring: the session's elements and symbolic-power prime, then the
 # warm-up's elements and the same prime on other generators
@@ -105,3 +111,74 @@ def test_heights_agree_on_cold_and_warm_rings():
         ideal(warm_ring, *g).height()
     assert [ideal(warm_ring, *g).height() for g in gens] == cold
     assert ("dim", ideal(warm_ring, "x", "z").key) in warm_ring.memo
+
+
+# ideals of the cone, each with an equal ideal on other generators
+CONE_IDEALS = [
+    (("x", "z"), ("z", "x", "x*z")),
+    (("x",), ("x", "x^2")),
+    (("x^2*z",), ("x^3*z", "x^2*z")),
+    (("x*y", "z^3"), ("z^2", "x*y*z")),
+    (("x - z",), ("z - x",)),
+]
+
+
+def rendered(D):
+    return (repr(D), json.dumps(D.to_json(), sort_keys=True), D.multiset())
+
+
+def pullbacks(R):
+    """The cone's ideals extended along x -> a^2, y -> b^2, z -> a*b."""
+    plane = QuotientRing(("a", "b"))
+    phi = RingMap(R, plane, ["a^2", "b^2", "a*b"])
+    return plane, [(extend_ideal(phi, ideal(R, *gens)),
+                    extend_ideal(phi, ideal(R, *other)))
+                   for gens, other in CONE_IDEALS]
+
+
+def test_divisors_of_ideals_agree_on_cold_and_warm_rings():
+    cold_ring = QuotientRing(*CONE)
+    cold = [rendered(WeilDivisor.of_ideal(ideal(cold_ring, *gens)))
+            for gens, _ in CONE_IDEALS]
+    warm_ring = QuotientRing(*CONE)
+    for _, other in CONE_IDEALS:
+        WeilDivisor.of_ideal(ideal(warm_ring, *other))
+    assert [rendered(WeilDivisor.of_ideal(ideal(warm_ring, *gens)))
+            for gens, _ in CONE_IDEALS] == cold
+    # the pullbacks land in QQ[a,b]; there the warm-up takes the extensions
+    # of the equal ideals on other generators
+    _, cold_pairs = pullbacks(QuotientRing(*CONE))
+    cold = [rendered(WeilDivisor.of_ideal(I)) for I, _ in cold_pairs]
+    _, warm_pairs = pullbacks(QuotientRing(*CONE))
+    for _, J in warm_pairs:
+        WeilDivisor.of_ideal(J)
+    assert [rendered(WeilDivisor.of_ideal(I)) for I, _ in warm_pairs] == cold
+
+
+def test_an_equal_ideal_is_served_the_same_divisor():
+    R = QuotientRing(*CONE)
+    for gens, other in CONE_IDEALS:
+        I, J = ideal(R, *gens), ideal(R, *other)
+        assert I.key == J.key
+        assert [g.terms for g in I.gens] != [g.terms for g in J.gens]
+        D = WeilDivisor.of_ideal(I)
+        assert R.memo[("divisor", I.key)] is D
+        assert WeilDivisor.of_ideal(J) is D
+    plane, pairs = pullbacks(R)
+    for I, J in pairs:
+        assert WeilDivisor.of_ideal(J) is WeilDivisor.of_ideal(I)
+        assert ("divisor", I.key) in plane.memo
+
+
+def test_a_refusal_is_raised_again_and_not_stored():
+    def refusal(R):
+        I = ideal(R, *TWISTED_CUBIC[1])
+        with pytest.raises(DecompositionIncomplete) as caught:
+            WeilDivisor.of_ideal(I)
+        assert ("divisor", I.key) not in R.memo
+        return str(caught.value)
+
+    cold = refusal(QuotientRing(TWISTED_CUBIC[0]))
+    warm_ring = QuotientRing(TWISTED_CUBIC[0])
+    assert refusal(warm_ring) == cold
+    assert refusal(warm_ring) == cold
