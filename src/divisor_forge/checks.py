@@ -76,13 +76,10 @@ def is_q_cartier(bound, D):
     bound = as_int(bound, "a bound")
     if bound < 1:
         raise DivisorForgeError("bound must be positive")
-    denominators = [c.denominator for c, _ in D.terms.values()] or [1]
-    step = lcm(*denominators)
-    n = step
-    while n <= bound * step:
+    step = lcm(*(c.denominator for c, _ in D.terms.values()))
+    for n in range(step, bound * step + 1, step):
         if is_cartier((D * n).to_integer_tier()):
             return n
-        n += step
     return 0
 
 

@@ -367,7 +367,7 @@ class Session:
             c = self.eval(cnode, ring)
             if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
                 raise ScriptError("divisor coefficient must be a number")
-            coeffs.append(Fraction(c))
+            coeffs.append(c)
             primes.append(_coerce("ideal", self.eval(enode, ring),
                                   "a divisor table entry"))
         return WeilDivisor.from_primes(coeffs, primes)

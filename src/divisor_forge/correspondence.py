@@ -30,7 +30,7 @@ def effective_ideal(D):
     for P, (c, _) in D.sorted_terms():
         if c < 0 or c.denominator != 1:
             raise DivisorForgeError("effective integral divisor required")
-        prod = prod * P.bracket_power(int(c))
+        prod = prod * P.bracket_power(c)
     return reflexify(prod)
 
 
@@ -85,9 +85,10 @@ def divisor_with_section(F, num, den=None):
     den = den if den is not None else F.ring.one()
     if not F.contains_fraction(num, den):
         raise DivisorForgeError("section does not lie in the fractional ideal")
-    base = WeilDivisor.of_element(F.denominator) - WeilDivisor.of_ideal(
-        F.numerator)
-    E = WeilDivisor.of_fraction(num, den) + base
+    E = WeilDivisor.combine(F.ring, [
+        (1, WeilDivisor.of_element(num)), (-1, WeilDivisor.of_element(den)),
+        (1, WeilDivisor.of_element(F.denominator)),
+        (-1, WeilDivisor.of_ideal(F.numerator))])
     return SectionedDivisor(E, num, den)
 
 
@@ -143,4 +144,4 @@ def canonical_divisor(ring):
     # total = a; the canonical module is R(a), i.e. -div of an element of degree -a
     exps = find_element_of_degree(ring, tuple(-t for t in total))
     num, den = laurent_monomial(ring, exps)
-    return -(WeilDivisor.of_fraction(num, den))
+    return WeilDivisor.of_fraction(den, num)

@@ -1,14 +1,16 @@
 """Weil divisors: formal sums of height-one primes keyed by reduced GBs.
 
 A divisor stores a map from canonical prime keys to (coefficient, display
-ideal).  The coefficient tier is 'Z' or 'Q'; scaling by a non-integer (or
-any Fraction) widens to 'Q', and coercion back checks integrality.
+ideal), integral coefficients ints.  Every sum, difference and multiple is
+built by WeilDivisor.combine; the tier is 'Z' or 'Q', any Fraction scalar
+widens to 'Q', and coercion back checks integrality.
 """
 
 import math
 import sys
 from fractions import Fraction
 
+from .engine import coefficient
 from .errors import (
     DivisorForgeError,
     HeightNotOne,
@@ -31,12 +33,9 @@ class WeilDivisor:
 
     def __init__(self, ring, terms=None, tier="Z"):
         self.ring = ring
-        # canonical Ideal -> (Fraction, display Ideal); the one place that
-        # drops a zero coefficient
-        self.terms = dict(terms or {})
-        for P, (c, _) in list(self.terms.items()):
-            if not c:
-                del self.terms[P]
+        # canonical Ideal -> (coefficient, display Ideal); the one place
+        # that drops a zero coefficient
+        self.terms = {P: t for P, t in (terms or {}).items() if t[0]}
         self.tier = tier
 
     # -- constructors --------------------------------------------------------
@@ -46,6 +45,27 @@ class WeilDivisor:
         return cls(ring, {}, tier)
 
     @classmethod
+    def combine(cls, ring, parts, tier="Z"):
+        """Sum of c * D over the (c, D) pairs of parts: the one place that
+        merges the coefficients of equal primes, a prime keeping the display
+        ideal of its first part.  The tier is 'Q' when tier or a part's
+        tier is, or when a c is a Fraction."""
+        terms = {}
+        for c, D in parts:
+            if not isinstance(c, (int, Fraction)):
+                raise DivisorForgeError("a divisor coefficient must be an int "
+                                        "or a Fraction, not %s" % (c,))
+            if D.ring != ring:
+                raise RingMismatch("divisors on different rings")
+            if isinstance(c, Fraction) or D.tier == "Q":
+                tier = "Q"
+            for P, (k, disp) in D.terms.items():
+                old, shown = terms.get(P, (0, disp))
+                terms[P] = (old + c * k, shown)
+        return cls(ring, {P: (coefficient(c), disp)
+                          for P, (c, disp) in terms.items()}, tier)
+
+    @classmethod
     def from_primes(cls, coeffs, primes):
         """Divisor from parallel lists of coefficients and prime ideals."""
         if len(coeffs) != len(primes):
@@ -53,12 +73,10 @@ class WeilDivisor:
         if not primes:
             raise DivisorForgeError("empty prime list")
         ring = primes[0].ring
-        terms = {}
-        tier = "Z"
+        parts = []
         for c, P in zip(coeffs, primes):
-            c = Fraction(c)
-            if c.denominator != 1:
-                tier = "Q"
+            # an integral Fraction is an int, so only a non-integer widens
+            c = coefficient(c) if isinstance(c, Fraction) else c
             if P.ring != ring:
                 raise RingMismatch("primes from different rings")
             if P.is_zero() or P.is_unit():
@@ -72,9 +90,8 @@ class WeilDivisor:
                 raise PrimalityUncertain("%r is not prime" % (P,))
             if verdict != "prime":
                 raise PrimalityUncertain("cannot certify %r prime" % (P,))
-            old = terms.get(canon, (Fraction(0), P))
-            terms[canon] = (old[0] + c, old[1])
-        return cls(ring, terms, tier)
+            parts.append((c, cls(ring, {canon: (1, P)})))
+        return cls.combine(ring, parts)
 
     @classmethod
     def of_element(cls, f):
@@ -87,16 +104,13 @@ class WeilDivisor:
         (p) itself and nothing is decomposed."""
         if isinstance(f, Polynomial) and f.is_zero():
             raise DivisorForgeError("divisor of zero")
-        out = cls.zero(f.ring)
         if f.is_unit():
-            return out
-        for p, m in factor_polynomial(f)[1]:
-            P = Ideal(f.ring, [p])
-            if f.ring.is_free():
-                out = out + cls(f.ring, {P: (Fraction(m), P)})
-            else:
-                out = out + cls.of_ideal(P).scale(m)
-        return out
+            return cls.zero(f.ring)
+        factors = [(Ideal(f.ring, [p]), m) for p, m in factor_polynomial(f)[1]]
+        if f.ring.is_free():
+            # distinct monic irreducible factors: distinct primes
+            return cls(f.ring, {P: (m, P) for P, m in factors})
+        return cls.combine(f.ring, [(m, cls.of_ideal(P)) for P, m in factors])
 
     @classmethod
     def of_ideal(cls, I):
@@ -114,7 +128,7 @@ class WeilDivisor:
             for P in minimal_height_one_primes(I):
                 n = max_symbolic_containment(I, P)
                 if n:
-                    terms[P] = (Fraction(n), P)
+                    terms[P] = (n, P)
             return cls(I.ring, terms)
 
         return I.ring.memoized(("divisor", I.key), compute)
@@ -131,7 +145,7 @@ class WeilDivisor:
 
     def coefficient_of(self, P):
         entry = self.terms.get(P)  # ideals hash and compare by key
-        return entry[0] if entry else Fraction(0)
+        return entry[0] if entry else 0
 
     def is_zero(self):
         return not self.terms
@@ -153,20 +167,10 @@ class WeilDivisor:
 
     # -- group operations -----------------------------------------------------
 
-    def _check_ring(self, other):
-        if self.ring != other.ring:
-            raise RingMismatch("divisors on different rings")
-
     def __add__(self, other):
         if not isinstance(other, WeilDivisor):
             return NotImplemented
-        self._check_ring(other)
-        terms = dict(self.terms)
-        for P, (c, disp) in other.terms.items():
-            old, shown = terms.get(P, (0, disp))
-            terms[P] = (old + c, shown)
-        tier = "Q" if "Q" in (self.tier, other.tier) else "Z"
-        return WeilDivisor(self.ring, terms, tier)
+        return self.combine(self.ring, [(1, self), (1, other)])
 
     def __neg__(self):
         return self.scale(-1)
@@ -174,15 +178,11 @@ class WeilDivisor:
     def __sub__(self, other):
         if not isinstance(other, WeilDivisor):
             return NotImplemented
-        return self + (-other)
+        return self.combine(self.ring, [(1, self), (-1, other)])
 
     def scale(self, c):
         """Scale coefficients; Fraction scalars widen the tier to Q."""
-        widen = isinstance(c, Fraction)
-        c = Fraction(c)
-        terms = {P: (c * k, disp) for P, (k, disp) in self.terms.items()}
-        tier = "Q" if (widen or self.tier == "Q") else "Z"
-        return WeilDivisor(self.ring, terms, tier)
+        return self.combine(self.ring, [(c, self)])
 
     def __mul__(self, c):
         if isinstance(c, (int, Fraction)):
@@ -209,9 +209,8 @@ class WeilDivisor:
         return WeilDivisor(self.ring, self.terms, "Z")
 
     def apply_to_coefficients(self, fn, tier):
-        terms = {P: (Fraction(fn(c)), disp)
-                 for P, (c, disp) in self.terms.items()}
-        return WeilDivisor(self.ring, terms, tier)
+        return WeilDivisor(self.ring, {
+            P: (fn(c), disp) for P, (c, disp) in self.terms.items()}, tier)
 
     def floor(self):
         return self.apply_to_coefficients(math.floor, tier="Z")

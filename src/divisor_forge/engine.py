@@ -15,9 +15,9 @@ Reduction works on packed polynomials instead: dicts from a monomial
 packed into one int (see _packing) to a coefficient under the same rule.
 buchberger packs its generators on entry and unpacks its basis on exit;
 normal_form packs its tuple-keyed arguments at the same kind of boundary,
-and s_poly, called from buchberger only, is packed throughout.  Every
-polynomial that leaves buchberger or normal_form keeps the rule, its
-integral coefficients ints.
+and s_poly, called from buchberger only, is packed throughout.  What
+buchberger, normal_form, p_add, p_sub and p_mul return keeps the rule,
+even an integral sum or product of Fractions.
 
 There is one widening rule (_widening): each of these two steps, a whole
 Buchberger run or one normal form, runs at the narrowest packing that holds
@@ -93,7 +93,7 @@ def p_add(p, q):
     for m, c in q.items():
         s = r.get(m, 0) + c
         if s:
-            r[m] = s
+            r[m] = s if type(s) is int else coefficient(s)
         else:
             r.pop(m, None)
     return r
@@ -108,7 +108,7 @@ def p_sub(p, q):
     for m, c in q.items():
         s = r.get(m, 0) - c
         if s:
-            r[m] = s
+            r[m] = s if type(s) is int else coefficient(s)
         else:
             r.pop(m, None)
     return r
@@ -121,7 +121,7 @@ def p_mul(p, q):
             m = mono_mul(m1, m2)
             s = r.get(m, 0) + c1 * c2
             if s:
-                r[m] = s
+                r[m] = s if type(s) is int else coefficient(s)
             else:
                 r.pop(m, None)
     return r

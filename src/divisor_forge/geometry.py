@@ -19,30 +19,30 @@ def pullback(phi, D, strategy="primes"):
     or finite maps, or when the components are Cartier.  'sheaves' moves the
     pair of reflexive ideals O(-D+), O(-D-) instead; valid when D is Cartier
     or the map is flat or finite.  Neither regime is machine-verified.
+    Both keep the tier of D.
     """
     if D.ring != phi.source:
         raise DivisorForgeError("divisor does not live on the source ring")
+    parts = []
     if strategy == "primes":
-        out = WeilDivisor.zero(phi.target, tier=D.tier)
         for P, (c, _) in D.sorted_terms():
             ext = extend_ideal(phi, P)
             if ext.is_zero() or ext.is_unit() or ext.height() < 1:
                 continue  # component lost under the map
-            out = out + WeilDivisor.of_ideal(ext).scale(c)
-        return out
-    if strategy == "sheaves":
+            parts.append((c, WeilDivisor.of_ideal(ext)))
+    elif strategy == "sheaves":
         plus = effective_ideal(D.positive_part())
         minus = effective_ideal(D.negative_part())
-        out = WeilDivisor.zero(phi.target)
         for sign, part in ((1, plus), (-1, minus)):
             if part.is_unit():
                 continue
             ext = extend_ideal(phi, part)
             if ext.is_zero() or ext.is_unit():
                 continue
-            out = out + WeilDivisor.of_ideal(ext).scale(sign)
-        return out
-    raise DivisorForgeError("unknown pullback strategy %r" % (strategy,))
+            parts.append((sign, WeilDivisor.of_ideal(ext)))
+    else:
+        raise DivisorForgeError("unknown pullback strategy %r" % (strategy,))
+    return WeilDivisor.combine(phi.target, parts, D.tier)
 
 
 def _fresh_names(base, count, taken):

@@ -121,7 +121,6 @@ class QuotientRing:
         self.quotient_gb = engine.buchberger(raw, self.key)
         # names, grading and defining never change, so neither does the hash
         self._hash = hash((self.names, self.grading, self.defining))
-        self._dim = None
         self.memo = {}
 
     # -- basics ------------------------------------------------------------
@@ -166,11 +165,9 @@ class QuotientRing:
             return value
 
     def dimension(self):
-        """Krull dimension of the ring itself."""
-        if self._dim is None:
-            self._dim = engine.lt_dimension(
-                self.quotient_gb, self.nvars, self.key)
-        return self._dim
+        """Krull dimension of the ring itself, memoized under ("dim",)."""
+        return self.memoized(("dim",), lambda: engine.lt_dimension(
+            self.quotient_gb, self.nvars, self.key))
 
     def is_free(self):
         return not self.quotient_gb
@@ -328,15 +325,18 @@ class RingMap:
                     % format_terms(g, source.names, source.key))
 
     def _apply_raw(self, terms):
-        out = self.target.zero()
+        """The image of a term dict, each power of an image made once."""
+        powers, out = {}, {}
+        const = (0,) * self.target.nvars
         for m, c in terms.items():
-            val = Polynomial(self.target, {
-                (0,) * self.target.nvars: engine.coefficient(c)})
+            val = {const: engine.coefficient(c)}
             for i, e in enumerate(m):
                 if e:
-                    val = val * (self.images[i] ** e)
-            out = out + val
-        return out
+                    if (i, e) not in powers:
+                        powers[i, e] = engine.p_pow(self.images[i].terms, e)
+                    val = engine.p_mul(val, powers[i, e])
+            out = engine.p_add(out, val)
+        return Polynomial(self.target, out)
 
     def __call__(self, f):
         if f.ring != self.source:

@@ -181,6 +181,24 @@ def test_rational_scalars_widen_the_divisor_tier():
     assert tiers == ["Q", "Q", "Q", "Z", "Z"]
 
 
+def test_pullback_prints_the_tier_of_its_input():
+    code, out, _ = run_script(
+        "ring P = QQ[x,y];\n"
+        "ring T = QQ[a,b];\n"
+        "map f : P -> T = (a*b, b);\n"
+        "use P;\n"
+        "D = divisor(x*y);\n"
+        "print pullback(f, D, strategy=primes);\n"
+        "print pullback(f, D, strategy=sheaves);\n"
+        "print pullback(f, toQWeil(D), strategy=primes);\n"
+        "print pullback(f, toQWeil(D), strategy=sheaves);\n",
+        json_mode=True)
+    assert code == 0
+    values = [o["value"] for o in json.loads(out)["outputs"]]
+    assert [v["tier"] for v in values] == ["Z", "Z", "Q", "Q"]
+    assert len({json.dumps(v["terms"]) for v in values}) == 1
+
+
 def test_unbound_identifier_is_a_math_error():
     code, _, err = run_script("print missing;")
     assert code == 2

@@ -10,6 +10,7 @@ from divisor_forge import (
     HeightNotOne,
     NonIntegralCoercion,
     PrimalityUncertain,
+    RingMismatch,
     WeilDivisor,
     ideal,
     polynomial,
@@ -191,3 +192,142 @@ def test_repr_uses_display_ideals(cone4):
                                 [ideal(cone4, "x", "v"), ideal(cone4, "x", "u")])
     text = repr(D)
     assert "3*Div(" in text and "2*Div(" in text
+
+
+# -- one linear-combination path -----------------------------------------------
+
+def folded_add(D, E):
+    """The earlier WeilDivisor.__add__."""
+    terms = dict(D.terms)
+    for P, (c, disp) in E.terms.items():
+        old, shown = terms.get(P, (0, disp))
+        terms[P] = (old + c, shown)
+    tier = "Q" if "Q" in (D.tier, E.tier) else "Z"
+    return WeilDivisor(D.ring, terms, tier)
+
+
+def folded_scale(D, c):
+    """The earlier WeilDivisor.scale, which made every coefficient a
+    Fraction."""
+    widen = isinstance(c, Fraction)
+    c = Fraction(c)
+    terms = {P: (c * k, disp) for P, (k, disp) in D.terms.items()}
+    tier = "Q" if (widen or D.tier == "Q") else "Z"
+    return WeilDivisor(D.ring, terms, tier)
+
+
+def folded_combine(ring, parts, tier="Z"):
+    out = WeilDivisor.zero(ring, tier)
+    for c, D in parts:
+        out = folded_add(out, folded_scale(D, c))
+    return out
+
+
+def assert_under_the_rule(D):
+    for P, (c, disp) in D.terms.items():
+        assert type(c) is (int if c.denominator == 1 else Fraction), D
+        assert disp.key == P.key
+
+
+def combination_pools(plane, cone3, cone4):
+    forms = ["x", "y", "x+y", "x-y", "x+2*y", "y-1"]
+    products = [polynomial(plane, "(%s)*(%s)" % (a, b))
+                for a in forms for b in forms[:3]]
+    return [
+        [WeilDivisor.of_element(f) for f in products],
+        [WeilDivisor.from_primes([1], [P])
+         for P in (ideal(cone3, "x", "z"), ideal(cone3, "y", "z"))]
+        + [WeilDivisor.of_element(polynomial(cone3, "x*z"))],
+        [WeilDivisor.from_primes([1], [P]) for P in prime_pool(cone4)]
+        + [WeilDivisor.of_element(polynomial(cone4, "x*u"))],
+    ]
+
+
+def test_combine_matches_the_folded_sums(plane, cone3, cone4):
+    """combine against the earlier fold of __add__ and scale: the same
+    divisor, tier, text and JSON, with integral coefficients ints and each
+    display ideal on its prime."""
+    rng = random.Random(2121)
+    for pool in combination_pools(plane, cone3, cone4):
+        ring = pool[0].ring
+        for _ in range(40):
+            parts = []
+            for _ in range(rng.randint(0, 5)):
+                D = rng.choice(pool)
+                if rng.random() < 0.3:
+                    D = D.to_rational_tier()
+                c = rng.choice([rng.randint(-3, 3),
+                                Fraction(rng.randint(-4, 4), rng.randint(1, 3))])
+                parts.append((c, D))
+            tier = rng.choice("ZZQ")
+            got = WeilDivisor.combine(ring, parts, tier)
+            want = folded_combine(ring, parts, tier)
+            assert got.multiset() == want.multiset()
+            assert got.tier == want.tier
+            assert repr(got) == repr(want)
+            assert got.to_json() == want.to_json()
+            assert_under_the_rule(got)
+
+
+def test_difference_is_the_sum_with_the_negation(plane, cone3, cone4):
+    rng = random.Random(2122)
+    for pool in combination_pools(plane, cone3, cone4):
+        for _ in range(20):
+            D, E = (rng.choice([rng.randint(-3, 3), Fraction(1, 2)])
+                    * rng.choice(pool) for _ in range(2))
+            diff, total = D - E, D + (-E)
+            assert diff.multiset() == total.multiset()
+            assert diff.tier == total.tier
+            assert repr(diff) == repr(total)
+            for X in (D, E, diff, -E, 2 * D, Fraction(2) * D):
+                assert_under_the_rule(X)
+
+
+def test_from_primes_keeps_integral_coefficients_ints(cone4):
+    P, Q = ideal(cone4, "x", "u"), ideal(cone4, "y", "v")
+    D = WeilDivisor.from_primes([Fraction(4, 2), 3], [P, Q])
+    assert D.tier == "Z"
+    assert [type(c) for c, _ in D.terms.values()] == [int, int]
+    # the tier follows the coefficients given, not their sums
+    E = WeilDivisor.from_primes([Fraction(1, 2), Fraction(1, 2), 2],
+                                [Q, Q, P])
+    assert E.tier == "Q"
+    assert [type(c) for c, _ in E.terms.values()] == [int, int]
+    assert E.coefficient_of(Q) == 1
+
+
+def test_floats_are_refused(cone4):
+    P = ideal(cone4, "x", "u")
+    D = WeilDivisor.from_primes([2], [P])
+    for call in (lambda: D.scale(0.5),
+                 lambda: D.scale(2.0),
+                 lambda: WeilDivisor.combine(cone4, [(1, D), (0.5, D)]),
+                 lambda: WeilDivisor.from_primes([0.1], [P]),
+                 lambda: WeilDivisor.from_primes([1, 2.0], [P, P])):
+        with pytest.raises(DivisorForgeError, match="int or a Fraction"):
+            call()
+    with pytest.raises(TypeError):
+        D * 0.5
+
+
+def test_combine_refuses_divisors_on_other_rings(cone4, plane):
+    D = WeilDivisor.from_primes([1], [ideal(cone4, "x", "u")])
+    E = WeilDivisor.of_element(polynomial(plane, "x"))
+    with pytest.raises(RingMismatch):
+        WeilDivisor.combine(cone4, [(1, D), (1, E)])
+    with pytest.raises(RingMismatch):
+        D + E
+
+
+def test_a_prime_keeps_the_display_ideal_of_its_first_part(cone4):
+    D = WeilDivisor.from_primes([1], [ideal(cone4, "x", "u")])
+    E = WeilDivisor.from_primes([2], [ideal(cone4, "u", "x + u")])
+    (P, (_, first)), = D.terms.items()
+    (_, (_, second)), = E.terms.items()
+    assert first.key == second.key and first is not second
+    # even when the first part's coefficient cancels on the way
+    for parts, coeff, shown in [([(1, D), (1, E)], 3, first),
+                                ([(1, E), (1, D)], 3, second),
+                                ([(1, D), (-1, D), (1, E)], 2, first)]:
+        c, disp = WeilDivisor.combine(cone4, parts).terms[P]
+        assert c == coeff and disp is shown

@@ -107,10 +107,22 @@ def ref_mul_term(p, mono, coeff):
     return {ref_mono_mul(m, mono): c * coeff for m, c in p.items()}
 
 
+def ref_p_sub(p, q):
+    """The earlier engine.p_sub, which kept Fraction sums Fractions."""
+    r = dict(p)
+    for m, c in q.items():
+        s = r.get(m, 0) - c
+        if s:
+            r[m] = s
+        else:
+            r.pop(m, None)
+    return r
+
+
 def ref_s_poly(f, g, key):
     mf, mg = max(f, key=key), max(g, key=key)
     lcm = ref_mono_lcm(mf, mg)
-    return engine.p_sub(
+    return ref_p_sub(
         ref_mul_term(f, ref_mono_div(lcm, mf), 1 / f[mf]),
         ref_mul_term(g, ref_mono_div(lcm, mg), 1 / g[mg]),
     )

@@ -4,8 +4,9 @@ Fraction, and no float is ever formed.
 A true division of two ints makes a float, so every division of one
 coefficient by another in the library goes through engine.coeff_div, whose
 left operand is a Fraction; the AST check below fails on any other.  The
-seeded test runs the library's arithmetic on int-valued inputs and checks
-the rule on everything that comes back.
+seeded test runs the library's arithmetic on int-valued inputs, and sums
+and products of Fractions that are integral, and checks the rule on
+everything that comes back.
 """
 
 import ast
@@ -21,6 +22,7 @@ from divisor_forge import (
     RingMap,
     engine,
     graded_piece_basis,
+    polynomial,
 )
 from divisor_forge.factorization import factor_terms
 from divisor_forge.ideals import _exact_div, _solvable_variable
@@ -116,6 +118,16 @@ def test_int_valued_inputs_keep_the_rule():
             assert_rule([P.terms for P in arithmetic], "arithmetic")
             assert_rule([P.nf_terms() for P in arithmetic], "normal form")
             assert_rule([phi(P).terms for P in arithmetic], "ring map")
+            # Fraction inputs whose sums and products are integral
+            H = F * Fraction(1, 2)
+            halves = {m: Fraction(c, 2) for m, c in f.items()}
+            fractional = [H * 2, H + H, H - (-H), 2 * H + G, H * H * 4,
+                          H**2 * 4, G - H - H]
+            assert_rule([P.terms for P in fractional], "Fraction arithmetic")
+            assert_rule([engine.p_add(halves, halves),
+                         engine.p_sub(halves, engine.p_neg(halves)),
+                         engine.p_mul(halves, {(0,) * n: Fraction(2)}),
+                         engine.p_pow(halves, 2)], "Fraction term dicts")
             gb = engine.buchberger([f, g, h], key)
             assert_rule(gb, "buchberger")
             assert_rule([engine.normal_form(p, gb, key)
@@ -151,3 +163,10 @@ def test_int_valued_inputs_keep_the_rule():
     i, value = _solvable_variable({x: -1, (0, 1, 1): 3}, 3)
     assert_rule([value], "_solvable_variable")
     assert value == {(0, 1, 1): 3}
+
+
+def test_a_halved_variable_doubled_is_an_int():
+    R = QuotientRing(("x", "y"))
+    p = polynomial(R, "x/2 + y") * 2
+    assert p.terms == {(1, 0): 1, (0, 1): 2}
+    assert_rule([p.terms], "x/2 + y times 2")

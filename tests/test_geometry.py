@@ -76,6 +76,20 @@ def test_pullback_scales_linearly(plane):
         assert three.multiset() == (3 * one).multiset()
 
 
+def test_pullback_keeps_the_tier_under_both_strategies(plane):
+    target = QuotientRing(("a", "b"))
+    phi = RingMap(plane, target, ("a*b", "b"))
+    D = WeilDivisor.of_element(polynomial(plane, "x*y"))
+    want = (WeilDivisor.of_element(polynomial(target, "a"))
+            + 2 * WeilDivisor.of_element(polynomial(target, "b")))
+    for E in (D, D.to_rational_tier()):
+        for strategy in ("primes", "sheaves"):
+            got = pullback(phi, E, strategy=strategy)
+            assert got.tier == E.tier, (E.tier, strategy)
+            assert got.multiset() == want.multiset()
+            assert all(type(c) is int for c, _ in got.terms.values())
+
+
 def test_map_to_projective_space_ruling(cone4):
     D = WeilDivisor.from_primes([1], [ideal(cone4, "x", "u")])
     phi = map_to_projective_space(D)

@@ -12,6 +12,7 @@ from divisor_forge import (
     QuotientRing,
     RingMap,
     WeilDivisor,
+    engine,
     ideal,
     polynomial,
     symbolic_power,
@@ -182,3 +183,17 @@ def test_a_refusal_is_raised_again_and_not_stored():
     warm_ring = QuotientRing(TWISTED_CUBIC[0])
     assert refusal(warm_ring) == cold
     assert refusal(warm_ring) == cold
+
+
+def test_the_ring_dimension_is_a_memo_entry(monkeypatch):
+    calls = []
+    lt_dimension = engine.lt_dimension
+    monkeypatch.setattr(engine, "lt_dimension",
+                        lambda *args: calls.append(args) or lt_dimension(*args))
+    R = QuotientRing(*CONE)
+    assert (R.dimension(), R.dimension()) == (2, 2)
+    assert R.memo[("dim",)] == 2
+    assert len(calls) == 1
+    # an ideal's dimension is its own entry, next to the ring's
+    assert ideal(R, "x", "z").height() == 1
+    assert ("dim", ideal(R, "x", "z").key) in R.memo

@@ -1,5 +1,6 @@
 """Quotient rings, elements, gradings and ring maps."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from divisor_forge import (
     QuotientRing,
     RingMap,
     RingMismatch,
+    engine,
     ideal,
     polynomial,
 )
@@ -176,3 +178,44 @@ def test_non_integral_grading_rows_are_refused(d):
     with pytest.raises(DivisorForgeError, match="a degree must be"):
         Grading([(d, 1)])
     assert Grading([(Fraction(2, 1), 1)]).rows == ((2, 1),)
+
+
+def looped_apply(phi, terms):
+    """The earlier RingMap._apply_raw: a Polynomial per term, and each power
+    of an image raised again for every term."""
+    out = phi.target.zero()
+    for m, c in terms.items():
+        val = Polynomial(phi.target, {
+            (0,) * phi.target.nvars: engine.coefficient(c)})
+        for i, e in enumerate(m):
+            if e:
+                val = val * (phi.images[i] ** e)
+        out = out + val
+    return out
+
+
+def test_ring_maps_apply_as_the_term_loop_did(plane, cone3):
+    """The same ambient representative, in the same term order, as the
+    earlier loop: on both blow-up charts of the plane and the Veronese map
+    of the quadric cone, scaled by seeded coefficients."""
+    rng = random.Random(2150)
+    target = QuotientRing(("s", "t"))
+    # images and their scalars for seeded a, b; the cone's keep xy = z^2
+    maps = [(plane, ["s", "s*t"], lambda a, b: (a, b)),
+            (plane, ["s*t", "t"], lambda a, b: (a, b)),
+            (cone3, ["s^2", "t^2", "s*t"], lambda a, b: (a * a, b * b, a * b))]
+    for source, images, scalars in maps:
+        for _ in range(15):
+            a, b = rng.choice([1, -2, 3]), rng.choice([1, Fraction(1, 2)])
+            phi = RingMap(source, target, [
+                polynomial(target, f) * c
+                for f, c in zip(images, scalars(a, b))])
+            terms = {}
+            for _ in range(rng.randint(1, 6)):
+                m = tuple(rng.randint(0, 3) for _ in range(source.nvars))
+                terms[m] = rng.choice([1, -1, 2, Fraction(-3, 2)])
+            got = phi._apply_raw(terms)
+            want = looped_apply(phi, terms)
+            assert list(got.terms.items()) == list(want.terms.items())
+            f = Polynomial(source, terms)
+            assert phi(f).terms == want.normal_form().terms
