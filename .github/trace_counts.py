@@ -1,0 +1,49 @@
+"""Compare the work counts of two traced benchmark runs.
+
+usage: python .github/trace_counts.py BASE.out HEAD.out
+
+Each file holds the output of
+``perfbench/run.py --workload NAME --seed 1 --seconds 5 --trace 1``, whose
+last line is a JSON object with the run's per-layer metrics.  Prints every
+call count (``*.calls``), ``elim_calls``, ``max_basis_len`` and
+``max_coeff_bits`` that differs between the two, or that they all agree.
+Only reports: it exits 0 whatever it finds, also when a run left no
+result.
+"""
+
+import json
+import sys
+
+COUNTS = (".calls", ".elim_calls", ".max_basis_len", ".max_coeff_bits")
+
+
+def counts(path):
+    """The counts of the run in path, or None when it left no result."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().strip().splitlines()
+        metrics = json.loads(lines[-1])["metrics"]
+    except (OSError, IndexError, KeyError, ValueError):
+        return None
+    return {name: m["value"] for name, m in metrics.items()
+            if name.endswith(COUNTS)}
+
+
+def main(base_path, head_path):
+    base, head = counts(base_path), counts(head_path)
+    for name, path, got in (("base", base_path, base),
+                            ("head", head_path, head)):
+        if got is None:
+            print("%s: no traced result in %s" % (name, path))
+    if base is None or head is None:
+        return 0
+    names = sorted(base.keys() | head.keys())
+    differ = [name for name in names if base.get(name) != head.get(name)]
+    for name in differ:
+        print("%s: %s -> %s" % (name, base.get(name), head.get(name)))
+    print("%d of %d counts differ" % (len(differ), len(names)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(*sys.argv[1:3]))

@@ -23,6 +23,15 @@ There is one widening rule (_widening): each of these two steps, a whole
 Buchberger run or one normal form, runs at the narrowest packing that holds
 its input, and is redone from the start at double the width whenever a
 term of its work leaves the packing's range.
+
+buchberger decides Buchberger's product and chain criteria from the lcms of
+leading monomials and the indices of the pairs (see _buchberger).  A pair
+enters the heap only when its lcm is minimal and first among those of the
+element that made it, and when it is taken it is checked only against the
+elements that came after it.  This reduces the same S-pairs, in the same
+sequence, as pushing every pair and testing it against every element when
+it is taken.  The final interreduction reduces each element by the already
+reduced elements with smaller leading monomials.
 """
 
 import heapq
@@ -382,7 +391,8 @@ def buchberger(gens, key):
     """Reduced Groebner basis, deterministic.
 
     Normal selection strategy; pairs are discarded by the product (coprime
-    leading monomials) and chain criteria.  The output is monic, pairwise
+    leading monomials) and chain criteria, decided when a pair is made and
+    when it is taken (see _buchberger).  The output is monic, pairwise
     autoreduced and sorted by ascending leading monomial.
 
     The work is packed (see _packing) at the width _widening finds: a run
@@ -398,7 +408,32 @@ def buchberger(gens, key):
 def _buchberger(gens, key, pk):
     """buchberger's run at the packing pk, or None as soon as a remainder
     leaves its range.  G holds each element as a monic packed dict, heads
-    as its (leading monomial, tail) pair and plms its leading monomial."""
+    as its (leading monomial, tail) pair, plms its leading monomial and
+    lcms[n][k] the lcm L_kn of the leading monomials of elements k < n.
+
+    Normal selection pops the pair (i, j) of least order(L_ij), ties going
+    to the least (i, j).  A pair is dropped by the product criterion, or by
+    the chain criterion when some lm_k divides L with the pairs (i, k)
+    and (j, k) popped before (i, j).  Both are decided from the lcms and
+    the indices alone.  Of two pairs in the heap together, one whose lcm
+    strictly divides L has a smaller order, so it is popped before (i, j),
+    and one with lcm equal to L is popped before it exactly when its index
+    pair is smaller.  So:
+
+    - when element n arrives, k < n is a witness for (i, n) exactly when
+      L_kn strictly divides L_in, or equals it with k < i, since (k, n) and
+      (i, k) then come first.  Only the lowest index i of each minimal
+      distinct lcm of the row L_0n, ..., L_(n-1)n is pushed, and only when
+      the product criterion does not drop it;
+    - when (i, j) is popped, a later element k > j is a witness exactly
+      when lm_k divides L, L_ik != L and L_jk != L: (i, k) and (j, k) came
+      into the heap after (i, j) and have larger index pairs, so only a
+      strictly smaller lcm puts them first.
+
+    Every pair that is pushed is therefore popped in the same sequence, and
+    reduced or dropped, as when every pair is pushed and tested at pop
+    time, and the S-pairs reduced are the same.
+    """
     lcm, order, guard = pk.lcm, pk.order, pk.guard
     new = []
     for g in gens:
@@ -407,54 +442,64 @@ def _buchberger(gens, key, pk):
         new.append((lm, _monic(P, lm)))
     new.sort(key=lambda h: order(h[0]))
     # normal selection via a heap keyed by the order of the pair's lcm;
-    # (i, j) is unique, so the packed lcm carried last is never compared.
-    # popped[i]: bitset of the partners k of every pair (i, k) popped so far
-    G, heads, plms, popped, pairs = [], [], [], [], []
+    # (i, j) is unique, so the packed lcm carried last is never compared
+    G, heads, plms, lcms, pairs = [], [], [], [], []
     while True:
         for lm, g in new:
             n = len(G)
-            for i2, Q in enumerate(plms):
-                L = lcm(Q, lm)
-                heapq.heappush(pairs, (order(L), i2, n, L))
+            row = [lcm(Q, lm) for Q in plms]
+            # each distinct lcm of the row and its lowest index (the last
+            # value stored for a key wins)
+            first = dict(zip(reversed(row), range(n - 1, -1, -1)))
+            # the distinct lcms that no other one divides: a proper divisor
+            # of L is a smaller int than L, so it is met first
+            least = []
+            for L in sorted(first):
+                for M in least:
+                    if not L - M & guard:
+                        break
+                else:
+                    least.append(L)
+            for L in least:
+                i = first[L]
+                if L != plms[i] + lm:  # product criterion
+                    heapq.heappush(pairs, (order(L), i, n, L))
             G.append(g)
             heads.append(_head(g, lm))
             plms.append(lm)
-            popped.append(0)
+            lcms.append(row)
         new = ()
         if not pairs:
             break
         _, i, j, L = heapq.heappop(pairs)
-        popped[i] |= 1 << j
-        popped[j] |= 1 << i
-        if L == plms[i] + plms[j]:
-            continue  # product criterion
-        # chain criterion: some lm_k divides the lcm and the pairs (i, k)
-        # and (j, k) are already popped
-        b = popped[i] & popped[j]
-        while b and L - plms[(b & -b).bit_length() - 1] & guard:
-            b &= b - 1
-        if b:
-            continue
-        h = normal_form(s_poly(heads[i], heads[j], pk), heads, key, pk)
-        if h is None:
-            return None
-        if h:
-            lm = next(iter(h))  # the remainder's terms are in descending order
-            new = ((lm, _monic(h, lm)),)
+        for k in range(j + 1, len(G)):
+            if not L - plms[k] & guard and lcms[k][i] != L != lcms[k][j]:
+                break  # chain criterion, by an element that came later
+        else:
+            h = normal_form(s_poly(heads[i], heads[j], pk), heads, key, pk)
+            if h is None:
+                return None
+            if h:
+                lm = next(iter(h))  # the remainder's terms, in descending order
+                new = ((lm, _monic(h, lm)),)
     # minimalize
     minimal = []
     for i in sorted(range(len(G)), key=lambda i: order(plms[i])):
         if all(plms[i] - plms[k] & guard for k in minimal):
             minimal.append(i)
-    # interreduce: no other leading monomial divides a term at or above an
-    # element's own monic leading term, so each remainder keeps it and the
-    # result stays monic and in ascending order
-    reduced = []
+    # interreduce in ascending order: a term below lm_i is divisible only by
+    # a smaller leading monomial, so reducing each element by the reduced
+    # elements before it gives its unique remainder, which keeps its monic
+    # leading term.  The first is reduced by all the others, which changes
+    # none of its terms but puts them in descending order, or by none when
+    # it is alone
+    done, reduced = [], []
     for pos, i in enumerate(minimal):
-        rest = minimal[:pos] + minimal[pos + 1 :]
-        r = normal_form(G[i], [heads[k] for k in rest], key, pk)
+        r = normal_form(G[i], done if pos else [heads[k] for k in minimal[1:]],
+                        key, pk)
         if r is None:
             return None
+        done.append(_head(r, plms[i]))
         reduced.append(_unpack(r, pk))
     return reduced
 

@@ -1,20 +1,25 @@
 """The engine against a frozen copy of its earlier nested-key version.
 
-The flat order keys, cached leading monomials and the packed pair
-bookkeeping must not change which S-pairs are reduced or any result: on
-seeded random small ideals under grevlex and elimination orders, and
-on a squaring chain whose leading degrees outgrow the first packing width,
-on ideals with non-monic integer leading coefficients and rational
-coefficients, and on a reduction whose terms climb out of the first
-packing's range, both engines reduce the same S-polynomials in the same
-sequence and return the same reduced bases (same elements, same term
-order) and the same normal forms, all with Fraction coefficients.  The
-comparison of normal_form inputs checks that the same pairs are reduced:
-the run at the widest packing makes exactly the reference's calls, and a
-run abandoned at a narrower packing made a prefix of them.
+The flat order keys, cached leading monomials, the packed pair
+bookkeeping, the pair criteria decided from lcms and indices and the
+interreduction by already reduced elements must not change which S-pairs
+are reduced or any result: on seeded random small ideals under grevlex and
+elimination orders, on a squaring chain whose leading degrees outgrow the
+first packing width, on ideals with non-monic integer leading coefficients
+and rational coefficients, on generators whose leading monomials repeat
+lcms, on a wider seeded sweep with int and Fraction coefficients, and on a
+reduction whose terms climb out of the first packing's range, both engines
+reduce the same S-polynomials in the same sequence and return the same
+reduced bases (same elements, same term order) and the same normal forms.
+The reference divides as the library does, Fraction(a) / b, so an int
+coefficient makes no float in it.  The comparison of normal_form inputs
+checks that the same pairs are reduced: the run at the widest packing
+makes exactly the reference's calls, and a run abandoned at a narrower
+packing made a prefix of them.
 """
 
 import heapq
+import itertools
 import random
 from fractions import Fraction
 
@@ -59,7 +64,7 @@ def ref_monic(p, key):
     c = p[m]
     if c == 1:
         return p
-    return {m: k / c for m, k in p.items()}
+    return {m: Fraction(k) / c for m, k in p.items()}
 
 
 def ref_neg_key(k):
@@ -85,7 +90,7 @@ def ref_normal_form(p, basis, key):
         for lm, lc, g in heads:
             if ref_mono_divides(lm, m):
                 q = ref_mono_div(m, lm)
-                factor = c / lc
+                factor = Fraction(c) / lc
                 for gm, gc in g.items():
                     t = ref_mono_mul(gm, q)
                     old = work.get(t)
@@ -123,8 +128,8 @@ def ref_s_poly(f, g, key):
     mf, mg = max(f, key=key), max(g, key=key)
     lcm = ref_mono_lcm(mf, mg)
     return ref_p_sub(
-        ref_mul_term(f, ref_mono_div(lcm, mf), 1 / f[mf]),
-        ref_mul_term(g, ref_mono_div(lcm, mg), 1 / g[mg]),
+        ref_mul_term(f, ref_mono_div(lcm, mf), Fraction(1) / f[mf]),
+        ref_mul_term(g, ref_mono_div(lcm, mg), Fraction(1) / g[mg]),
     )
 
 
@@ -390,6 +395,84 @@ def test_a_term_inside_a_reduction_widens_the_packing(monkeypatch):
                       "reduce [(0, 0, 0), (0, 1, 40)]",
                       "reduce [(0, 0, 2), (1, 0, 0)]"]
     assert got[0] == {(0, 1, 40): Fraction(1), (0, 0, 0): Fraction(-1)}
+
+
+# ---------------------------------------------------------------------------
+# equal lcms: the pair criteria decided by lcms and indices alone
+
+# leading monomials in x, y, z whose pairs share lcms: x, y, xy, x^2*y;
+# xy, yz, xz, xyz; x^2, xy, y^2, x^2*y^2; x twice, y, xy; xz, yz, z, xyz;
+# xy, xz, yz, x, y
+LCM_SHAPES = [
+    [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0)],
+    [(1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1)],
+    [(2, 0, 0), (1, 1, 0), (0, 2, 0), (2, 2, 0)],
+    [(1, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)],
+    [(1, 0, 1), (0, 1, 1), (0, 0, 1), (1, 1, 1)],
+    [(1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 0, 0), (0, 1, 0)],
+]
+
+
+def random_coefficient(rng):
+    """An int or a Fraction, about half each."""
+    if rng.random() < 0.5:
+        return rng.choice([-3, -2, -1, 1, 2, 3])
+    return Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([2, 3]))
+
+
+def with_lower_terms(rng, lms, key):
+    """One polynomial per monomial of lms, which leads it under key, with
+    up to two lower terms of no greater degree and int or Fraction
+    coefficients."""
+    nvars, gens = len(lms[0]), []
+    for lm in lms:
+        lower = [m for m in itertools.product(range(3), repeat=nvars)
+                 if sum(m) <= sum(lm) and key(m) < key(lm)]
+        g = {lm: random_coefficient(rng)}
+        for m in rng.sample(lower, min(len(lower), rng.randint(0, 2))):
+            g[m] = random_coefficient(rng)
+        gens.append(g)
+    return gens
+
+
+@pytest.mark.parametrize("order", sorted(ORDERS))
+def test_equal_lcms_match_reference(order, monkeypatch):
+    """Generators whose leading monomials repeat lcms, from the shapes
+    above and from random draws out of a few squarefree monomials, with int
+    and Fraction coefficients: the same S-pairs, bases and normal forms as
+    the reference."""
+    key, ref_key = ORDERS[order]
+    rng = random.Random("engine-equal-lcms-" + order)
+    for lms in LCM_SHAPES:
+        for _ in range(5):
+            gens = with_lower_terms(rng, lms, key)
+            assert_matches_reference(monkeypatch, rng, 3, gens, key, ref_key)
+    for _ in range(30):
+        nvars = rng.randint(2, 4)
+        pool = [m for m in itertools.product((0, 1), repeat=nvars)
+                if 0 < sum(m) <= 2]
+        lms = [rng.choice(pool) for _ in range(rng.randint(3, 5))]
+        gens = with_lower_terms(rng, lms, key)
+        assert_matches_reference(monkeypatch, rng, nvars, gens, key, ref_key)
+
+
+@pytest.mark.parametrize("order", sorted(ORDERS))
+def test_seeded_sweep_matches_reference(order, monkeypatch):
+    """2 to 5 variables and 2 to 5 generators of degree at most 2, each of
+    one to three terms with int or Fraction coefficients; at most ten terms
+    in all, which keeps every reference run small."""
+    key, ref_key = ORDERS[order]
+    rng = random.Random("engine-sweep-" + order)
+    for _ in range(200):
+        nvars = rng.randint(2, 5)
+        gens = []
+        for _ in range(rng.randint(2, 5)):
+            g = {tuple(rng.randint(0, 2) for _ in range(nvars)):
+                 random_coefficient(rng) for _ in range(rng.randint(1, 3))}
+            gens.append({m: c for m, c in g.items() if sum(m) <= 2})
+        while sum(map(len, gens)) > 10:
+            gens.pop()
+        assert_matches_reference(monkeypatch, rng, nvars, gens, key, ref_key)
 
 
 @pytest.mark.parametrize("order", sorted(ORDERS))

@@ -3,10 +3,11 @@ Fraction, and no float is ever formed.
 
 A true division of two ints makes a float, so every division of one
 coefficient by another in the library goes through engine.coeff_div, whose
-left operand is a Fraction; the AST check below fails on any other.  The
-seeded test runs the library's arithmetic on int-valued inputs, and sums
-and products of Fractions that are integral, and checks the rule on
-everything that comes back.
+left operand is a Fraction; the AST check below fails on any other, in
+src/ and in the frozen reference copies that tests compare the library
+with.  The seeded test runs the library's arithmetic on int-valued inputs,
+and sums and products of Fractions that are integral, and checks the rule
+on everything that comes back.
 """
 
 import ast
@@ -28,6 +29,7 @@ from divisor_forge.factorization import factor_terms
 from divisor_forge.ideals import _exact_div, _solvable_variable
 
 SRC = pathlib.Path(divisor_forge.__file__).parent
+TESTS = pathlib.Path(__file__).parent
 
 
 def inexact_divisions(source):
@@ -58,6 +60,30 @@ def test_library_divides_coefficients_exactly():
         lines = inexact_divisions(path.read_text(encoding="utf-8"))
         if lines:
             found[path.name] = lines
+    assert found == {}
+
+
+def frozen_references(path):
+    """The source of each top-level function named ref_* in a test file."""
+    source = path.read_text(encoding="utf-8")
+    return {node.name: ast.get_source_segment(source, node)
+            for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("ref_")}
+
+
+def test_frozen_references_divide_exactly():
+    """The frozen copies the engine and graded pieces are compared with
+    divide as the library does, so an int coefficient that reaches them
+    makes no float."""
+    found, names = {}, set()
+    for name in ("test_engine_differential.py", "test_graded_pieces.py"):
+        for ref, source in frozen_references(TESTS / name).items():
+            names.add(ref)
+            lines = inexact_divisions(source)
+            if lines:
+                found[ref] = lines
+    assert {"ref_monic", "ref_s_poly", "ref_normal_form", "ref_rref"} <= names
     assert found == {}
 
 

@@ -87,7 +87,7 @@ def ref_rref(rows):
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        rows[r] = [Fraction(x) / pv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
