@@ -480,7 +480,7 @@ def _buchberger(gens, key, pk):
             if h is None:
                 return None
             if h:
-                lm = next(iter(h))  # the remainder's terms, in descending order
+                lm = next(iter(h))  # the remainder's terms are descending
                 new = ((lm, _monic(h, lm)),)
     # minimalize
     minimal = []
