@@ -4,7 +4,8 @@ usage: python .github/trace_counts.py BASE.out HEAD.out
 
 Each file holds the output of
 ``perfbench/run.py --workload NAME --seed 1 --seconds 5 --trace 1``, whose
-last line is a JSON object with the run's per-layer metrics.  Prints every
+last line is a JSON object with the run's per-layer metrics.  Prints the
+``src_lines`` of each run's ``context`` line as base -> head, then every
 call count (``*.calls``), ``elim_calls``, ``max_basis_len`` and
 ``max_coeff_bits`` that differs between the two, or that they all agree.
 Only reports: it exits 0 whatever it finds, also when a run left no
@@ -17,20 +18,32 @@ import sys
 COUNTS = (".calls", ".elim_calls", ".max_basis_len", ".max_coeff_bits")
 
 
-def counts(path):
-    """The counts of the run in path, or None when it left no result."""
+def read(path):
+    """The src_lines and the counts of the run in path; the counts are None
+    when it left no result, src_lines when it printed no context line."""
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.read().strip().splitlines()
+    except OSError:
+        return None, None
+    src_lines = None
+    for line in lines:
+        if line.startswith("context "):
+            try:
+                src_lines = json.loads(line[len("context "):])["src_lines"]
+            except (KeyError, TypeError, ValueError):
+                pass
+    try:
         metrics = json.loads(lines[-1])["metrics"]
-    except (OSError, IndexError, KeyError, ValueError):
-        return None
-    return {name: m["value"] for name, m in metrics.items()
-            if name.endswith(COUNTS)}
+    except (IndexError, KeyError, TypeError, ValueError):
+        return src_lines, None
+    return src_lines, {name: m["value"] for name, m in metrics.items()
+                       if name.endswith(COUNTS)}
 
 
 def main(base_path, head_path):
-    base, head = counts(base_path), counts(head_path)
+    (base_lines, base), (head_lines, head) = read(base_path), read(head_path)
+    print("src_lines: %s -> %s" % (base_lines, head_lines))
     for name, path, got in (("base", base_path, base),
                             ("head", head_path, head)):
         if got is None:

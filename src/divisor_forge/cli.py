@@ -41,7 +41,7 @@ from .errors import DivisorForgeError, ParseError, Refusal, ScriptError
 from .fractional import FractionalIdeal, reflexify
 from .geometry import base_locus, map_to_projective_space, pullback
 from .ideals import Ideal, symbolic_power
-from .parsing import ExprParser, caret_excerpt, tokenize
+from .parsing import ExprParser, tokenize
 from .ring import Grading, Polynomial, QuotientRing, RingMap
 
 
@@ -355,6 +355,8 @@ class Session:
                     _bound_power(g.terms[max(g.terms, key=g.ring.key)], n)
             return a ** n
         if isinstance(a, (int, Fraction)):
+            if n < 0 and a == 0:
+                raise ScriptError("division by zero")
             _bound_power(a, n)
             return Fraction(a) ** n if n < 0 else a ** n
         raise ScriptError("cannot raise %r to a power" % (a,))
@@ -418,7 +420,7 @@ class Session:
 def _divisor(target, *, graded, section=None):
     if isinstance(target, FractionalIdeal):
         if section is not None:
-            return divisor_with_section(target, section).divisor
+            return divisor_with_section(target, section)
         return divisor_of_fractional_ideal(target, graded=graded)
     if section is not None:
         raise ScriptError("divisor() takes section= only with a sheaf")
@@ -529,10 +531,7 @@ def _located(exc, text, line, column):
             return exc
         exc = ScriptError("cannot print a number of more than %d digits"
                           % sys.get_int_max_str_digits())
-    if exc.line is None:
-        exc.line, exc.column = line, column
-        exc.excerpt = caret_excerpt(text, line, column)
-    return exc
+    return exc.locate(text, line, column)
 
 
 def execute_script(statements, session, text=""):

@@ -7,8 +7,6 @@ in the fraction field they carry their graded structure with them, and the
 graded divisor of a fractional ideal can be read off directly.
 """
 
-from dataclasses import dataclass
-
 from .divisors import WeilDivisor
 from .errors import (
     DivisorForgeError,
@@ -49,47 +47,33 @@ def sheaf_of(D):
 
 
 def divisor_of_fractional_ideal(F, graded=False):
-    """The divisor of the fractional ideal F = N/d, as it is stored.
+    """The divisor E = div(d) - div(N) of the fractional ideal F = N/d, so
+    that O(E) is the reflexive hull of F.
 
-    The reflexive hull of F is O(div(d) - div(N)).  Ungraded: div(N) -
-    div(d), its negation, so for F = O(D) the result is -D, and O(-D) need
-    not be isomorphic to F (on xy = uv, D = Div(x, u) generates the class
-    group Z).  Graded: div(d) - div(N), the E with O(E) the reflexive hull
-    of F; the embedding of F in the fraction field carries its grading, so
-    O(E) is graded-isomorphic to that hull by a degree-zero map.
+    graded=True first checks that the grading is positive and F is
+    homogeneous; then the embedding of F in the fraction field carries its
+    grading, and O(E) is graded-isomorphic to that hull by a degree-zero map.
     """
-    base = WeilDivisor.of_ideal(F.numerator) - WeilDivisor.of_element(
-        F.denominator)
-    if not graded:
-        return base
-    F.ring.grading.require_positive()
-    if F.denominator.multidegree() is None:
-        raise DivisorForgeError("graded mode needs a homogeneous denominator")
-    for g in F.numerator.quotient_gens():
-        if g.multidegree() is None:
-            raise DivisorForgeError("graded mode needs a homogeneous numerator")
-    return -base
-
-
-@dataclass
-class SectionedDivisor:
-    """An effective divisor together with the section that produced it."""
-
-    divisor: WeilDivisor
-    section_numerator: Polynomial
-    section_denominator: Polynomial
+    if graded:
+        F.ring.grading.require_positive()
+        if F.denominator.multidegree() is None:
+            raise DivisorForgeError(
+                "graded mode needs a homogeneous denominator")
+        for g in F.numerator.quotient_gens():
+            if g.multidegree() is None:
+                raise DivisorForgeError(
+                    "graded mode needs a homogeneous numerator")
+    return WeilDivisor.of_element(F.denominator) - WeilDivisor.of_ideal(
+        F.numerator)
 
 
 def divisor_with_section(F, num, den=None):
-    """The unique effective divisor of a global section num/den of F."""
+    """The unique effective divisor div(num/den) + E of a global section
+    num/den of F, where O(E) is the reflexive hull of F."""
     den = den if den is not None else F.ring.one()
     if not F.contains_fraction(num, den):
         raise DivisorForgeError("section does not lie in the fractional ideal")
-    E = WeilDivisor.combine(F.ring, [
-        (1, WeilDivisor.of_element(num)), (-1, WeilDivisor.of_element(den)),
-        (1, WeilDivisor.of_element(F.denominator)),
-        (-1, WeilDivisor.of_ideal(F.numerator))])
-    return SectionedDivisor(E, num, den)
+    return WeilDivisor.of_fraction(num, den) + divisor_of_fractional_ideal(F)
 
 
 def find_element_of_degree(ring, target):

@@ -1,15 +1,34 @@
 """Exception hierarchy for divisor_forge."""
 
 
+def caret_excerpt(text, line, column):
+    """The source line of text at line, and a caret under column; empty
+    when there is no such line."""
+    try:
+        src = text.splitlines()[line - 1]
+    except IndexError:
+        return ""
+    return src + "\n" + " " * (column - 1) + "^"
+
+
 class DivisorForgeError(Exception):
     """Base class for all library errors.
 
-    A script run sets `line`, `column` and `excerpt` to the statement that
-    failed, keeping the exception's type; the message then starts with the
-    location and ends with the excerpt.
+    A script run locates the error at the token or statement that failed
+    (`locate` sets `line`, `column` and `excerpt`), keeping the exception's
+    type; the message then starts with the location and ends with the
+    excerpt.
     """
 
     line = column = excerpt = None
+
+    def locate(self, text, line, column):
+        """Set the location to line:column of text unless one is set; return
+        the error."""
+        if self.line is None:
+            self.line, self.column = line, column
+            self.excerpt = caret_excerpt(text, line, column)
+        return self
 
     def __str__(self):
         base = super().__str__()
@@ -69,12 +88,6 @@ class FactorCoefficientsExceeded(Refusal):
 
 class ScriptError(DivisorForgeError):
     """Error while parsing or executing a script."""
-
-    def __init__(self, message, line=None, column=None, excerpt=None):
-        super().__init__(message)
-        self.line = line
-        self.column = column
-        self.excerpt = excerpt
 
 
 class ParseError(ScriptError):

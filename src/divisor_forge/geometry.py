@@ -2,7 +2,7 @@
 
 from .correspondence import effective_ideal, sheaf_of
 from .divisors import WeilDivisor
-from .errors import DivisorForgeError
+from .errors import DivisorForgeError, RingMismatch
 from .ideals import Ideal, graded_piece_basis, irrelevant_ideal
 from .ring import Grading, QuotientRing, RingMap
 
@@ -22,7 +22,7 @@ def pullback(phi, D, strategy="primes"):
     Both keep the tier of D.
     """
     if D.ring != phi.source:
-        raise DivisorForgeError("divisor does not live on the source ring")
+        raise RingMismatch("divisor does not live on the source ring")
     parts = []
     if strategy == "primes":
         for P, (c, _) in D.sorted_terms():

@@ -200,9 +200,9 @@ class Ideal:
         """Fast colon by c*x_i^k for homogeneous ideals, or None.
 
         With x_i moved last, a grevlex basis of a homogeneous ideal yields a
-        basis of (I : x_i) by dividing x_i out of the elements whose lead it
-        divides (homogeneity makes every term divisible); the result is again
-        a basis for the same order, so powers iterate without recomputation.
+        basis of (I : x_i^k) in one pass: each element is divided by
+        x_i^min(k, e), where e is x_i's exponent in its lead (homogeneity
+        makes every term divisible by that power).
         """
         fterms = f.terms
         if len(fterms) != 1:
@@ -222,18 +222,12 @@ class Ideal:
                 return None
         perm = [j for j in range(self.ring.nvars) if j != i] + [i]
         pgb = engine.buchberger(_permute(gb, perm), self.ring.key)
-        for _ in range(k):
-            nxt = []
-            for g in pgb:
-                lm = max(g, key=self.ring.key)
-                if lm[-1] > 0:
-                    nxt.append({m[:-1] + (m[-1] - 1,): c
-                                for m, c in g.items()})
-                else:
-                    nxt.append(g)
-            pgb = nxt
+        out = []
+        for g in pgb:
+            d = min(k, max(g, key=self.ring.key)[-1])
+            out.append({m[:-1] + (m[-1] - d,): c for m, c in g.items()})
         return Ideal(self.ring, [Polynomial(self.ring, g)
-                                 for g in _unpermute(pgb, perm)])
+                                 for g in _unpermute(out, perm)])
 
     def saturation(self, other):
         """Stable limit of iterated colon ideals (I : J^infinity)."""

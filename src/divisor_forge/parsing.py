@@ -41,10 +41,8 @@ def tokenize(text):
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise ParseError(
-                "unexpected character %r" % text[pos], line, col,
-                caret_excerpt(text, line, col),
-            )
+            raise ParseError("unexpected character %r" % text[pos]).locate(
+                text, line, col)
         kind = m.lastgroup
         chunk = m.group()
         if kind not in ("ws", "comment"):
@@ -58,14 +56,6 @@ def tokenize(text):
         pos = m.end()
     tokens.append(Token("eof", "", line, col))
     return tokens
-
-
-def caret_excerpt(text, line, column):
-    try:
-        src = text.splitlines()[line - 1]
-    except IndexError:
-        return ""
-    return src + "\n" + " " * (column - 1) + "^"
 
 
 # AST nodes are tuples: ('int', value), ('name', id), ('neg', a),
@@ -96,8 +86,7 @@ class ExprParser:
 
     def error(self, msg, tok=None):
         tok = tok or self.cur
-        raise ParseError(msg, tok.line, tok.column,
-                         caret_excerpt(self.text, tok.line, tok.column))
+        raise ParseError(msg).locate(self.text, tok.line, tok.column)
 
     def accept(self, kind, text=None):
         t = self.cur

@@ -251,7 +251,7 @@ CALLS = [
     ("divisor(F)",
      lambda R, F: divisor_of_fractional_ideal(F, graded=False)),
     ("divisor(F, section=y)",
-     lambda R, F: divisor_with_section(F, polynomial(R, "y")).divisor),
+     lambda R, F: divisor_with_section(F, polynomial(R, "y"))),
     ("divisorOf(F, true)",
      lambda R, F: divisor_of_fractional_ideal(F, graded=True)),
     ("canonicalDivisor()", lambda R, F: canonical_divisor(R)),
@@ -297,6 +297,19 @@ def test_divisor_of_the_unit_ideal_is_zero():
         "print divisor(ideal(x, 1 - x));\n"
         "print 1 - x;\n")
     assert (code, out) == (0, "o1 = 0\no2 = -x + 1\n")
+
+
+def test_divisor_of_a_sheaf_is_its_divisor_in_both_modes():
+    """divisorOf(OO(D)) and divisor(OO(D)) print D, graded or not."""
+    code, out, _ = run_script(
+        "ring R = QQ[x,y,u,v] / (x*y - u*v);\n"
+        "D = divisor{2: ideal(x,u), -1: ideal(x,v)};\n"
+        "print D;\nprint divisorOf(OO(D));\nprint divisor(OO(D));\n"
+        "print divisorOf(OO(D), true);\n"
+        "print divisor(OO(D), graded=true);\n")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 5
+    assert len({line.split(" = ", 1)[1] for line in lines}) == 1, out
 
 
 # -- exit codes ---------------------------------------------------------------

@@ -237,6 +237,14 @@ def test_repl_survives_every_refused_input():
         assert message in messages
 
 
+def test_an_error_is_located_once():
+    exc = errors.ScriptError("boom")
+    assert exc.locate("a;\n  b;\n", 2, 3) is exc
+    assert exc.locate("c;\n", 1, 1) is exc
+    assert str(exc) == "2:3: boom\n  b;\n  ^"
+    assert str(errors.ScriptError("boom").locate("", 1, 1)) == "1:1: boom"
+
+
 PLANE = "ring R = QQ[x,y];\n"
 TARGET = PLANE + "ring S = QQ[a,b];\n"
 
@@ -258,6 +266,14 @@ BRANCHES = [
     (PLANE + "print x^-1;", 2,
      "error: 2:1: negative power of an ideal element"),
     (PLANE + "print x/y;", 2, "error: 2:1: unsupported division"),
+    (PLANE + "print divisorOf(OO(divisor(x - 1)), true);", 2,
+     "error: 2:1: graded mode needs a homogeneous denominator"),
+    (PLANE + "print 1/0;", 2, "error: 2:1: division by zero"),
+    (PLANE + "print 0^(-1);", 2, "error: 2:1: division by zero"),
+    (PLANE + "print (0/2)^(-3);", 2, "error: 2:1: division by zero"),
+    (TARGET + "map f : S -> R = (x, y);\nuse R; print pullback(f, "
+     "divisor(x));", 2,
+     "error: 4:8: divisor does not live on the source ring"),
     (PLANE + "print divisor(x)^2;", 2,
      "error: 2:1: cannot raise Div(x) to a power"),
     (PLANE + "print divisor(true);", 2,

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from divisor_forge import (
+    DecompositionIncomplete,
     DivisorForgeError,
     FractionalIdeal,
     NotCompleteIntersection,
@@ -51,10 +52,66 @@ def test_sheaf_of_effective_and_antieffective(cone3):
     assert prod.equals_as_reflexive(FractionalIdeal.unit(cone3))
 
 
-def test_round_trip_is_negation_ungraded(cone3):
-    D = WeilDivisor.from_primes([1], [ideal(cone3, "x", "z")])
-    E = divisor_of_fractional_ideal(sheaf_of(D))
-    assert E.multiset() == (-D).multiset()
+def _mixed_divisors(rng, pool, count):
+    """count seeded divisors on the primes of pool with coefficients in
+    [-2, 2], at least one of them negative."""
+    drawn = []
+    while len(drawn) < count:
+        coeffs = [rng.randint(-2, 2) for _ in pool]
+        if min(coeffs) < 0:
+            drawn.append(WeilDivisor.from_primes(coeffs, pool))
+    return drawn
+
+
+def test_round_trip_oracle(cone3, cone4, plane, elliptic):
+    """divisor_of_fractional_ideal(sheaf_of(D)) is D in both modes, for
+    seeded D of mixed sign; graded mode also on the elliptic cone, and the
+    plane's inhomogeneous primes only ungraded."""
+    rng = random.Random(23)
+    homogeneous = {
+        cone3: [ideal(cone3, "x", "z"), ideal(cone3, "y", "z")],
+        cone4: [ideal(cone4, "x", "u"), ideal(cone4, "x", "v"),
+                ideal(cone4, "y", "u")],
+        plane: [ideal(plane, "x"), ideal(plane, "x + y")],
+    }
+    cases = [(D, g) for ring, pool in homogeneous.items()
+             for D in _mixed_divisors(rng, pool, 3) for g in (False, True)]
+    cases += [(D, False) for D in _mixed_divisors(
+        rng, [ideal(plane, "x - 1"), ideal(plane, "x*y - 1")], 3)]
+    cases += [(D, True) for D in _mixed_divisors(
+        rng, [ideal(elliptic, "x", "z"), ideal(elliptic, "x", "y")], 2)]
+    D = Fraction(1) * WeilDivisor.from_primes(
+        [1, -1], homogeneous[cone4][:2])
+    assert D.tier == "Q" and D.is_integral()
+    cases += [(D, False), (D, True)]
+    for D, g in cases:
+        assert divisor_of_fractional_ideal(sheaf_of(D), graded=g) == D, (D, g)
+
+
+def test_graded_mode_checks_before_it_decomposes(space):
+    """An inhomogeneous F is refused by the graded check, even when its
+    numerator is one the decomposition refuses."""
+    cubic = ideal(space, "x*z - y^2", "y*w - z^2", "x*w - y*z")
+    F = FractionalIdeal(cubic, polynomial(space, "x + 1"))
+    with pytest.raises(DecompositionIncomplete):
+        divisor_of_fractional_ideal(F)
+    with pytest.raises(DivisorForgeError, match="homogeneous denominator"):
+        divisor_of_fractional_ideal(F, graded=True)
+
+
+def test_sheaf_of_the_divisor_is_the_sheaf(cone3, cone4):
+    """sheaf_of(divisorOf(F)) is F up to reflexive closure, for F a power of
+    a sheaf and a product of two."""
+    rng = random.Random(2323)
+    for ring, pool in ((cone3, [ideal(cone3, "x", "z"),
+                                ideal(cone3, "y", "z")]),
+                       (cone4, [ideal(cone4, "x", "u"),
+                                ideal(cone4, "x", "v")])):
+        D, E = _mixed_divisors(rng, pool, 2)
+        for F in (sheaf_of(D).power(rng.choice([-2, 2, 3])),
+                  sheaf_of(D).product(sheaf_of(E))):
+            assert sheaf_of(divisor_of_fractional_ideal(F)) \
+                .equals_as_reflexive(F)
 
 
 def test_round_trip_graded_is_identity(cone3, cone4):
@@ -101,12 +158,32 @@ def test_divisor_with_section(cone3):
     D = WeilDivisor.from_primes([1], [ideal(cone3, "x", "z")])
     F = sheaf_of(D)
     S = divisor_with_section(F, polynomial(cone3, "z"), polynomial(cone3, "x"))
-    assert S.divisor.is_effective()
-    assert S.divisor.multiset() == frozenset(
+    assert S.is_effective()
+    assert S.multiset() == frozenset(
         [(Fraction(1), ideal(cone3, "y", "z").key)])
     # the section 1 recovers D itself
-    S2 = divisor_with_section(F, cone3.one())
-    assert S2.divisor.multiset() == D.multiset()
+    assert divisor_with_section(F, cone3.one()) == D
+
+
+def test_divisor_with_section_oracle(cone3, cone4):
+    """For seeded s in F (a numerator generator times a power of a
+    variable, over the denominator): the divisor of s on F is div(s) +
+    divisorOf(F), and it is effective."""
+    rng = random.Random(2324)
+    for ring, pool in ((cone3, [ideal(cone3, "x", "z"),
+                                ideal(cone3, "y", "z")]),
+                       (cone4, [ideal(cone4, "x", "u"),
+                                ideal(cone4, "x", "v"),
+                                ideal(cone4, "y", "u")])):
+        for D in _mixed_divisors(rng, pool, 3):
+            F = sheaf_of(D)
+            for g in F.numerator.quotient_gens():
+                s = g * polynomial(ring, rng.choice(ring.names)) ** \
+                    rng.randint(0, 2)
+                S = divisor_with_section(F, s, F.denominator)
+                assert S == WeilDivisor.of_fraction(s, F.denominator) + \
+                    divisor_of_fractional_ideal(F)
+                assert S.is_effective(), (D, s)
 
 
 def test_find_element_of_degree(cone4, weighted):

@@ -2,9 +2,12 @@
 
 import random
 
+import pytest
+
 from divisor_forge import (
     QuotientRing,
     RingMap,
+    RingMismatch,
     WeilDivisor,
     base_locus,
     ideal,
@@ -27,6 +30,16 @@ def test_pullback_blowup_chart(plane):
     for strategy in ("primes", "sheaves"):
         got = pullback(phi, D, strategy=strategy)
         assert got.multiset() == expected.multiset()
+
+
+def test_pullback_refuses_a_divisor_from_another_ring(plane):
+    target = QuotientRing(("a", "b"))
+    phi = RingMap(plane, target, ("a*b", "b"))
+    D = WeilDivisor.of_element(polynomial(target, "a"))
+    for strategy in ("primes", "sheaves"):
+        with pytest.raises(RingMismatch,
+                           match="^divisor does not live on the source ring$"):
+            pullback(phi, D, strategy=strategy)
 
 
 def test_pullback_loses_contracted_components(plane):

@@ -11,6 +11,7 @@ from divisor_forge import (
     DecompositionIncomplete,
     DivisorForgeError,
     Ideal,
+    Polynomial,
     engine,
     factor_polynomial,
     graded_piece_basis,
@@ -22,7 +23,8 @@ from divisor_forge import (
     unit_ideal,
 )
 from divisor_forge.ideals import (
-    _eliminate, _intersect, certify_prime, monomials_of_multidegree)
+    _eliminate, _intersect, _permute, _unpermute, certify_prime,
+    monomials_of_multidegree)
 
 
 def random_poly(rng, ring, maxdeg=2, nterms=2):
@@ -35,8 +37,6 @@ def random_poly(rng, ring, maxdeg=2, nterms=2):
             budget -= e
             m.append(e)
         terms[tuple(m)] = Fraction(rng.randint(-3, 3))
-    from divisor_forge import Polynomial
-
     return Polynomial(ring, {m: c for m, c in terms.items() if c})
 
 
@@ -247,6 +247,47 @@ def test_known_colons(plane, cone3):
     # on the cone: (x) : (x, z) = (x, z), the reflexification engine room
     J = ideal(cone3, "x")
     assert J.quotient(ideal(cone3, "x", "z")) == ideal(cone3, "x", "z")
+
+
+def iterated_variable_colon(I, i, k):
+    """The basis of (I : x_i^k) by k passes, each dividing x_i once out of
+    the elements whose lead it divides: a frozen copy of the loop that
+    Ideal._quotient_by_variable_power ran before its single pass."""
+    perm = [j for j in range(I.ring.nvars) if j != i] + [i]
+    pgb = engine.buchberger(_permute(I.groebner, perm), I.ring.key)
+    for _ in range(k):
+        nxt = []
+        for g in pgb:
+            lm = max(g, key=I.ring.key)
+            if lm[-1] > 0:
+                nxt.append({m[:-1] + (m[-1] - 1,): c for m, c in g.items()})
+            else:
+                nxt.append(g)
+        pgb = nxt
+    return [list(g.items()) for g in _unpermute(pgb, perm)]
+
+
+def test_colon_by_a_variable_power_is_the_iterated_pass(plane, cone3, cone4):
+    """One pass dividing by x_i^min(k, e) gives the k-pass basis, term for
+    term, on seeded homogeneous ideals."""
+    rng = random.Random(225)
+    for ring in (plane, cone3, cone4) * 4:
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            d = rng.randint(1, 3)
+            monos = rng.sample(monomials_of_multidegree(ring, (d,)), 2)
+            gens.append(Polynomial(ring, {m: rng.choice([-2, -1, 1, 2])
+                                          for m in monos}))
+        gens = [g for g in gens if not g.is_zero()]
+        if not gens:
+            continue
+        I = Ideal(ring, gens)
+        for i in range(ring.nvars):
+            for k in range(1, 5):
+                f = 3 * polynomial(ring, ring.names[i]) ** k
+                fast = I._quotient_by_variable_power(f)
+                assert [list(g.terms.items()) for g in fast.gens] == \
+                    iterated_variable_colon(I, i, k)
 
 
 def test_saturation_stabilizes(plane):

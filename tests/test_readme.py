@@ -30,7 +30,7 @@ def test_python_quickstart_claims():
         ("is_cartier(D)", "false:", False),
         ("is_cartier(2 * D)", "true", True),
         ("is_q_cartier(5, D)", "2", 2),
-        ("divisor_of_fractional_ideal(F)", "-D", -D),
+        ("divisor_of_fractional_ideal(F)", "D", D),
         ("divisor_of_fractional_ideal(F, graded=True)", "D", D),
     ]
     comments = {}
