@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import comb, lcm
 from operator import attrgetter
 
 # `_FUNCTIONS` calls most of these imports by name.
@@ -250,6 +251,54 @@ def _bound_power(c, n):
                           % (bits, MAX_POWER_BITS))
 
 
+# a power of a polynomial or ideal whose size could pass this many bits is
+# refused before it is computed (see _bound_power_size).  A term count alone
+# is not enough: (x+1)^4000 has 4,001 terms and a whole run binding it took
+# 22 s.  Just under the cap, (x+y+1)^100 took about 3 s and (x+1)^1023 1.2 s
+# (2 vCPUs).
+MAX_POWER_SIZE = 2**20
+
+
+def _bound_power_size(terms, nvars, n):
+    """Refuse the n-th power of the ideal whose nonzero generators have the
+    term dicts terms (of a polynomial when there is one) when a bound on
+    its size, its number of terms times the bits of one coefficient, passes
+    MAX_POWER_SIZE.
+
+    The power is the list of the distinct products of n generators, at
+    most C(n+m-1, m-1) of m generators.  A product has total degree at
+    most n*d, so at most C(n*d+k, k) terms in k variables.  Its terms are
+    products of n terms of the generators, so there are at most
+    C(n+T-1, T-1) of them for T distinct terms in all, and at most t^n
+    when no generator has more than t terms.  A generator is h/D with h
+    integral and the sum of the absolute coefficients of h at most S, so a
+    coefficient of a product has its numerator times denominator at most
+    (S*D)^n, of at most n*ceil(log2(S*D)) + 1 bits."""
+    m, t = len(terms), max(map(len, terms))
+    scale = 1
+    for p in terms:
+        den = lcm(*(c.denominator for c in p.values()))
+        scale = max(scale, den * sum(abs(c.numerator) * (den // c.denominator)
+                                     for c in p.values()))
+    if n > MAX_POWER_SIZE and (m > 1 or t > 1 or scale > 1):
+        size = n + 1  # the bound below is at least this, past the cap
+    else:
+        d = max(sum(e) for p in terms for e in p)
+        T = len({e for p in terms for e in p})
+        size = comb(n + m - 1, n) * min(
+            comb(n * d + nvars, nvars), comb(n + T - 1, n), t ** n) * (
+                n * (scale - 1).bit_length() + 1)
+    if size > MAX_POWER_SIZE:
+        raise ScriptError("a power of up to %d bits exceeds the cap of %d "
+                          "bits" % (size, MAX_POWER_SIZE))
+
+
+# symbolicPower(I, n) above this n is refused before it is computed.  Whole
+# runs printing symbolicPower(ideal(x,u), n) on QQ[x,y,u,v]/(x*y - u*v) took
+# 1.8 s at n = 50, 6.7 s at n = 75 and 67 s at n = 200 (2 vCPUs).
+MAX_SYMBOLIC_POWER = 50
+
+
 class Session:
     """Named bindings plus the graded default, and the evaluation of
     expressions over them; bindings replace, never mutate."""
@@ -348,11 +397,15 @@ class Session:
         if isinstance(a, (Ideal, Polynomial)):
             if n < 0:
                 raise ScriptError("negative power of an ideal element")
+            gens = a.gens if isinstance(a, Ideal) else (a,)
             # lc(g)^n is a coefficient of g^n under the ring order, and g^n
             # is a stored generator of the n-th power of an ideal with g
-            for g in a.gens if isinstance(a, Ideal) else (a,):
+            for g in gens:
                 if g.terms:
                     _bound_power(g.terms[max(g.terms, key=g.ring.key)], n)
+            terms = [g.terms for g in gens if g.terms]
+            if terms:
+                _bound_power_size(terms, gens[0].ring.nvars, n)
             return a ** n
         if isinstance(a, (int, Fraction)):
             if n < 0 and a == 0:
@@ -437,6 +490,13 @@ def _divisor_of(F, flag=None, *, graded):
         F, graded=graded if flag is None else flag)
 
 
+def _symbolic_power(I, n):
+    if n > MAX_SYMBOLIC_POWER:
+        raise ScriptError("symbolicPower() of order %d exceeds the cap of %d"
+                          % (n, MAX_SYMBOLIC_POWER))
+    return symbolic_power(I, n)
+
+
 def _reflexify(target):
     if isinstance(target, FractionalIdeal):
         return target.reflexive_hull()
@@ -475,7 +535,7 @@ _FUNCTIONS = {
     "isLinearEquivalent": (("divisor", "divisor"), ("graded",),
                            "is_linearly_equivalent"),
     "isSNC": (("divisor",), ("graded",), "is_snc"),
-    "symbolicPower": (("ideal", "posint"), (), "symbolic_power"),
+    "symbolicPower": (("ideal", "posint"), (), "_symbolic_power"),
     "isEffective": (("divisor",), (), "WeilDivisor.is_effective"),
     "isIntegral": (("divisor",), (), "WeilDivisor.is_integral"),
 }

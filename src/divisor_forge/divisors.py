@@ -1,7 +1,7 @@
 """Weil divisors: formal sums of height-one primes keyed by reduced GBs.
 
-A divisor stores a map from canonical prime keys to (coefficient, display
-ideal), integral coefficients ints.  Every sum, difference and multiple is
+A divisor maps canonical primes to coefficients, integral coefficients
+ints, and stores each prime once.  Every sum, difference and multiple is
 built by WeilDivisor.combine; the tier is 'Z' or 'Q', any Fraction scalar
 widens to 'Q', and coercion back checks integrality.
 """
@@ -31,11 +31,12 @@ from .ring import Polynomial
 class WeilDivisor:
     """Formal sum of height-one prime divisors with Z or Q coefficients."""
 
-    def __init__(self, ring, terms=None, tier="Z"):
+    def __init__(self, ring, coeffs=None, tier="Z"):
         self.ring = ring
-        # canonical Ideal -> (coefficient, display Ideal); the one place
-        # that drops a zero coefficient
-        self.terms = {P: t for P, t in (terms or {}).items() if t[0]}
+        # built from a map canonical prime -> coefficient, and stored as
+        # canonical prime -> (coefficient, the same prime), the pair that
+        # callers unpack; the one place that drops a zero coefficient
+        self.terms = {P: (c, P) for P, c in (coeffs or {}).items() if c}
         self.tier = tier
 
     # -- constructors --------------------------------------------------------
@@ -47,10 +48,9 @@ class WeilDivisor:
     @classmethod
     def combine(cls, ring, parts, tier="Z"):
         """Sum of c * D over the (c, D) pairs of parts: the one place that
-        merges the coefficients of equal primes, a prime keeping the display
-        ideal of its first part.  The tier is 'Q' when tier or a part's
-        tier is, or when a c is a Fraction."""
-        terms = {}
+        merges the coefficients of equal primes.  The tier is 'Q' when tier
+        or a part's tier is, or when a c is a Fraction."""
+        coeffs = {}
         for c, D in parts:
             if not isinstance(c, (int, Fraction)):
                 raise DivisorForgeError("a divisor coefficient must be an int "
@@ -59,11 +59,9 @@ class WeilDivisor:
                 raise RingMismatch("divisors on different rings")
             if isinstance(c, Fraction) or D.tier == "Q":
                 tier = "Q"
-            for P, (k, disp) in D.terms.items():
-                old, shown = terms.get(P, (0, disp))
-                terms[P] = (old + c * k, shown)
-        return cls(ring, {P: (coefficient(c), disp)
-                          for P, (c, disp) in terms.items()}, tier)
+            for P, (k, _) in D.terms.items():
+                coeffs[P] = coeffs.get(P, 0) + c * k
+        return cls(ring, {P: coefficient(c) for P, c in coeffs.items()}, tier)
 
     @classmethod
     def from_primes(cls, coeffs, primes):
@@ -90,7 +88,7 @@ class WeilDivisor:
                 raise PrimalityUncertain("%r is not prime" % (P,))
             if verdict != "prime":
                 raise PrimalityUncertain("cannot certify %r prime" % (P,))
-            parts.append((c, cls(ring, {canon: (1, P)})))
+            parts.append((c, cls(ring, {canon: 1})))
         return cls.combine(ring, parts)
 
     @classmethod
@@ -109,27 +107,23 @@ class WeilDivisor:
         factors = [(Ideal(f.ring, [p]), m) for p, m in factor_polynomial(f)[1]]
         if f.ring.is_free():
             # distinct monic irreducible factors: distinct primes
-            return cls(f.ring, {P: (m, P) for P, m in factors})
+            return cls(f.ring, dict(factors))
         return cls.combine(f.ring, [(m, cls.of_ideal(P)) for P, m in factors])
 
     @classmethod
     def of_ideal(cls, I):
         """Effective divisor of an ideal in codimension one.
 
-        Its primes and display ideals are canonical, and the decomposition
-        reads I through its key only, so the value is memoized in the ring
-        under ("divisor", I.key).  A refusal is raised before anything is
-        stored, and so again on the next call."""
+        Its primes are canonical, and the decomposition reads I through its
+        key only, so the value is memoized in the ring under ("divisor",
+        I.key).  A refusal is raised before anything is stored, and so again
+        on the next call."""
         if I.is_zero():
             raise DivisorForgeError("divisor of the zero ideal")
 
         def compute():
-            terms = {}
-            for P in minimal_height_one_primes(I):
-                n = max_symbolic_containment(I, P)
-                if n:
-                    terms[P] = (n, P)
-            return cls(I.ring, terms)
+            return cls(I.ring, {P: max_symbolic_containment(I, P)
+                                for P in minimal_height_one_primes(I)})
 
         return I.ring.memoized(("divisor", I.key), compute)
 
@@ -194,7 +188,7 @@ class WeilDivisor:
     # -- tier handling ---------------------------------------------------------
 
     def to_rational_tier(self):
-        return WeilDivisor(self.ring, self.terms, "Q")
+        return self.apply_to_coefficients(lambda c: c, "Q")
 
     def to_integer_tier(self):
         if not self.is_integral():
@@ -206,11 +200,11 @@ class WeilDivisor:
                     "digits" % sys.get_int_max_str_digits()) from None
             raise NonIntegralCoercion(
                 "divisor has non-integer coefficients: %s" % shown)
-        return WeilDivisor(self.ring, self.terms, "Z")
+        return self.apply_to_coefficients(lambda c: c, "Z")
 
     def apply_to_coefficients(self, fn, tier):
         return WeilDivisor(self.ring, {
-            P: (fn(c), disp) for P, (c, disp) in self.terms.items()}, tier)
+            P: fn(c) for P, (c, _) in self.terms.items()}, tier)
 
     def floor(self):
         return self.apply_to_coefficients(math.floor, tier="Z")
@@ -239,8 +233,8 @@ class WeilDivisor:
         if not self.terms:
             return "0"
         chunks = []
-        for P, (c, disp) in self.sorted_terms():
-            gens = ", ".join(repr(g) for g in disp.minimal_gens())
+        for P, (c, _) in self.sorted_terms():
+            gens = ", ".join(repr(g) for g in P.minimal_gens())
             body = "Div(%s)" % gens
             if c == 1:
                 chunks.append(body)

@@ -112,16 +112,38 @@ class QuotientRing:
         for rel in relations:
             if isinstance(rel, str):
                 raw.append(polynomial(self, rel).terms)
-            elif isinstance(rel, Polynomial):
-                raw.append(rel.terms)
             else:
-                raw.append(dict(rel))
+                raw.append(self._relation_terms(rel))
         self.defining = tuple(
             engine.canonical(g, self.key) for g in raw if g)
         self.quotient_gb = engine.buchberger(raw, self.key)
         # names, grading and defining never change, so neither does the hash
         self._hash = hash((self.names, self.grading, self.defining))
         self.memo = {}
+
+    def _relation_terms(self, rel):
+        """The terms of a relation given as a number (a constant), an element
+        of a ring with these variable names, or a dict from exponent tuples,
+        one exponent per variable, to int or Fraction coefficients."""
+        if isinstance(rel, (int, Fraction)):
+            return self.element(rel, None).terms
+        if isinstance(rel, Polynomial):
+            if rel.ring.names != self.names:
+                raise RingMismatch("a relation from a ring with variables %r"
+                                   % (rel.ring.names,))
+            return rel.terms
+        if not isinstance(rel, dict):
+            raise DivisorForgeError("cannot read the relation %r" % (rel,))
+        for e, c in rel.items():
+            if not (isinstance(e, tuple) and len(e) == self.nvars and all(
+                    type(a) is int and a >= 0 for a in e)):
+                raise DivisorForgeError(
+                    "a relation exponent must be a tuple of %d non-negative "
+                    "ints, not %r" % (self.nvars, e))
+            if not isinstance(c, (int, Fraction)):
+                raise DivisorForgeError("a relation coefficient must be an "
+                                        "int or a Fraction, not %r" % (c,))
+        return {e: engine.coefficient(c) for e, c in rel.items() if c}
 
     # -- basics ------------------------------------------------------------
 

@@ -11,10 +11,10 @@ import time
 
 import pytest
 
-from divisor_forge import errors, factorization
+from divisor_forge import engine, errors, factorization
 from divisor_forge.cli import (
-    _FUNCTIONS, MAX_POWER_BITS, _exit_code, format_script, main, parse_script,
-    repl, run_text)
+    _FUNCTIONS, MAX_POWER_BITS, MAX_POWER_SIZE, MAX_SYMBOLIC_POWER, _exit_code,
+    format_script, main, parse_script, repl, run_text)
 from divisor_forge.factorization import MAX_COEFF_BITS
 from divisor_forge.parsing import MAX_DEPTH
 
@@ -208,6 +208,63 @@ def test_polynomial_and_ideal_powers_are_bounded_before_they_are_built():
     assert (code, out) == (0, "o1 = x^3 + 3*x^2*y + 3*x*y^2 + y^3\n"
                            "o2 = ideal(x^2 - 4*x*y + 4*y^2)\n"
                            "o3 = 8*x^3\n")
+
+
+def run_counting_products(monkeypatch, text):
+    """run(text) and the number of polynomial products it formed."""
+    products = []
+
+    def p_mul(p, q):
+        products.append(None)
+        return real(p, q)
+
+    real = engine.p_mul
+    monkeypatch.setattr(engine, "p_mul", p_mul)
+    got = run(text)
+    monkeypatch.undo()
+    return got, len(products)
+
+
+def test_power_sizes_are_bounded_before_any_product(monkeypatch):
+    """Terms times coefficient bits of a power are bounded before anything
+    is multiplied, also where every leading coefficient is 1."""
+    for text, size in [
+            # C(402, 2) terms of at most 2*400 + 1 bits
+            ("ring R = QQ[x,y];\nf = (x+y+1)^400;\n", 80601 * 801),
+            ("ring R = QQ[x,y];\nprint (x+y+1)^101;\n", 5253 * 203),
+            # 4,001 terms of at most 4,001 bits
+            ("ring R = QQ[x];\nprint (x+1)^4000;\n", 4001 * 4001),
+            # 501 products, each of at most C(502, 2) terms of 501 bits
+            ("ring R = QQ[x,y];\nprint ideal(x+1, y+1)^500;\n",
+             501 * 125751 * 501),
+            ("ring R = QQ[x,y];\nprint ideal(x, y)^(10^9);\n", 10**9 + 1),
+            # (3x+1)/3: at most 12^2000, so 4*2000 + 1 bits, per coefficient
+            ("ring R = QQ[x,y];\nprint (x + 1/3)^2000;\n", 2001 * 8001)]:
+        (code, out, err), products = run_counting_products(monkeypatch, text)
+        assert (code, out, products) == (2, "", 0), text
+        assert "a power of up to %d bits exceeds the cap of %d bits" % (
+            size, MAX_POWER_SIZE) in err, err
+
+
+def test_powers_under_the_size_cap_are_computed():
+    code, out, err = run("ring R = QQ[x,y];\nf = (x+y+1)^60;\n"
+                         "print f - (x+y+1)^30 * (x+y+1)^30;\n"
+                         "print x^(10^9) * y;\n")
+    assert (code, out, err) == (0, "o1 = 0\no2 = x^1000000000*y\n", "")
+
+
+def test_symbolic_powers_are_capped_before_any_product(monkeypatch):
+    ring = "ring R = QQ[x,y,z] / (x*y - z^2);\n"
+    code, out, err = run(ring + "print symbolicPower(ideal(x,z), 3);\n")
+    assert (code, err) == (0, "") and out.startswith("o1 = ideal(")
+    # declaring the ring forms products, and the refused call no more
+    _, products = run_counting_products(monkeypatch, ring)
+    for n in (MAX_SYMBOLIC_POWER + 1, 10**4):
+        (code, out, err), more = run_counting_products(
+            monkeypatch, ring + "print symbolicPower(ideal(x,z), %d);\n" % n)
+        assert (code, out, more) == (2, "", products)
+        assert "symbolicPower() of order %d exceeds the cap of %d" % (
+            n, MAX_SYMBOLIC_POWER) in err, err
 
 
 def test_huge_coefficients_are_refused_before_sympy():

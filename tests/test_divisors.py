@@ -187,23 +187,46 @@ def test_of_element_additivity_randomized(plane):
         assert left.multiset() == right.multiset()
 
 
-def test_repr_uses_display_ideals(cone4):
+# generator sets of the ruling (x, u) on xy - uv
+RULING_GENERATORS = [("x", "u"), ("u", "x"), ("x+u", "x-u"), ("x", "u+x^2"),
+                     ("2*x", "3*u"), ("u", "x+u", "x*y"), ("x+u^2", "u")]
+
+
+def test_each_prime_is_stored_once_and_printed_from_its_key(cone4):
+    """Whatever generators a prime is given by, its divisor stores the
+    canonical prime in both slots of its entry, and its text and JSON list
+    that prime's minimal generators.  Sums of such divisors merge them into
+    one entry, also when the first part's coefficient cancels."""
+    divisors = []
+    for gens in RULING_GENERATORS:
+        D = WeilDivisor.from_primes([1], [ideal(cone4, *gens)])
+        divisors.append(D)
+        (P, (c, prime)), = D.terms.items()
+        assert c == 1 and prime is P
+        assert repr(D) == "Div(u, x)"
+        assert D.to_json() == {
+            "ring": "QQ[x,y,u,v]/(x*y - u*v)", "tier": "Z",
+            "terms": [{"coeff": "1", "prime": ["u", "x"]}]}
+    first, second = divisors[:2]
+    for parts, text in [([(1, D) for D in divisors], "7*Div(u, x)"),
+                        ([(1, first), (-1, first), (3, second)], "3*Div(u, x)")]:
+        total = WeilDivisor.combine(cone4, parts)
+        (P, (_, prime)), = total.terms.items()
+        assert prime is P and repr(total) == text
     D = WeilDivisor.from_primes([3, 2],
                                 [ideal(cone4, "x", "v"), ideal(cone4, "x", "u")])
-    text = repr(D)
-    assert "3*Div(" in text and "2*Div(" in text
+    assert repr(D) == "3*Div(v, x) + 2*Div(u, x)"
 
 
 # -- one linear-combination path -----------------------------------------------
 
 def folded_add(D, E):
     """The earlier WeilDivisor.__add__."""
-    terms = dict(D.terms)
-    for P, (c, disp) in E.terms.items():
-        old, shown = terms.get(P, (0, disp))
-        terms[P] = (old + c, shown)
+    coeffs = {P: c for P, (c, _) in D.terms.items()}
+    for P, (c, _) in E.terms.items():
+        coeffs[P] = coeffs.get(P, 0) + c
     tier = "Q" if "Q" in (D.tier, E.tier) else "Z"
-    return WeilDivisor(D.ring, terms, tier)
+    return WeilDivisor(D.ring, coeffs, tier)
 
 
 def folded_scale(D, c):
@@ -211,9 +234,9 @@ def folded_scale(D, c):
     Fraction."""
     widen = isinstance(c, Fraction)
     c = Fraction(c)
-    terms = {P: (c * k, disp) for P, (k, disp) in D.terms.items()}
+    coeffs = {P: c * k for P, (k, _) in D.terms.items()}
     tier = "Q" if (widen or D.tier == "Q") else "Z"
-    return WeilDivisor(D.ring, terms, tier)
+    return WeilDivisor(D.ring, coeffs, tier)
 
 
 def folded_combine(ring, parts, tier="Z"):
@@ -224,9 +247,9 @@ def folded_combine(ring, parts, tier="Z"):
 
 
 def assert_under_the_rule(D):
-    for P, (c, disp) in D.terms.items():
+    for P, (c, prime) in D.terms.items():
         assert type(c) is (int if c.denominator == 1 else Fraction), D
-        assert disp.key == P.key
+        assert prime is P
 
 
 def combination_pools(plane, cone3, cone4):
@@ -246,7 +269,7 @@ def combination_pools(plane, cone3, cone4):
 def test_combine_matches_the_folded_sums(plane, cone3, cone4):
     """combine against the earlier fold of __add__ and scale: the same
     divisor, tier, text and JSON, with integral coefficients ints and each
-    display ideal on its prime."""
+    prime stored once."""
     rng = random.Random(2121)
     for pool in combination_pools(plane, cone3, cone4):
         ring = pool[0].ring
@@ -317,17 +340,3 @@ def test_combine_refuses_divisors_on_other_rings(cone4, plane):
         WeilDivisor.combine(cone4, [(1, D), (1, E)])
     with pytest.raises(RingMismatch):
         D + E
-
-
-def test_a_prime_keeps_the_display_ideal_of_its_first_part(cone4):
-    D = WeilDivisor.from_primes([1], [ideal(cone4, "x", "u")])
-    E = WeilDivisor.from_primes([2], [ideal(cone4, "u", "x + u")])
-    (P, (_, first)), = D.terms.items()
-    (_, (_, second)), = E.terms.items()
-    assert first.key == second.key and first is not second
-    # even when the first part's coefficient cancels on the way
-    for parts, coeff, shown in [([(1, D), (1, E)], 3, first),
-                                ([(1, E), (1, D)], 3, second),
-                                ([(1, D), (-1, D), (1, E)], 2, first)]:
-        c, disp = WeilDivisor.combine(cone4, parts).terms[P]
-        assert c == coeff and disp is shown

@@ -164,6 +164,30 @@ def test_constructors_refuse_an_element_of_another_ring(plane, cone3):
             build()
 
 
+def test_relations_are_read_or_refused():
+    names = ("x", "y")
+    same = QuotientRing(names, ("x^2 - 1",))
+    for rels in [(polynomial(same, "x^2 - 1"),),
+                 (polynomial(QuotientRing(names, ("x^3",)), "x^2 - 1"),),
+                 ({(2, 0): 1, (0, 0): -1},),
+                 ({(2, 0): Fraction(2, 2), (0, 0): Fraction(-1), (1, 1): 0},)]:
+        assert QuotientRing(names, rels) == same
+    # a number is a constant relation
+    assert repr(QuotientRing(names, (5,))) == "QQ[x,y]/(1)"
+    assert QuotientRing(names, (Fraction(1, 2),)) == \
+        QuotientRing(names, ("1/2",))
+    assert QuotientRing(names, (0, "x*y")) == QuotientRing(names, ("x*y",))
+    for rels in [({(1,): 1},), ({(1, 0, 0): 1},), ({(1, -1): 1},),
+                 ({(1, 1.0): 1},), ({(True, 0): 1},), ({"x": 1},),
+                 ({(1, 0): 1.5},), ({(1, 0): "1"},), (None,), ([1, 2],),
+                 (2.0,)]:
+        with pytest.raises(DivisorForgeError) as caught:
+            QuotientRing(names, rels)
+        assert type(caught.value) is DivisorForgeError, rels
+    other = QuotientRing(("a",))
+    with pytest.raises(RingMismatch, match="variables \\('a',\\)"):
+        QuotientRing(names, (polynomial(other, "a^2 - 1"),))
+
 
 @pytest.mark.parametrize("n", [Fraction(5, 2), 2.5, 2.0, "2"])
 def test_non_integral_exponents_are_refused(plane, n):
