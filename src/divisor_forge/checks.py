@@ -11,7 +11,7 @@ from math import lcm
 
 from . import engine
 from .correspondence import sheaf_of
-from .errors import DivisorForgeError, NonIntegralCoercion
+from .errors import DivisorForgeError
 from .ideals import Ideal, irrelevant_ideal
 from .ring import Polynomial, as_int
 
@@ -38,15 +38,9 @@ class CheckReport:
         return out
 
 
-def _integral(D):
-    if not D.is_integral():
-        raise NonIntegralCoercion("integral divisor required")
-    return D.to_integer_tier() if D.tier != "Z" else D
-
-
 def non_cartier_locus(D, graded=False):
-    """Ideal defining the locus where D fails to be Cartier."""
-    D = _integral(D)
+    """Ideal defining the locus where D fails to be Cartier; sheaf_of refuses
+    a non-integral D."""
     plus = sheaf_of(D)
     minus = sheaf_of(-D)
     product = plus.numerator * minus.numerator
@@ -78,14 +72,14 @@ def is_q_cartier(bound, D):
         raise DivisorForgeError("bound must be positive")
     step = lcm(*(c.denominator for c, _ in D.terms.values()))
     for n in range(step, bound * step + 1, step):
-        if is_cartier((D * n).to_integer_tier()):
+        if is_cartier(D * n):
             return n
     return 0
 
 
 def is_principal(D, graded=False):
-    """Whether O(D) is free, i.e. the divisor is the divisor of an element."""
-    D = _integral(D)
+    """Whether O(D) is free, i.e. the divisor is the divisor of an element;
+    sheaf_of refuses a non-integral D."""
     F = sheaf_of(D)
     # irredundant generators: their count is minimal for homogeneous
     # ideals by graded Nakayama

@@ -43,7 +43,7 @@ from .fractional import FractionalIdeal, reflexify
 from .geometry import base_locus, map_to_projective_space, pullback
 from .ideals import Ideal, symbolic_power
 from .parsing import ExprParser, tokenize
-from .ring import Grading, Polynomial, QuotientRing, RingMap
+from .ring import Grading, Polynomial, QuotientRing, RingMap, as_int
 
 
 # ---------------------------------------------------------------------------
@@ -190,27 +190,14 @@ def format_script(statements):
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _element(value, ring, message):
-    """`value` as a ring element for `ring`: a number is taken in `ring`, and
-    a ring element must be in a ring with the same variables; otherwise a
-    ScriptError with `message`."""
-    if isinstance(value, (int, Fraction)):
-        return ring.one() * value
-    if isinstance(value, Polynomial) and value.ring.names == ring.names:
-        return value
-    raise ScriptError(message)
-
-
 # Argument kinds of the function table: what each accepts, for messages,
-# and the types it takes as they are.
+# and the types it takes as they are; an "int" is read by ring.as_int.
 _KINDS = {
     "any": ("any value", object),
     "divisor": ("a divisor", WeilDivisor),
     "sheaf": ("a fractional ideal", FractionalIdeal),
     "ideal": ("an ideal or a ring element", Ideal),
     "element": ("a ring element", Polynomial),
-    "int": ("an integer", ()),
-    "posint": ("a positive integer", ()),
     "bool": ("true or false", bool),
     "map": ("a ring map", RingMap),
     "ring": ("a ring", QuotientRing),
@@ -219,8 +206,10 @@ _KINDS = {
 
 
 def _coerce(kind, value, what):
-    """`value` as an argument of `kind`; `what` names it in the ScriptError
-    raised when it is not one."""
+    """`value` as an argument of `kind`; `what` names it in the error raised
+    when it is not one."""
+    if kind == "int":
+        return as_int(value, what)
     noun, types = _KINDS[kind]
     if isinstance(value, types):
         return value
@@ -228,16 +217,14 @@ def _coerce(kind, value, what):
         return Ideal(value.ring, [value])
     if kind == "bool" and isinstance(value, CheckReport):
         return bool(value)
-    if (kind in ("int", "posint") and isinstance(value, (int, Fraction))
-            and not isinstance(value, bool) and value.denominator == 1
-            and (kind == "int" or value > 0)):
-        return int(value)
     raise ScriptError("%s must be %s" % (what, noun))
 
 
-# a power of a number, or of a polynomial or ideal whose leading
-# coefficient's power would have a numerator or denominator of more bits,
-# is refused before it is computed
+# a power of a number whose numerator or denominator could pass this many
+# bits, or of a polynomial or ideal whose size could (see _bound_power_size),
+# is refused before it is computed.  A term count alone is not enough:
+# (x+1)^4000 has 4,001 terms and a whole run binding it took 22 s.  Just
+# under the cap, (x+y+1)^100 took about 3 s and (x+1)^1023 1.2 s (2 vCPUs).
 MAX_POWER_BITS = 2**20
 
 
@@ -251,19 +238,11 @@ def _bound_power(c, n):
                           % (bits, MAX_POWER_BITS))
 
 
-# a power of a polynomial or ideal whose size could pass this many bits is
-# refused before it is computed (see _bound_power_size).  A term count alone
-# is not enough: (x+1)^4000 has 4,001 terms and a whole run binding it took
-# 22 s.  Just under the cap, (x+y+1)^100 took about 3 s and (x+1)^1023 1.2 s
-# (2 vCPUs).
-MAX_POWER_SIZE = 2**20
-
-
 def _bound_power_size(terms, nvars, n):
     """Refuse the n-th power of the ideal whose nonzero generators have the
     term dicts terms (of a polynomial when there is one) when a bound on
     its size, its number of terms times the bits of one coefficient, passes
-    MAX_POWER_SIZE.
+    MAX_POWER_BITS.
 
     The power is the list of the distinct products of n generators, at
     most C(n+m-1, m-1) of m generators.  A product has total degree at
@@ -280,7 +259,7 @@ def _bound_power_size(terms, nvars, n):
         den = lcm(*(c.denominator for c in p.values()))
         scale = max(scale, den * sum(abs(c.numerator) * (den // c.denominator)
                                      for c in p.values()))
-    if n > MAX_POWER_SIZE and (m > 1 or t > 1 or scale > 1):
+    if n > MAX_POWER_BITS and (m > 1 or t > 1 or scale > 1):
         size = n + 1  # the bound below is at least this, past the cap
     else:
         d = max(sum(e) for p in terms for e in p)
@@ -288,9 +267,9 @@ def _bound_power_size(terms, nvars, n):
         size = comb(n + m - 1, n) * min(
             comb(n * d + nvars, nvars), comb(n + T - 1, n), t ** n) * (
                 n * (scale - 1).bit_length() + 1)
-    if size > MAX_POWER_SIZE:
+    if size > MAX_POWER_BITS:
         raise ScriptError("a power of up to %d bits exceeds the cap of %d "
-                          "bits" % (size, MAX_POWER_SIZE))
+                          "bits" % (size, MAX_POWER_BITS))
 
 
 # symbolicPower(I, n) above this n is refused before it is computed.  Whole
@@ -367,11 +346,9 @@ class Session:
                 return self._mul(a, b)
             if op == "/":
                 return self._div(a, b)
-            if op == "^":
-                return self._pow(a, b)
+            return self._pow(a, b)  # the parser's one other operator, ^
         except (TypeError, ZeroDivisionError) as exc:
             raise ScriptError(str(exc)) from exc
-        raise ScriptError("unknown operator %r" % op)
 
     def _mul(self, a, b):
         if isinstance(a, FractionalIdeal) and isinstance(b, FractionalIdeal):
@@ -391,21 +368,16 @@ class Session:
         raise ScriptError("unsupported division")
 
     def _pow(self, a, b):
-        n = _coerce("int", b, "an exponent")
+        n = as_int(b, "an exponent")
         if isinstance(a, FractionalIdeal):
             return a.power(n)
         if isinstance(a, (Ideal, Polynomial)):
             if n < 0:
                 raise ScriptError("negative power of an ideal element")
             gens = a.gens if isinstance(a, Ideal) else (a,)
-            # lc(g)^n is a coefficient of g^n under the ring order, and g^n
-            # is a stored generator of the n-th power of an ideal with g
-            for g in gens:
-                if g.terms:
-                    _bound_power(g.terms[max(g.terms, key=g.ring.key)], n)
             terms = [g.terms for g in gens if g.terms]
             if terms:
-                _bound_power_size(terms, gens[0].ring.nvars, n)
+                _bound_power_size(terms, a.ring.nvars, n)
             return a ** n
         if isinstance(a, (int, Fraction)):
             if n < 0 and a == 0:
@@ -419,10 +391,7 @@ class Session:
     def _divisor_table(self, entries, ring):
         coeffs, primes = [], []
         for cnode, enode in entries:
-            c = self.eval(cnode, ring)
-            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-                raise ScriptError("divisor coefficient must be a number")
-            coeffs.append(c)
+            coeffs.append(self.eval(cnode, ring))
             primes.append(_coerce("ideal", self.eval(enode, ring),
                                   "a divisor table entry"))
         return WeilDivisor.from_primes(coeffs, primes)
@@ -458,8 +427,7 @@ class Session:
         if kinds == ("element*",):
             owner = next((a.ring for a in args if isinstance(a, Polynomial)),
                          None) or self.need_ring()
-            args = [owner, [_element(a, owner, "%s() takes elements of one "
-                                     "ring" % name) for a in args]]
+            args = [owner, args]
         else:
             if len(args) < len(kinds) and kinds[len(args)] == "ring?":
                 args.append(self.need_ring())
@@ -530,12 +498,12 @@ _FUNCTIONS = {
     "toQWeil": (("divisor",), (), "WeilDivisor.to_rational_tier"),
     "isCartier": (("divisor",), ("graded",), "is_cartier"),
     "nonCartierLocus": (("divisor",), ("graded",), "non_cartier_locus"),
-    "isQCartier": (("posint", "divisor"), (), "is_q_cartier"),
+    "isQCartier": (("int", "divisor"), (), "is_q_cartier"),
     "isPrincipal": (("divisor",), ("graded",), "is_principal"),
     "isLinearEquivalent": (("divisor", "divisor"), ("graded",),
                            "is_linearly_equivalent"),
     "isSNC": (("divisor",), ("graded",), "is_snc"),
-    "symbolicPower": (("ideal", "posint"), (), "_symbolic_power"),
+    "symbolicPower": (("ideal", "int"), (), "_symbolic_power"),
     "isEffective": (("divisor",), (), "WeilDivisor.is_effective"),
     "isIntegral": (("divisor",), (), "WeilDivisor.is_integral"),
 }
@@ -606,10 +574,8 @@ def execute_script(statements, session, text=""):
                 _, name, variables, relations, degrees, _ = stmt
                 grading = Grading(degrees) if degrees else None
                 probe = QuotientRing(tuple(variables), (), grading)
-                rels = [_element(session.eval(r, probe), probe,
-                                 "relation must be a polynomial").terms
-                        for r in relations]
-                ring = QuotientRing(tuple(variables), tuple(rels), grading)
+                ring = QuotientRing(tuple(variables), tuple(
+                    session.eval(r, probe) for r in relations), grading)
                 session.bindings[name] = ring
                 session.current_ring = ring
             elif kind == "mapdecl":
@@ -619,10 +585,8 @@ def execute_script(statements, session, text=""):
                 if not isinstance(source, QuotientRing) or not isinstance(
                         target, QuotientRing):
                     raise ScriptError("map endpoints must be declared rings")
-                images = [_element(session.eval(node, target), target,
-                                   "map images must lie in the target ring")
-                          for node in image_nodes]
-                session.bindings[name] = RingMap(source, target, images)
+                session.bindings[name] = RingMap(source, target, [
+                    session.eval(node, target) for node in image_nodes])
             elif kind == "use":
                 ring = session.bindings.get(stmt[1])
                 if not isinstance(ring, QuotientRing):

@@ -28,6 +28,14 @@ from .ideals import (
 from .ring import Polynomial
 
 
+def _scalar(c):
+    """c, when it is a coefficient: an int or a Fraction, and not a bool."""
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+        raise DivisorForgeError("a divisor coefficient must be an int or a "
+                                "Fraction, not %s" % (c,))
+    return c
+
+
 class WeilDivisor:
     """Formal sum of height-one prime divisors with Z or Q coefficients."""
 
@@ -52,9 +60,7 @@ class WeilDivisor:
         or a part's tier is, or when a c is a Fraction."""
         coeffs = {}
         for c, D in parts:
-            if not isinstance(c, (int, Fraction)):
-                raise DivisorForgeError("a divisor coefficient must be an int "
-                                        "or a Fraction, not %s" % (c,))
+            _scalar(c)
             if D.ring != ring:
                 raise RingMismatch("divisors on different rings")
             if isinstance(c, Fraction) or D.tier == "Q":
@@ -71,10 +77,11 @@ class WeilDivisor:
         if not primes:
             raise DivisorForgeError("empty prime list")
         ring = primes[0].ring
+        # every coefficient is read before any prime is certified; an
+        # integral Fraction is an int, so only a non-integer widens
+        coeffs = [coefficient(_scalar(c)) for c in coeffs]
         parts = []
         for c, P in zip(coeffs, primes):
-            # an integral Fraction is an int, so only a non-integer widens
-            c = coefficient(c) if isinstance(c, Fraction) else c
             if P.ring != ring:
                 raise RingMismatch("primes from different rings")
             if P.is_zero() or P.is_unit():

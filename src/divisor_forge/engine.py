@@ -512,7 +512,8 @@ def is_unit_ideal(gb):
 # dimension via independent variable sets
 
 def lt_dimension(gb, nvars, key):
-    """Krull dimension of k[x]/LT(I) from a reduced GB (unit ideal gives -1)."""
+    """Krull dimension of k[x]/LT(I) from a reduced GB (unit ideal gives -1;
+    otherwise no leading term is constant, so size 0 always qualifies)."""
     if is_unit_ideal(gb):
         return -1
     lts = [max(g, key=key) for g in gb]
@@ -521,4 +522,3 @@ def lt_dimension(gb, nvars, key):
             s = set(subset)
             if all(any(m[i] for i in range(nvars) if i not in s) for m in lts):
                 return size
-    return 0

@@ -17,8 +17,9 @@ from .errors import DivisorForgeError, GradingNotPositive, RingMismatch
 
 def as_int(n, what):
     """n as an int, when it is an int or an integral Fraction; anything else,
-    a float included, is a DivisorForgeError naming what n is."""
-    if isinstance(n, (int, Fraction)) and n.denominator == 1:
+    a float or a bool included, is a DivisorForgeError naming what n is."""
+    if isinstance(n, (int, Fraction)) and not isinstance(n, bool) \
+            and n.denominator == 1:
         return int(n)
     raise DivisorForgeError("%s must be an integer, not %s" % (what, n))
 

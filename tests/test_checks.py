@@ -75,6 +75,32 @@ def test_non_cartier_locus_requires_integrality(cone3b):
         non_cartier_locus(D)
 
 
+def test_cartier_battery_ignores_the_tier(cone3, cone4):
+    """A Q-tier divisor with integral coefficients and its Z-tier copy get
+    the same verdicts, locus and Q-Cartier index; a non-integral one is
+    refused by sheaf_of, the one integrality check."""
+    rng = random.Random(2525)
+    pools = [(cone3, [ideal(cone3, "x", "z"), ideal(cone3, "y", "z")]),
+             (cone4, [ideal(cone4, a, b) for a in "xy" for b in "uv"])]
+    for ring, pool in pools:
+        for _ in range(3):
+            primes = rng.sample(pool, rng.randint(1, 2))
+            Z = WeilDivisor.from_primes(
+                [rng.choice([-2, -1, 1, 2, 3]) for _ in primes], primes)
+            Q = Z.to_rational_tier()
+            assert (Z.tier, Q.tier) == ("Z", "Q")
+            for check in (is_cartier, is_principal):
+                assert check(Z).verdict == check(Q).verdict
+                assert check(Z, graded=True).verdict == \
+                    check(Q, graded=True).verdict
+            assert non_cartier_locus(Z).key == non_cartier_locus(Q).key
+            assert is_q_cartier(4, Z) == is_q_cartier(4, Q)
+            half = Z + WeilDivisor.from_primes([Fraction(1, 2)], primes[:1])
+            for check in (is_cartier, is_principal, non_cartier_locus):
+                with pytest.raises(NonIntegralCoercion):
+                    check(half)
+
+
 def test_is_principal(cone3b, plane):
     D = ruling(cone3b)
     assert not is_principal(D, graded=True)

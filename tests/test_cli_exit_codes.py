@@ -13,8 +13,8 @@ import pytest
 
 from divisor_forge import engine, errors, factorization
 from divisor_forge.cli import (
-    _FUNCTIONS, MAX_POWER_BITS, MAX_POWER_SIZE, MAX_SYMBOLIC_POWER, _exit_code,
-    format_script, main, parse_script, repl, run_text)
+    _FUNCTIONS, MAX_POWER_BITS, MAX_SYMBOLIC_POWER, _exit_code, format_script,
+    main, parse_script, repl, run_text)
 from divisor_forge.factorization import MAX_COEFF_BITS
 from divisor_forge.parsing import MAX_DEPTH
 
@@ -35,8 +35,7 @@ CASES = [
     ("print pullback(x);", 2, "pullback() takes 2 arguments (1 given)"),
     ("print symbolicPower(ideal(x));", 2,
      "symbolicPower() takes 2 arguments (1 given)"),
-    ("print isQCartier(0, D);", 2,
-     "isQCartier() argument 1 must be a positive integer"),
+    ("print isQCartier(0, D);", 2, "bound must be positive"),
     ("print ideal(x) + 1;", 2, "unsupported operand type(s) for +"),
     ("print ideal(x)*ideal(y)*R;", 2, "unsupported operand type(s) for *"),
     # arguments that used to be dropped without a word
@@ -64,11 +63,15 @@ CASES = [
     ("print -ideal(10^5000*x+1);", 2, DIGITS),
     ("ring S = QQ[x,y]; print divisor{1: ideal(x^2 + 10^5000*x)};", 2,
      DIGITS),
+    # a coefficient is read before its prime, whose factorization would be
+    # refused with exit 3
+    ("print divisor{x: ideal(x^3 + 10^5000*y^3 + 1)};", 2,
+     "a divisor coefficient must be an int or a Fraction, not x"),
     # number powers past the bit cap, refused before they are computed
     ("print 3^(10^9);", 2, POWER_CAP),
     ("print (2/3)^(-(10^7));", 2, POWER_CAP),
     ("print (10^5000)^300;", 2, POWER_CAP),
-    # polynomial and ideal powers, bounded by their leading coefficients
+    # polynomial and ideal powers, bounded by their size
     ("print (2*x)^(10^7);", 2, POWER_CAP),
     ("print ideal(2*x)^(10^7);", 2, POWER_CAP),
     ("print ideal(y, x/3)^(10^6);", 2, POWER_CAP),
@@ -193,16 +196,16 @@ def test_number_powers_are_bounded_before_they_are_built():
 
 
 def test_polynomial_and_ideal_powers_are_bounded_before_they_are_built():
-    """lc(f)^n is a coefficient of f^n, and of a generator of I^n for each
-    stored generator f of I, so its size bounds what would be built."""
-    for base, bits in (("(2*x)", 20000000), ("ideal(2*x)", 20000000),
-                       ("ideal(x, y - 10^9*x)", 300000000)):
+    """Past the cap, n + 1 bounds the size of an n-th power that is not of
+    a monomial with coefficient 1, so that is the size refused."""
+    for base, bits in (("(2*x)", 10000001), ("ideal(2*x)", 10000001),
+                       ("ideal(x, y - 10^9*x)", 10000001)):
         start = time.perf_counter()
         code, out, err = run("ring R = QQ[x,y];\nprint %s^(10^7);\n" % base)
         assert time.perf_counter() - start < 2
         assert (code, out) == (2, "")
         assert "a power of up to %d bits %s" % (bits, POWER_CAP) in err
-    # monic leading coefficients leave the power uncapped
+    # powers under the cap are computed
     code, out, _ = run("ring R = QQ[x,y];\nprint (x+y)^3;\n"
                        "print ideal(x - 2*y)^2;\nprint (2*x)^3;\n")
     assert (code, out) == (0, "o1 = x^3 + 3*x^2*y + 3*x*y^2 + y^3\n"
@@ -243,7 +246,23 @@ def test_power_sizes_are_bounded_before_any_product(monkeypatch):
         (code, out, err), products = run_counting_products(monkeypatch, text)
         assert (code, out, products) == (2, "", 0), text
         assert "a power of up to %d bits exceeds the cap of %d bits" % (
-            size, MAX_POWER_SIZE) in err, err
+            size, MAX_POWER_BITS) in err, err
+
+
+def test_one_size_bound_decides_polynomial_powers(monkeypatch):
+    """(2x)^(2^19 + 1) has one term and a coefficient of 2^19 + 2 bits, so
+    it passes the size bound; (2x)^(10^7) is still refused before any
+    product past the one that builds 2x."""
+    start = time.perf_counter()
+    code, out, err = run("ring R = QQ[x,y];\nf = (2*x)^(2^19 + 1);\n")
+    assert time.perf_counter() - start < 2
+    assert (code, out, err) == (0, "", "")
+    base = "ring R = QQ[x,y];\ng = 2*x;\n"
+    _, products = run_counting_products(monkeypatch, base)
+    (code, out, err), more = run_counting_products(
+        monkeypatch, base + "print g^(10^7);\n")
+    assert (code, out, more) == (2, "", products)
+    assert "a power of up to 10000001 bits " + POWER_CAP in err
 
 
 def test_powers_under_the_size_cap_are_computed():
@@ -311,14 +330,14 @@ BRANCHES = [
     ("print ideal(1);", 2,
      "error: 1:1: no current ring; declare one with `ring`"),
     (PLANE + "ring S = QQ[a,b]/(divisor(a));", 2,
-     "error: 2:1: relation must be a polynomial"),
+     "error: 2:1: cannot read the relation Div(a)"),
     (TARGET + "map f : S -> R = (divisor(x), y);", 2,
-     "error: 3:1: map images must lie in the target ring"),
+     "error: 3:1: image not in target ring"),
     (PLANE + "map f : T -> R = (x, y);", 2,
      "error: 2:1: map endpoints must be declared rings"),
     (HEADER + "use D;", 2, "error: 4:1: 'D' is not a ring"),
     (PLANE + "print divisor{x: ideal(x)};", 2,
-     "error: 2:1: divisor coefficient must be a number"),
+     "error: 2:1: a divisor coefficient must be an int or a Fraction, not x"),
     (PLANE + "print foo(x);", 2, "error: 2:1: unknown function 'foo'"),
     (PLANE + "print x^-1;", 2,
      "error: 2:1: negative power of an ideal element"),
@@ -353,6 +372,15 @@ def test_run_reads_a_script_from_stdin(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(PLANE + "print x*y;\n"))
     assert main(["run", "-"]) == 0
     assert capsys.readouterr() == ("o1 = x*y\n", "")
+
+
+def test_main_starts_the_repl(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin",
+                        io.StringIO("ring R = QQ[x];\nprint x;\nquit;\n"))
+    assert main(["repl"]) == 0
+    assert capsys.readouterr() == (
+        "divisor-forge repl; end statements with ';', exit with Ctrl-D or "
+        "'quit;'\no1 = x\n", "")
 
 
 def test_repl_prints_each_statement_and_stops_at_quit():

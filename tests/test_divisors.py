@@ -320,13 +320,17 @@ def test_from_primes_keeps_integral_coefficients_ints(cone4):
 
 
 def test_floats_are_refused(cone4):
+    """So are bools, which Python counts as ints."""
     P = ideal(cone4, "x", "u")
     D = WeilDivisor.from_primes([2], [P])
     for call in (lambda: D.scale(0.5),
                  lambda: D.scale(2.0),
                  lambda: WeilDivisor.combine(cone4, [(1, D), (0.5, D)]),
                  lambda: WeilDivisor.from_primes([0.1], [P]),
-                 lambda: WeilDivisor.from_primes([1, 2.0], [P, P])):
+                 lambda: WeilDivisor.from_primes([1, 2.0], [P, P]),
+                 lambda: WeilDivisor.from_primes([True], [P]),
+                 lambda: D * True,
+                 lambda: False * D):
         with pytest.raises(DivisorForgeError, match="int or a Fraction"):
             call()
     with pytest.raises(TypeError):

@@ -19,6 +19,7 @@ from divisor_forge import (
     ideal,
     polynomial,
 )
+from divisor_forge.ring import as_int
 
 
 def test_ring_construction_and_dimension(cone4, cone3, plane):
@@ -189,12 +190,19 @@ def test_relations_are_read_or_refused():
         QuotientRing(names, (polynomial(other, "a^2 - 1"),))
 
 
-@pytest.mark.parametrize("n", [Fraction(5, 2), 2.5, 2.0, "2"])
+@pytest.mark.parametrize("n", [Fraction(5, 2), 2.5, 2.0, "2", True])
 def test_non_integral_exponents_are_refused(plane, n):
     x = polynomial(plane, "x")
     with pytest.raises(DivisorForgeError, match="an exponent must be"):
         x ** n
     assert x ** Fraction(4, 2) == x ** 2 == polynomial(plane, "x^2")
+
+
+def test_as_int_refuses_bools():
+    for b in (True, False):
+        with pytest.raises(DivisorForgeError, match="n must be an integer"):
+            as_int(b, "n")
+    assert as_int(Fraction(6, 3), "n") == 2 and as_int(-7, "n") == -7
 
 
 @pytest.mark.parametrize("d", [Fraction(3, 2), 1.5, 1.0])
