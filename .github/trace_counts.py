@@ -5,11 +5,12 @@ usage: python .github/trace_counts.py BASE.out HEAD.out
 Each file holds the output of
 ``perfbench/run.py --workload NAME --seed 1 --seconds 5 --trace 1``, whose
 last line is a JSON object with the run's per-layer metrics.  Prints the
-``src_lines`` of each run's ``context`` line as base -> head, then every
-call count (``*.calls``), ``elim_calls``, ``max_basis_len`` and
-``max_coeff_bits`` that differs between the two, or that they all agree.
-Only reports: it exits 0 whatever it finds, also when a run left no
-result.
+``src_lines`` of each run's ``context`` line as base -> head, whether the
+two runs gave the same answers (the ``digest`` of their checked results,
+from the same line), then every call count (``*.calls``), ``elim_calls``,
+``max_basis_len`` and ``max_coeff_bits`` that differs between the two, or
+that they all agree.  Only reports: it exits 0 whatever it finds, also
+when a run left no result.
 """
 
 import json
@@ -19,31 +20,38 @@ COUNTS = (".calls", ".elim_calls", ".max_basis_len", ".max_coeff_bits")
 
 
 def read(path):
-    """The src_lines and the counts of the run in path; the counts are None
-    when it left no result, src_lines when it printed no context line."""
+    """The context line's src_lines and digest, and the counts, of the run
+    in path; the counts are None when it left no result, the others when
+    it printed no context line or the line lacks them."""
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.read().strip().splitlines()
     except OSError:
-        return None, None
-    src_lines = None
+        return {}, None
+    context = {}
     for line in lines:
         if line.startswith("context "):
             try:
-                src_lines = json.loads(line[len("context "):])["src_lines"]
-            except (KeyError, TypeError, ValueError):
+                context = dict(json.loads(line[len("context "):]))
+            except (TypeError, ValueError):
                 pass
     try:
         metrics = json.loads(lines[-1])["metrics"]
     except (IndexError, KeyError, TypeError, ValueError):
-        return src_lines, None
-    return src_lines, {name: m["value"] for name, m in metrics.items()
-                       if name.endswith(COUNTS)}
+        return context, None
+    return context, {name: m["value"] for name, m in metrics.items()
+                     if name.endswith(COUNTS)}
 
 
 def main(base_path, head_path):
-    (base_lines, base), (head_lines, head) = read(base_path), read(head_path)
-    print("src_lines: %s -> %s" % (base_lines, head_lines))
+    (base_context, base), (head_context, head) = (read(base_path),
+                                                  read(head_path))
+    print("src_lines: %s -> %s" % (base_context.get("src_lines"),
+                                   head_context.get("src_lines")))
+    digests = base_context.get("digest"), head_context.get("digest")
+    print("digest: %s -> %s, %s" % (digests + (
+        "missing" if None in digests
+        else "agree" if digests[0] == digests[1] else "differ",)))
     for name, path, got in (("base", base_path, base),
                             ("head", head_path, head)):
         if got is None:

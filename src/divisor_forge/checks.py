@@ -81,19 +81,22 @@ def is_principal(D, graded=False):
     """Whether O(D) is free, i.e. the divisor is the divisor of an element;
     sheaf_of refuses a non-integral D."""
     F = sheaf_of(D)
-    # irredundant generators: their count is minimal for homogeneous
-    # ideals by graded Nakayama
+    # irredundant generators: over a positive grading, homogeneous ones are
+    # minimal among all generating sets (graded Nakayama)
     gens = F.numerator.minimal_gens()
     if len(gens) == 1:
         g = gens[0]
         return CheckReport("true", witness=(g, F.denominator),
                            note="single generator")
+    grading = D.ring.grading
     if graded:
-        D.ring.grading.require_positive()
-        if all(g.multidegree() is not None for g in gens):
-            return CheckReport(
-                "false",
-                note="graded Nakayama: %d minimal generators" % len(gens))
+        grading.require_positive()
+    # ungraded, Nakayama needs the ring graded: homogeneous relations too
+    nakayama = graded or grading.positivity_witness() is not None and all(
+        len({grading.degree(m) for m in g}) == 1 for g in D.ring.quotient_gb)
+    if nakayama and all(g.multidegree() is not None for g in gens):
+        return CheckReport(
+            "false", note="graded Nakayama: %d minimal generators" % len(gens))
     return CheckReport(
         "unknown",
         note="no single generator found; may be a false negative for "

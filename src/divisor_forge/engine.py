@@ -12,12 +12,12 @@ variables implicitly from the exponent tuples and an order key explicitly.
 The higher-level modules wrap these in ring-aware classes.
 
 Reduction works on packed polynomials instead: dicts from a monomial
-packed into one int (see _packing) to a coefficient under the same rule.
-buchberger packs its generators on entry and unpacks its basis on exit;
-normal_form packs its tuple-keyed arguments at the same kind of boundary,
-and s_poly, called from buchberger only, is packed throughout.  What
-buchberger, normal_form, p_add, p_sub and p_mul return keeps the rule,
-even an integral sum or product of Fractions.
+packed into one int, which is its own order key (see _packing), to a
+coefficient under the same rule.  buchberger packs its generators on entry
+and unpacks its basis on exit; normal_form packs its tuple-keyed arguments
+at the same kind of boundary, and s_poly, called from buchberger only, is
+packed throughout.  What buchberger, normal_form, p_add, p_sub and p_mul
+return keeps the rule, even an integral sum or product of Fractions.
 
 There is one widening rule (_widening): each of these two steps, a whole
 Buchberger run or one normal form, runs at the narrowest packing that holds
@@ -39,7 +39,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
-from operator import add, le, lshift, neg, sub
+from operator import add, le, mul, neg, sub
 
 ONE = 1  # the coefficient of a monomial alone
 
@@ -195,51 +195,65 @@ def differentiate(p, i):
 # ---------------------------------------------------------------------------
 # packed monomials
 
-Packing = namedtuple("Packing", "width pack unpack lcm order guard margin")
+Packing = namedtuple("Packing",
+                     "width pack unpack one lcm graded guard high margin")
 
 
 @lru_cache(maxsize=None)
 def _packing(nvars, width, split):
-    """Monomials in nvars variables packed into one int each (Monagan and
-    Pearce, CASC 2007), for the order of every key with key.split == split:
-    the block order eliminating the first split variables (grevlex for 0).
+    """Monomials in nvars variables packed into one int each that is their
+    order key (Monagan and Pearce, CASC 2007), for the block order of every
+    key with key.split == split (grevlex for 0).
 
-    Every exponent gets a width-bit field that ends in a guard bit.  The
-    eliminated block lies above the rest, and the higher variable index
-    lies higher within a block.  A packed term is in range when it sets no
-    bit of margin, the top ceil(log2 nvars) + 1 bits of every field.  The
-    sum of two in-range terms carries out of no field, so for in-range a
-    and b: a + b is their product, lcm(a, b) their exponentwise max, a
-    divides b iff not b - a & guard, and no block degree reaches a guard
-    bit.  order(P) then sorts like the order key (per block: the degree,
-    then mask - P, whose fields are the negated exponents).
+    A block of variables has a field of width + 1 bits per variable, which
+    holds 2**width - 1 - e for its exponent e (the higher index higher), and
+    its degree in a field above them; the eliminated block lies above the
+    rest.  Every field's top bit is a guard bit, set in high, and in guard
+    for the variable fields.  The encoding is affine: a * b is a + b - one,
+    and g * m / lm is g + (m - lm).  A term is in range when every exponent
+    is below 2**(width - ceil(log2 nvars) - 1): P & margin == margin.  The
+    product of two in-range terms leaves every field below its guard bit,
+    so lm divides m iff (lm | high) - m & guard == guard.
+
+    The pair criteria need only the variable fields: P & one is P bare, its
+    degree fields cleared.  For bare a and b, lcm(a, b) is their fieldwise
+    min and a divides b iff not a - b & guard; graded(a) fills in the
+    degree fields of an in-range bare a.
     """
     k = min(split, nvars)  # the eliminated block is variables 0..k-1
-    nb = nvars - k
-    shifts = [width * ((v - k) % nvars) for v in range(nvars)]
-    ones = sum(1 << width * p for p in range(nvars))
-    guard = ones << width - 1
-    mask, low, fm = guard - ones, (1 << width * nb) - 1, (1 << width) - 1
-    sb, sn, w1 = width * nb, width * nvars, width - 1
-    margin = ones * (fm + 1 - (1 << width - (nvars - 1).bit_length() - 1))
+    wide, top = width + 1, (1 << width) - 1
+    shifts, coefs, fills, field = [0] * nvars, [0] * nvars, [], 0
+    for block in [b for b in (range(k, nvars), range(k)) if b]:
+        deg = wide * (field + len(block))  # field p starts at bit wide * p
+        for v in block:
+            shifts[v], field = wide * field, field + 1
+            coefs[v] = (1 << deg) - (1 << shifts[v])
+        # a field of e * spread sums the block's fields below it
+        fills.append((sum(1 << wide * j for j in range(1, len(block) + 1)),
+                      top << deg))
+        field += 1
+    ones = sum(1 << s for s in shifts)
+    one, guard = top * ones, ones << width
+    high = sum(1 << wide * p + width for p in range(field))
+    margin = ones * (top + 1 - (1 << width - (nvars - 1).bit_length() - 1))
 
     def pack(m):
-        return sum(map(lshift, m, shifts))
+        return one + sum(map(mul, m, coefs))
 
     def unpack(P):
-        return tuple([P >> s & fm for s in shifts])
+        return tuple([top - (P >> s & top) for s in shifts])
 
     def lcm(a, b):
         d = ((a | guard) - b) & guard  # guard bits where a's field >= b's
-        return b ^ (a ^ b) & (d - (d >> w1))
+        return a ^ (a ^ b) & (d - (d >> width))
 
-    def order(P):
-        t = P * ones << width  # field p + 1: the degree of fields 0..p
-        deg_b, q = t >> sb & fm, mask - P
-        return (((t >> sn & fm) - deg_b << sn | q & ~low) << width
-                | deg_b << sb | q & low)
+    def graded(a):
+        e = one - a  # the exponents, each in its field
+        for spread, degree in fills:
+            a += e * spread & degree
+        return a
 
-    return Packing(width, pack, unpack, lcm, order, guard, margin)
+    return Packing(width, pack, unpack, one, lcm, graded, guard, high, margin)
 
 
 def _pack(p, pk):
@@ -272,12 +286,6 @@ def _head(P, lm):
     return lm, tuple([t for t in P.items() if t[0] != lm])
 
 
-def _heads(polys, pk):
-    """The monic tuple-keyed polys packed as (leading monomial, tail) pairs."""
-    return [_head(P, max(P, key=pk.order))
-            for P in [_pack(g, pk) for g in polys]]
-
-
 def _widening(polys, split, attempt):
     """attempt(pk) at the packing of the least width 8, 16, 32, ... that
     holds every exponent of the nonzero tuple-keyed polys, the width doubled
@@ -302,39 +310,39 @@ def _reduce(p, heads, pk):
     of (leading monomial, tail) of monic packed polynomials.  Returns the
     remainder with its terms in descending order, or None as soon as a term
     of p or of the work is out of range."""
-    guard, margin, order = pk.guard, pk.margin, pk.order
+    guard, high, margin = pk.guard, pk.high, pk.margin
     push, pop = heapq.heappush, heapq.heappop
     work = dict(p)
-    # max-heap of candidate monomials with lazy deletion
+    # max-heap of candidate monomials, negated, with lazy deletion
     heap = []
     for m in work:
-        if m & margin:
+        if m & margin != margin:
             return None
-        heap.append((-order(m), m))
+        heap.append(-m)
     heapq.heapify(heap)
     out = {}
     while heap:
-        m = pop(heap)[1]
+        m = -pop(heap)
         c = work.pop(m, None)
         if c is None:
             continue
         if c.__class__ is not int and c.denominator == 1:
             c = c.numerator
         for lm, tail in heads:
-            q = m - lm
-            if not q & guard:
+            if (lm | high) - m & guard == guard:
                 break
         else:
             out[m] = c
             continue
+        q = m - lm
         for gm, gc in tail:
             t = gm + q
             old = work.get(t)
             if old is None:
-                if t & margin:
+                if t & margin != margin:
                     return None
                 work[t] = -gc * c
-                push(heap, (-order(t), t))
+                push(heap, -t)
             else:
                 s = old - gc * c
                 if s:
@@ -362,19 +370,19 @@ def normal_form(p, basis, key, packing=None):
         return {}
 
     def attempt(pk):
-        r = _reduce(_pack(p, pk), _heads(basis, pk), pk)
+        heads = [_head(P, max(P)) for P in [_pack(g, pk) for g in basis]]
+        r = _reduce(_pack(p, pk), heads, pk)
         return None if r is None else _unpack(r, pk)
 
     return _widening((p, *basis), key.split, attempt)
 
 
-def s_poly(f, g, packing):
+def s_poly(f, g, L):
     """S-polynomial of the monic packed polynomials f and g, given as
-    (leading monomial, tail) pairs (see _head), without their leading
-    terms, which cancel.  Its terms may be out of the packing's range, but
-    are exact."""
+    (leading monomial, tail) pairs (see _head), whose leading monomials
+    have the lcm L, without their leading terms, which cancel.  Its terms
+    may be out of the packing's range, but are exact."""
     (lf, f), (lg, g) = f, g
-    L = packing.lcm(lf, lg)
     qf, qg = L - lf, L - lg
     r = {m + qf: c for m, c in f}
     for m, c in g:
@@ -408,23 +416,25 @@ def buchberger(gens, key):
 def _buchberger(gens, key, pk):
     """buchberger's run at the packing pk, or None as soon as a remainder
     leaves its range.  G holds each element as a monic packed dict, heads
-    as its (leading monomial, tail) pair, plms its leading monomial and
-    lcms[n][k] the lcm L_kn of the leading monomials of elements k < n.
+    as its (leading monomial, tail) pair, bare its leading monomial with
+    the degree fields cleared, and lcms[n][k] the bare lcm L_kn of the
+    leading monomials of elements k < n.
 
-    Normal selection pops the pair (i, j) of least order(L_ij), ties going
-    to the least (i, j).  A pair is dropped by the product criterion, or by
-    the chain criterion when some lm_k divides L with the pairs (i, k)
-    and (j, k) popped before (i, j).  Both are decided from the lcms and
+    Normal selection pops the pair (i, j) of least L_ij, ties going to the
+    least (i, j).  A pair is dropped by the product criterion, or by the
+    chain criterion when some lm_k divides L with the pairs (i, k) and
+    (j, k) popped before (i, j).  Both are decided from the bare lcms and
     the indices alone.  Of two pairs in the heap together, one whose lcm
-    strictly divides L has a smaller order, so it is popped before (i, j),
-    and one with lcm equal to L is popped before it exactly when its index
-    pair is smaller.  So:
+    strictly divides L is smaller, so it is popped before (i, j), and one
+    with lcm equal to L is popped before it exactly when its index pair is
+    smaller.  So:
 
     - when element n arrives, k < n is a witness for (i, n) exactly when
       L_kn strictly divides L_in, or equals it with k < i, since (k, n) and
       (i, k) then come first.  Only the lowest index i of each minimal
-      distinct lcm of the row L_0n, ..., L_(n-1)n is pushed, and only when
-      the product criterion does not drop it;
+      distinct lcm of the row L_0n, ..., L_(n-1)n is pushed, its degree
+      fields filled in, and only when the product criterion does not drop
+      it;
     - when (i, j) is popped, a later element k > j is a witness exactly
       when lm_k divides L, L_ik != L and L_jk != L: (i, k) and (j, k) came
       into the heap after (i, j) and have larger index pairs, so only a
@@ -434,49 +444,47 @@ def _buchberger(gens, key, pk):
     reduced or dropped, as when every pair is pushed and tested at pop
     time, and the S-pairs reduced are the same.
     """
-    lcm, order, guard = pk.lcm, pk.order, pk.guard
-    new = []
-    for g in gens:
-        P = _pack(g, pk)
-        lm = max(P, key=order)
-        new.append((lm, _monic(P, lm)))
-    new.sort(key=lambda h: order(h[0]))
-    # normal selection via a heap keyed by the order of the pair's lcm;
-    # (i, j) is unique, so the packed lcm carried last is never compared
-    G, heads, plms, lcms, pairs = [], [], [], [], []
+    lcm, graded, one, guard = pk.lcm, pk.graded, pk.one, pk.guard
+    packed = [_pack(g, pk) for g in gens]
+    # by ascending leading monomial, equal ones in the order given
+    new = [(lm, _monic(packed[i], lm))
+           for lm, i in sorted((max(P), i) for i, P in enumerate(packed))]
+    # normal selection via a heap of (L, i, j); (i, j) is unique
+    G, heads, bare, lcms, pairs = [], [], [], [], []
     while True:
         for lm, g in new:
-            n = len(G)
-            row = [lcm(Q, lm) for Q in plms]
+            n, b = len(G), lm & one
+            row = [lcm(B, b) for B in bare]
             # each distinct lcm of the row and its lowest index (the last
             # value stored for a key wins)
             first = dict(zip(reversed(row), range(n - 1, -1, -1)))
             # the distinct lcms that no other one divides: a proper divisor
-            # of L is a smaller int than L, so it is met first
+            # of a bare L is a larger int than L, so it is met first
             least = []
-            for L in sorted(first):
+            for L in sorted(first, reverse=True):
                 for M in least:
-                    if not L - M & guard:
+                    if not M - L & guard:
                         break
                 else:
                     least.append(L)
             for L in least:
                 i = first[L]
-                if L != plms[i] + lm:  # product criterion
-                    heapq.heappush(pairs, (order(L), i, n, L))
+                if L != bare[i] + b - one:  # product criterion
+                    heapq.heappush(pairs, (graded(L), i, n))
             G.append(g)
             heads.append(_head(g, lm))
-            plms.append(lm)
+            bare.append(b)
             lcms.append(row)
         new = ()
         if not pairs:
             break
-        _, i, j, L = heapq.heappop(pairs)
+        L, i, j = heapq.heappop(pairs)
+        b = L & one
         for k in range(j + 1, len(G)):
-            if not L - plms[k] & guard and lcms[k][i] != L != lcms[k][j]:
+            if not bare[k] - b & guard and lcms[k][i] != b != lcms[k][j]:
                 break  # chain criterion, by an element that came later
         else:
-            h = normal_form(s_poly(heads[i], heads[j], pk), heads, key, pk)
+            h = normal_form(s_poly(heads[i], heads[j], L), heads, key, pk)
             if h is None:
                 return None
             if h:
@@ -484,8 +492,8 @@ def _buchberger(gens, key, pk):
                 new = ((lm, _monic(h, lm)),)
     # minimalize
     minimal = []
-    for i in sorted(range(len(G)), key=lambda i: order(plms[i])):
-        if all(plms[i] - plms[k] & guard for k in minimal):
+    for _, i in sorted((h[0], i) for i, h in enumerate(heads)):
+        if all(bare[k] - bare[i] & guard for k in minimal):
             minimal.append(i)
     # interreduce in ascending order: a term below lm_i is divisible only by
     # a smaller leading monomial, so reducing each element by the reduced
@@ -499,7 +507,7 @@ def _buchberger(gens, key, pk):
                         key, pk)
         if r is None:
             return None
-        done.append(_head(r, plms[i]))
+        done.append(_head(r, heads[i][0]))
         reduced.append(_unpack(r, pk))
     return reduced
 

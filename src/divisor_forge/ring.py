@@ -9,19 +9,28 @@ representative modulo the defining ideal.
 
 from fractions import Fraction
 from itertools import product
+from numbers import Number
 
 from . import engine, parsing
 from .engine import grevlex_key
 from .errors import DivisorForgeError, GradingNotPositive, RingMismatch
 
 
+def kind(value):
+    """The type of value as a refusal names it: "an Ideal", "a str"."""
+    name = type(value).__name__
+    return ("an " if name[0] in "AEIOUaeiou" else "a ") + name
+
+
 def as_int(n, what):
     """n as an int, when it is an int or an integral Fraction; anything else,
-    a float or a bool included, is a DivisorForgeError naming what n is."""
+    a float or a bool included, is a DivisorForgeError naming what n is: n
+    itself when it is a number, else its kind (n is never formatted)."""
     if isinstance(n, (int, Fraction)) and not isinstance(n, bool) \
             and n.denominator == 1:
         return int(n)
-    raise DivisorForgeError("%s must be an integer, not %s" % (what, n))
+    raise DivisorForgeError("%s must be an integer, not %s" % (
+        what, n if isinstance(n, Number) else kind(n)))
 
 
 class Grading:
@@ -164,17 +173,19 @@ class QuotientRing:
 
     def element(self, value, mismatch):
         """value as an element of this ring: text is parsed, a number is a
-        constant, and an element of this ring is returned as it is.  Anything
-        else raises RingMismatch(mismatch)."""
+        constant, and an element of this ring is returned as it is.  An element
+        of another ring raises RingMismatch(mismatch), any other value one
+        naming its kind."""
         if isinstance(value, Polynomial):
             if value.ring == self:
                 return value
-        elif isinstance(value, str):
+            raise RingMismatch(mismatch)
+        if isinstance(value, str):
             return polynomial(self, value)
-        elif isinstance(value, (int, Fraction)):
+        if isinstance(value, (int, Fraction)):
             return Polynomial(
                 self, {(0,) * self.nvars: engine.coefficient(value)})
-        raise RingMismatch(mismatch)
+        raise RingMismatch("%s is not a ring element" % kind(value))
 
     def normal_form_raw(self, terms):
         return engine.normal_form(terms, self.quotient_gb, self.key)

@@ -8,6 +8,7 @@ import pytest
 from divisor_forge import (
     DivisorForgeError,
     NonIntegralCoercion,
+    QuotientRing,
     WeilDivisor,
     ideal,
     is_cartier,
@@ -108,6 +109,33 @@ def test_is_principal(cone3b, plane):
     E = WeilDivisor.of_element(polynomial(plane, "x^2*y"))
     assert is_principal(E, graded=True)
     assert is_principal(E - E, graded=True)
+
+
+def test_ungraded_is_principal_decides_by_graded_nakayama(cone3, cone4):
+    """Over a positive grading, two or more homogeneous irredundant
+    generators of O(D) mean "false" ungraded too, so the two modes agree
+    whenever ungraded decides; generators that are not homogeneous leave
+    it "unknown"."""
+    D = WeilDivisor.from_primes([1], [ideal(cone3, "x - z", "y - z")])
+    assert is_principal(D).verdict == is_principal(D, graded=True).verdict \
+        == "false"
+    rng = random.Random(2626)
+    pools = [(cone3, [ideal(cone3, "x", "z"), ideal(cone3, "y", "z")]),
+             (cone4, [ideal(cone4, a, b) for a in "xy" for b in "uv"])]
+    decided = set()
+    for ring, pool in pools:
+        for _ in range(4):
+            primes = rng.sample(pool, rng.randint(1, 2))
+            D = WeilDivisor.from_primes(
+                [rng.choice([-2, -1, 1, 2, 3]) for _ in primes], primes)
+            verdict = is_principal(D).verdict
+            if verdict != "unknown":
+                decided.add(verdict)
+                assert verdict == is_principal(D, graded=True).verdict
+    assert decided == {"true", "false"}
+    ring = QuotientRing(("x", "y", "z"), ("x*y - z^2 - z",))
+    D = WeilDivisor.from_primes([1], [ideal(ring, "x", "z")])
+    assert is_principal(D).verdict == "unknown"
 
 
 def test_is_principal_witness_generates(cone3b):

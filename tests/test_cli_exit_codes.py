@@ -265,6 +265,26 @@ def test_one_size_bound_decides_polynomial_powers(monkeypatch):
     assert "a power of up to 10000001 bits " + POWER_CAP in err
 
 
+def test_a_refused_exponent_names_its_kind_without_work(monkeypatch):
+    """x^I is refused by naming the kind of I: formatting I would compute
+    its minimal generators, four buchberger calls, only to word the
+    refusal."""
+    calls, real = [], engine.buchberger
+
+    def buchberger(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "buchberger", buchberger)
+    base = "ring R = QQ[x,y,z]/(x^2 - y*z);\nI = ideal(x,y,z^2);\n"
+    assert run(base) == (0, "", "")
+    bases = len(calls)
+    code, out, err = run(base + "print x^I;\n")
+    assert (code, out, len(calls)) == (2, "", 2 * bases)
+    assert err.startswith(
+        "error: 3:1: an exponent must be an integer, not an Ideal\n")
+
+
 def test_powers_under_the_size_cap_are_computed():
     code, out, err = run("ring R = QQ[x,y];\nf = (x+y+1)^60;\n"
                          "print f - (x+y+1)^30 * (x+y+1)^30;\n"
@@ -332,7 +352,9 @@ BRANCHES = [
     (PLANE + "ring S = QQ[a,b]/(divisor(a));", 2,
      "error: 2:1: cannot read the relation Div(a)"),
     (TARGET + "map f : S -> R = (divisor(x), y);", 2,
-     "error: 3:1: image not in target ring"),
+     "error: 3:1: a WeilDivisor is not a ring element"),
+    (PLANE + "print ideal(x, divisor(x));", 2,
+     "error: 2:1: a WeilDivisor is not a ring element"),
     (PLANE + "map f : T -> R = (x, y);", 2,
      "error: 2:1: map endpoints must be declared rings"),
     (HEADER + "use D;", 2, "error: 4:1: 'D' is not a ring"),

@@ -493,38 +493,53 @@ def test_flat_keys_sort_like_nested_keys(order):
 @pytest.mark.parametrize("order", sorted(ORDERS))
 @pytest.mark.parametrize("width", [8, 16])
 def test_packed_monomials_agree_with_tuples(order, width):
-    """The packed order compares (< and ==) like key on monomials of degree
-    up to 2**(width - 1) - 1, which bounds every pair's lcm, and packed lcm,
-    product and divisibility agree with the tuple operations on leading
-    monomials, whose degree stays below 2**(width - 2)."""
+    """A packed monomial is its own order key: packed monomials compare (<
+    and ==) like key, unpack to themselves and multiply as a + b - one
+    while every exponent stays below twice the in-range bound, as every
+    term of the work does.  On in-range monomials the packed lcm, product
+    criterion and divisibility agree with the tuple operations, and the
+    in-range test agrees with the bound at the bound and one past it."""
     key = ORDERS[order][0]
     rng = random.Random("packed-%s-%d" % (order, width))
-    for nvars in (1, 2, 3, 4, 6):
+    for nvars in range(1, 7):
         pk = engine._packing(nvars, width, key.split)
-        pack, lcm, packed_order, guard = pk.pack, pk.lcm, pk.order, pk.guard
+        pack, one, guard = pk.pack, pk.one, pk.guard
+        bound = 2 ** (width - (nvars - 1).bit_length() - 1)
 
         def monomial(top):
-            cuts = sorted(rng.randint(0, rng.randint(0, top))
-                          for _ in range(nvars - 1))
-            return tuple(b - a for a, b in zip([0] + cuts, cuts + [top]))
+            return tuple(rng.randint(0, rng.choice((1, 3, top)))
+                         for _ in range(nvars))
 
-        top = 2 ** (width - 1) - 1
+        def in_range(P):
+            return P & pk.margin == pk.margin
+
+        top = 2 * bound - 2  # the largest exponent of a term of the work
         monos = [monomial(top) for _ in range(40)]
         monos += [tuple(top * (j == i) for j in range(nvars))
                   for i in range(nvars)]
         monos += [(0,) * nvars] + monos[:5]
         for a in monos:
+            assert pk.unpack(pack(a)) == a
+            assert in_range(pack(a)) == (max(a) < bound)
             for b in monos:
-                pa, pb = packed_order(pack(a)), packed_order(pack(b))
+                pa, pb = pack(a), pack(b)
                 assert (pa < pb) == (key(a) < key(b))
-                assert (pa == pb) == (key(a) == key(b))
-        heads = [monomial(2 ** (width - 2) - 1) for _ in range(30)]
+                assert (pa == pb) == (a == b)
+        for i in range(nvars):
+            for e in (bound - 1, bound):
+                m = tuple(e * (j == i) + (j != i) for j in range(nvars))
+                assert in_range(pack(m)) == (e < bound)
+        heads = [monomial(bound - 1) for _ in range(30)]
         heads += [ref_mono_lcm(heads[0], heads[1]), (0,) * nvars]
         for a in heads:
             for b in heads:
-                L = lcm(pack(a), pack(b))
-                assert L == pack(ref_mono_lcm(a, b))
-                assert (L == pack(a) + pack(b)) == (
-                    ref_mono_lcm(a, b) == engine.mono_mul(a, b))
-                assert (not pack(b) - pack(a) & guard) == engine.mono_divides(
-                    a, b)
+                pa, pb = pack(a), pack(b)
+                want = ref_mono_lcm(a, b)
+                assert pa + pb - one == pack(engine.mono_mul(a, b))
+                L = pk.lcm(pa & one, pb & one)
+                assert L == pack(want) & one and pk.graded(L) == pack(want)
+                assert (L == (pa & one) + (pb & one) - one) == (
+                    want == engine.mono_mul(a, b))
+                divides = engine.mono_divides(a, b)
+                assert ((pa | pk.high) - pb & guard == guard) == divides
+                assert (not (pa & one) - (pb & one) & guard) == divides

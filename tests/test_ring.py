@@ -198,6 +198,28 @@ def test_non_integral_exponents_are_refused(plane, n):
     assert x ** Fraction(4, 2) == x ** 2 == polynomial(plane, "x^2")
 
 
+def test_refusals_name_the_kind_of_a_value_that_is_not_a_number(plane):
+    """A refused value that is not a number is named by its kind, not
+    formatted."""
+    x = polynomial(plane, "x")
+    I = ideal(plane, "x")
+    with pytest.raises(DivisorForgeError,
+                       match="^an exponent must be an integer, not an Ideal$"):
+        x ** I
+    with pytest.raises(DivisorForgeError,
+                       match="^n must be an integer, not a str$"):
+        as_int("2", "n")
+    with pytest.raises(DivisorForgeError,
+                       match="^n must be an integer, not 2.5$"):
+        as_int(2.5, "n")
+    for build in (lambda: Ideal(plane, [I]), lambda: ideal(plane, "x", I),
+                  lambda: RingMap(plane, plane, [I, "y"]),
+                  lambda: FractionalIdeal(I, I)):
+        with pytest.raises(RingMismatch,
+                           match="^an Ideal is not a ring element$"):
+            build()
+
+
 def test_as_int_refuses_bools():
     for b in (True, False):
         with pytest.raises(DivisorForgeError, match="n must be an integer"):
