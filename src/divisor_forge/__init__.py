@@ -34,6 +34,7 @@ from .errors import (
     Refusal,
     RingMismatch,
     ScriptError,
+    WorkExceeded,
 )
 from .fractional import FractionalIdeal, reflexify
 from .geometry import base_locus, map_to_projective_space, pullback
@@ -74,6 +75,7 @@ __all__ = [
     "RingMismatch",
     "ScriptError",
     "WeilDivisor",
+    "WorkExceeded",
     "base_locus",
     "canonical_divisor",
     "divisor_of_fractional_ideal",

@@ -10,18 +10,19 @@ Statements::
     check isCartier(D, graded=true);
 
 Exit codes: 0 success, 1 parse error or malformed command line, 2
-mathematical error, 3 refusal (an `errors.Refusal`: incomplete
-decomposition, or a factorization over a degree or coefficient cap).
+mathematical error, a number power past MAX_POWER_BITS included, 3 refusal
+(an `errors.Refusal`: incomplete decomposition, a factorization over a
+degree or coefficient cap, or engine work past WORK_BUDGET).
 """
 
 import argparse
 import json
 import sys
 from fractions import Fraction
-from math import comb, lcm
 from operator import attrgetter
 
 # `_FUNCTIONS` calls most of these imports by name.
+from . import engine
 from .checks import (
     CheckReport,
     is_cartier,
@@ -43,7 +44,7 @@ from .fractional import FractionalIdeal, reflexify
 from .geometry import base_locus, map_to_projective_space, pullback
 from .ideals import Ideal, symbolic_power
 from .parsing import ExprParser, tokenize
-from .ring import Grading, Polynomial, QuotientRing, RingMap, as_int
+from .ring import Grading, Polynomial, QuotientRing, RingMap, as_int, kind
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +222,8 @@ def _coerce(kind, value, what):
 
 
 # a power of a number whose numerator or denominator could pass this many
-# bits, or of a polynomial or ideal whose size could (see _bound_power_size),
-# is refused before it is computed.  A term count alone is not enough:
-# (x+1)^4000 has 4,001 terms and a whole run binding it took 22 s.  Just
-# under the cap, (x+y+1)^100 took about 3 s and (x+1)^1023 1.2 s (2 vCPUs).
+# bits is refused before it is computed; powers of polynomials and ideals
+# are bounded by WORK_BUDGET instead.
 MAX_POWER_BITS = 2**20
 
 
@@ -238,44 +237,10 @@ def _bound_power(c, n):
                           % (bits, MAX_POWER_BITS))
 
 
-def _bound_power_size(terms, nvars, n):
-    """Refuse the n-th power of the ideal whose nonzero generators have the
-    term dicts terms (of a polynomial when there is one) when a bound on
-    its size, its number of terms times the bits of one coefficient, passes
-    MAX_POWER_BITS.
-
-    The power is the list of the distinct products of n generators, at
-    most C(n+m-1, m-1) of m generators.  A product has total degree at
-    most n*d, so at most C(n*d+k, k) terms in k variables.  Its terms are
-    products of n terms of the generators, so there are at most
-    C(n+T-1, T-1) of them for T distinct terms in all, and at most t^n
-    when no generator has more than t terms.  A generator is h/D with h
-    integral and the sum of the absolute coefficients of h at most S, so a
-    coefficient of a product has its numerator times denominator at most
-    (S*D)^n, of at most n*ceil(log2(S*D)) + 1 bits."""
-    m, t = len(terms), max(map(len, terms))
-    scale = 1
-    for p in terms:
-        den = lcm(*(c.denominator for c in p.values()))
-        scale = max(scale, den * sum(abs(c.numerator) * (den // c.denominator)
-                                     for c in p.values()))
-    if n > MAX_POWER_BITS and (m > 1 or t > 1 or scale > 1):
-        size = n + 1  # the bound below is at least this, past the cap
-    else:
-        d = max(sum(e) for p in terms for e in p)
-        T = len({e for p in terms for e in p})
-        size = comb(n + m - 1, n) * min(
-            comb(n * d + nvars, nvars), comb(n + T - 1, n), t ** n) * (
-                n * (scale - 1).bit_length() + 1)
-    if size > MAX_POWER_BITS:
-        raise ScriptError("a power of up to %d bits exceeds the cap of %d "
-                          "bits" % (size, MAX_POWER_BITS))
-
-
-# symbolicPower(I, n) above this n is refused before it is computed.  Whole
-# runs printing symbolicPower(ideal(x,u), n) on QQ[x,y,u,v]/(x*y - u*v) took
-# 1.8 s at n = 50, 6.7 s at n = 75 and 67 s at n = 200 (2 vCPUs).
-MAX_SYMBOLIC_POWER = 50
+# The engine work (see engine.work_budget) one script run or REPL entry may
+# spend.  Whole runs refused at it ended within about 2 s (2 vCPUs); the
+# costliest script the tests answer, (x+y+1)^60 and more, spends 575,000.
+WORK_BUDGET = 2 * 10**6
 
 
 class Session:
@@ -334,7 +299,7 @@ class Session:
     def _neg(self, a):
         if isinstance(a, (int, Fraction, Polynomial, WeilDivisor)):
             return -a
-        raise ScriptError("cannot negate %r" % (a,))
+        raise ScriptError("cannot negate %s" % kind(a))
 
     def _binop(self, op, a, b):
         try:
@@ -374,17 +339,13 @@ class Session:
         if isinstance(a, (Ideal, Polynomial)):
             if n < 0:
                 raise ScriptError("negative power of an ideal element")
-            gens = a.gens if isinstance(a, Ideal) else (a,)
-            terms = [g.terms for g in gens if g.terms]
-            if terms:
-                _bound_power_size(terms, a.ring.nvars, n)
             return a ** n
         if isinstance(a, (int, Fraction)):
             if n < 0 and a == 0:
                 raise ScriptError("division by zero")
             _bound_power(a, n)
             return Fraction(a) ** n if n < 0 else a ** n
-        raise ScriptError("cannot raise %r to a power" % (a,))
+        raise ScriptError("cannot raise %s to a power" % kind(a))
 
     # -- divisor table -------------------------------------------------------
 
@@ -458,13 +419,6 @@ def _divisor_of(F, flag=None, *, graded):
         F, graded=graded if flag is None else flag)
 
 
-def _symbolic_power(I, n):
-    if n > MAX_SYMBOLIC_POWER:
-        raise ScriptError("symbolicPower() of order %d exceeds the cap of %d"
-                          % (n, MAX_SYMBOLIC_POWER))
-    return symbolic_power(I, n)
-
-
 def _reflexify(target):
     if isinstance(target, FractionalIdeal):
         return target.reflexive_hull()
@@ -503,7 +457,7 @@ _FUNCTIONS = {
     "isLinearEquivalent": (("divisor", "divisor"), ("graded",),
                            "is_linearly_equivalent"),
     "isSNC": (("divisor",), ("graded",), "is_snc"),
-    "symbolicPower": (("ideal", "int"), (), "_symbolic_power"),
+    "symbolicPower": (("ideal", "int"), (), "symbolic_power"),
     "isEffective": (("divisor",), (), "WeilDivisor.is_effective"),
     "isIntegral": (("divisor",), (), "WeilDivisor.is_integral"),
 }
@@ -634,7 +588,7 @@ def render_outputs(outputs, json_mode=False, text=""):
     for o in outputs:
         try:
             rendered.append(_render(o, json_mode))
-        except ValueError as exc:
+        except (DivisorForgeError, ValueError) as exc:
             raise _located(exc, text, o["line"], o["column"])
     if json_mode:
         return json.dumps({"outputs": rendered}, indent=2,
@@ -665,9 +619,10 @@ def _run(text, session, json_mode, out, err):
     """Parse, execute and render text in session, and write the output only
     if all three succeed; returns the exit code."""
     try:
-        rendered = render_outputs(
-            execute_script(parse_script(text), session, text), json_mode,
-            text)
+        with engine.work_budget(WORK_BUDGET):
+            rendered = render_outputs(
+                execute_script(parse_script(text), session, text), json_mode,
+                text)
     except DivisorForgeError as exc:
         return _fail(exc, err)
     out.write(rendered)

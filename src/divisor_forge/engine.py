@@ -32,16 +32,69 @@ elements that came after it.  This reduces the same S-pairs, in the same
 sequence, as pushing every pair and testing it against every element when
 it is taken.  The final interreduction reduces each element by the already
 reduced elements with smaller leading monomials.
+
+A caller may bound a computation with work_budget, counted in engine work
+and never in time.  Four sites charge before they work: p_mul for its term
+products, _reduce for each term and reduction step, _buchberger for each
+pair and new element, and lt_dimension for each set of variables; past the
+budget, WorkExceeded names the step and its counts.  The library runs with
+no budget: each site tests it for None.
 """
 
 import heapq
 from collections import namedtuple
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
 from operator import add, le, mul, neg, sub
 
+from .errors import WorkExceeded
+
 ONE = 1  # the coefficient of a monomial alone
+
+# ---------------------------------------------------------------------------
+# the work budget (see the module docstring)
+
+budget = None  # the units of work allowed, or None for no limit
+spent = 0  # the units charged since the budget was set
+# A unit is about one term product of small ints.  A product charges
+# PRODUCT_UNITS, and per term product a unit and one per WORD_PRODUCTS
+# products of the 64-bit words of its coefficients; a Fraction counts
+# FRACTION_WORDS words more, for its gcds.  A reduction charges a unit per
+# term taken, a term product per term update and a unit per TESTS
+# divisibility tests, as Buchberger does per pair and lt_dimension per set
+# of variables, and a unit per lcm.
+PRODUCT_UNITS, WORD_PRODUCTS, FRACTION_WORDS, TESTS = 8, 64, 32, 8
+
+
+@contextmanager
+def work_budget(units):
+    """Run the body under a budget of units, counted from zero."""
+    global budget, spent
+    saved, (budget, spent) = (budget, spent), (units, 0)
+    try:
+        yield
+    finally:
+        budget, spent = saved
+
+
+def charge(units, step, *counts):
+    """Charge units to step, a phrase with a %d for each of counts; past
+    the budget, raise WorkExceeded naming both."""
+    global spent
+    spent += units
+    if spent > budget:
+        raise WorkExceeded("%s needs %d units of work, past the budget of %d "
+                           "units (%d spent)" % (step % counts, units, budget,
+                                                 spent - units))
+
+
+def _words(coefficients):
+    """The size in 64-bit words of the largest of coefficients."""
+    return 1 + max((c.numerator.bit_length() + c.denominator.bit_length()
+                    + (c.denominator > 1) * 64 * FRACTION_WORDS
+                    for c in coefficients), default=0) // 64
 
 
 def coefficient(c):
@@ -124,6 +177,11 @@ def p_sub(p, q):
 
 
 def p_mul(p, q):
+    if budget is not None:
+        a, b = _words(p.values()), _words(q.values())
+        charge(PRODUCT_UNITS + len(p) * len(q) * (1 + a * b // WORD_PRODUCTS),
+               "a product of %d by %d terms of up to %d by %d words",
+               len(p), len(q), a, b)
     r = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
@@ -312,6 +370,8 @@ def _reduce(p, heads, pk):
     of p or of the work is out of range."""
     guard, high, margin = pk.guard, pk.high, pk.margin
     push, pop = heapq.heappush, heapq.heappop
+    charging, n = budget is not None, len(heads)
+    scan, sizes = 1 + n // TESTS, {}  # sizes: lm -> _words of its tail
     work = dict(p)
     # max-heap of candidate monomials, negated, with lazy deletion
     heap = []
@@ -332,8 +392,17 @@ def _reduce(p, heads, pk):
             if (lm | high) - m & guard == guard:
                 break
         else:
+            if charging:
+                charge(scan, "a term tested against %d leading terms", n)
             out[m] = c
             continue
+        if charging:
+            a, b = sizes.get(lm), _words((c,))
+            if a is None:
+                a = sizes[lm] = _words(t[1] for t in tail)
+            charge(scan + len(tail) * (1 + a * b // WORD_PRODUCTS),
+                   "a term tested against %d leading terms and reduced by %d "
+                   "term updates of up to %d by %d words", n, len(tail), a, b)
         q = m - lm
         for gm, gc in tail:
             t = gm + q
@@ -454,6 +523,8 @@ def _buchberger(gens, key, pk):
     while True:
         for lm, g in new:
             n, b = len(G), lm & one
+            if budget is not None:
+                charge(1 + n, "basis element %d and its %d lcms", n + 1, n)
             row = [lcm(B, b) for B in bare]
             # each distinct lcm of the row and its lowest index (the last
             # value stored for a key wins)
@@ -479,6 +550,10 @@ def _buchberger(gens, key, pk):
         if not pairs:
             break
         L, i, j = heapq.heappop(pairs)
+        if budget is not None:
+            charge(1 + (len(G) - j) // TESTS,
+                   "the S-pair (%d, %d) of a basis of %d elements", i, j,
+                   len(G))
         b = L & one
         for k in range(j + 1, len(G)):
             if not bare[k] - b & guard and lcms[k][i] != b != lcms[k][j]:
@@ -527,6 +602,10 @@ def lt_dimension(gb, nvars, key):
     lts = [max(g, key=key) for g in gb]
     for size in range(nvars, -1, -1):
         for subset in combinations(range(nvars), size):
+            if budget is not None:
+                charge(1 + len(lts) * nvars // TESTS, "a set of %d of %d "
+                       "variables tested against %d leading terms", size,
+                       nvars, len(lts))
             s = set(subset)
             if all(any(m[i] for i in range(nvars) if i not in s) for m in lts):
                 return size

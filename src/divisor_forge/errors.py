@@ -86,6 +86,10 @@ class FactorCoefficientsExceeded(Refusal):
     """Factorization by sympy refused: a coefficient above the bit cap."""
 
 
+class WorkExceeded(Refusal):
+    """Engine work past the budget a caller set (engine.work_budget)."""
+
+
 class ScriptError(DivisorForgeError):
     """Error while parsing or executing a script."""
 

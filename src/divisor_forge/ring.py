@@ -143,7 +143,7 @@ class QuotientRing:
                                    % (rel.ring.names,))
             return rel.terms
         if not isinstance(rel, dict):
-            raise DivisorForgeError("cannot read the relation %r" % (rel,))
+            raise DivisorForgeError("cannot read %s as a relation" % kind(rel))
         for e, c in rel.items():
             if not (isinstance(e, tuple) and len(e) == self.nvars and all(
                     type(a) is int and a >= 0 for a in e)):
@@ -174,15 +174,15 @@ class QuotientRing:
     def element(self, value, mismatch):
         """value as an element of this ring: text is parsed, a number is a
         constant, and an element of this ring is returned as it is.  An element
-        of another ring raises RingMismatch(mismatch), any other value one
-        naming its kind."""
+        of another ring raises RingMismatch(mismatch), any other value, a
+        bool included, one naming its kind."""
         if isinstance(value, Polynomial):
             if value.ring == self:
                 return value
             raise RingMismatch(mismatch)
         if isinstance(value, str):
             return polynomial(self, value)
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
             return Polynomial(
                 self, {(0,) * self.nvars: engine.coefficient(value)})
         raise RingMismatch("%s is not a ring element" % kind(value))

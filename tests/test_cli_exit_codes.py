@@ -6,15 +6,17 @@ message, never a Python traceback, and a REPL session survives it.
 """
 
 import io
+import os
+import subprocess
 import sys
 import time
 
 import pytest
 
-from divisor_forge import engine, errors, factorization
+from divisor_forge import cli, engine, errors, factorization
 from divisor_forge.cli import (
-    _FUNCTIONS, MAX_POWER_BITS, MAX_SYMBOLIC_POWER, _exit_code, format_script,
-    main, parse_script, repl, run_text)
+    _FUNCTIONS, MAX_POWER_BITS, WORK_BUDGET, Session, _exit_code,
+    execute_script, format_script, main, parse_script, repl, run_text)
 from divisor_forge.factorization import MAX_COEFF_BITS
 from divisor_forge.parsing import MAX_DEPTH
 
@@ -24,6 +26,7 @@ HEADER = (
     "E = divisor(x);\n")
 DIGITS = "%d digits" % sys.get_int_max_str_digits()
 POWER_CAP = "exceeds the cap of %d bits" % MAX_POWER_BITS
+BUDGET = "past the budget of %d units" % WORK_BUDGET
 NESTED = "expression nested deeper than %d levels" % MAX_DEPTH
 
 # (statement, exit code, a fragment of the message)
@@ -58,9 +61,10 @@ CASES = [
     # nesting past the parser's depth bound, which used to overflow the stack
     ("print %s1%s;" % ("(" * 300, ")" * 300), 1, NESTED),
     ("print %s1;" % ("-" * 3000), 1, NESTED),
-    # error messages that would show a number past CPython's limit; the
-    # last row leaves QQ[x,y] as the current ring
-    ("print -ideal(10^5000*x+1);", 2, DIGITS),
+    # an error message that names the value's kind, and one that would
+    # show a number past CPython's limit; the last row leaves QQ[x,y] as
+    # the current ring
+    ("print -ideal(10^5000*x+1);", 2, "cannot negate an Ideal"),
     ("ring S = QQ[x,y]; print divisor{1: ideal(x^2 + 10^5000*x)};", 2,
      DIGITS),
     # a coefficient is read before its prime, whose factorization would be
@@ -71,10 +75,10 @@ CASES = [
     ("print 3^(10^9);", 2, POWER_CAP),
     ("print (2/3)^(-(10^7));", 2, POWER_CAP),
     ("print (10^5000)^300;", 2, POWER_CAP),
-    # polynomial and ideal powers, bounded by their size
-    ("print (2*x)^(10^7);", 2, POWER_CAP),
-    ("print ideal(2*x)^(10^7);", 2, POWER_CAP),
-    ("print ideal(y, x/3)^(10^6);", 2, POWER_CAP),
+    # polynomial and ideal powers, bounded by the work budget
+    ("print (2*x)^(10^7);", 3, BUDGET),
+    ("print ideal(2*x)^(10^7);", 3, BUDGET),
+    ("print ideal(y, x/3)^(10^6);", 3, BUDGET),
 ]
 
 
@@ -97,7 +101,8 @@ def test_refused_inputs_get_their_exit_code(statement, code, message,
 
 @pytest.mark.parametrize("json_mode", [False, True])
 @pytest.mark.parametrize("statement", [
-    "print -ideal(10^5000*x+1);",  # in formatting an error message
+    # in formatting an error message
+    "print divisor{1: ideal(x^2 + 10^5000*x)};",
     "print 10^5000*x;",  # in printing a result
 ])
 def test_digit_limit_errors_get_their_location(statement, json_mode):
@@ -195,17 +200,14 @@ def test_number_powers_are_bounded_before_they_are_built():
     assert (code, out) == (0, "o1 = 10\no2 = 8\no3 = -1\no4 = 0\n")
 
 
-def test_polynomial_and_ideal_powers_are_bounded_before_they_are_built():
-    """Past the cap, n + 1 bounds the size of an n-th power that is not of
-    a monomial with coefficient 1, so that is the size refused."""
-    for base, bits in (("(2*x)", 10000001), ("ideal(2*x)", 10000001),
-                       ("ideal(x, y - 10^9*x)", 10000001)):
+def test_polynomial_and_ideal_powers_are_bounded_by_the_work_budget():
+    for base in ("(2*x)", "ideal(2*x)", "ideal(x, y - 10^9*x)"):
         start = time.perf_counter()
         code, out, err = run("ring R = QQ[x,y];\nprint %s^(10^7);\n" % base)
         assert time.perf_counter() - start < 2
-        assert (code, out) == (2, "")
-        assert "a power of up to %d bits %s" % (bits, POWER_CAP) in err
-    # powers under the cap are computed
+        assert (code, out) == (3, "")
+        assert err.startswith("error: 2:1: a product of ") and BUDGET in err
+    # powers within the budget are computed
     code, out, _ = run("ring R = QQ[x,y];\nprint (x+y)^3;\n"
                        "print ideal(x - 2*y)^2;\nprint (2*x)^3;\n")
     assert (code, out) == (0, "o1 = x^3 + 3*x^2*y + 3*x*y^2 + y^3\n"
@@ -213,46 +215,46 @@ def test_polynomial_and_ideal_powers_are_bounded_before_they_are_built():
                            "o3 = 8*x^3\n")
 
 
-def run_counting_products(monkeypatch, text):
-    """run(text) and the number of polynomial products it formed."""
-    products = []
+def run_counting_calls(monkeypatch, name, text):
+    """run(text) and the number of calls it made to engine.<name>."""
+    calls, real = [], getattr(engine, name)
 
-    def p_mul(p, q):
-        products.append(None)
-        return real(p, q)
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
 
-    real = engine.p_mul
-    monkeypatch.setattr(engine, "p_mul", p_mul)
+    monkeypatch.setattr(engine, name, counted)
     got = run(text)
     monkeypatch.undo()
-    return got, len(products)
+    return got, len(calls)
 
 
-def test_power_sizes_are_bounded_before_any_product(monkeypatch):
-    """Terms times coefficient bits of a power are bounded before anything
-    is multiplied, also where every leading coefficient is 1."""
-    for text, size in [
-            # C(402, 2) terms of at most 2*400 + 1 bits
-            ("ring R = QQ[x,y];\nf = (x+y+1)^400;\n", 80601 * 801),
-            ("ring R = QQ[x,y];\nprint (x+y+1)^101;\n", 5253 * 203),
-            # 4,001 terms of at most 4,001 bits
-            ("ring R = QQ[x];\nprint (x+1)^4000;\n", 4001 * 4001),
-            # 501 products, each of at most C(502, 2) terms of 501 bits
-            ("ring R = QQ[x,y];\nprint ideal(x+1, y+1)^500;\n",
-             501 * 125751 * 501),
-            ("ring R = QQ[x,y];\nprint ideal(x, y)^(10^9);\n", 10**9 + 1),
-            # (3x+1)/3: at most 12^2000, so 4*2000 + 1 bits, per coefficient
-            ("ring R = QQ[x,y];\nprint (x + 1/3)^2000;\n", 2001 * 8001)]:
-        (code, out, err), products = run_counting_products(monkeypatch, text)
-        assert (code, out, products) == (2, "", 0), text
-        assert "a power of up to %d bits exceeds the cap of %d bits" % (
-            size, MAX_POWER_BITS) in err, err
+def run_counting_products(monkeypatch, text):
+    """run(text) and the number of polynomial products it formed."""
+    return run_counting_calls(monkeypatch, "p_mul", text)
 
 
-def test_one_size_bound_decides_polynomial_powers(monkeypatch):
-    """(2x)^(2^19 + 1) has one term and a coefficient of 2^19 + 2 bits, so
-    it passes the size bound; (2x)^(10^7) is still refused before any
-    product past the one that builds 2x."""
+# every product charges at least PRODUCT_UNITS of the budget
+MOST_PRODUCTS = WORK_BUDGET // engine.PRODUCT_UNITS + 1
+
+
+@pytest.mark.parametrize("text, code", [
+    ("ring R = QQ[x,y];\nf = (x+y+1)^400;\n", 3),
+    ("ring R = QQ[x,y];\nf = (x+y+1)^101;\n", 0),
+    ("ring R = QQ[x,y];\nprint ideal(x, y)^(10^9);\n", 3),
+    ("ring R = QQ[x,y];\nprint (x + 1/3)^2000;\n", 3),
+])
+def test_power_products_are_bounded_by_the_budget(monkeypatch, text, code):
+    """A power is answered or refused within the budget, so the products it
+    forms are bounded by it."""
+    (got, out, err), products = run_counting_products(monkeypatch, text)
+    assert (got, out) == (code, "") and products <= MOST_PRODUCTS, err
+    assert (BUDGET in err) == (code == 3)
+
+
+def test_one_budget_decides_polynomial_powers(monkeypatch):
+    """(2x)^(2^19 + 1) is answered within the budget; (2x)^(10^7) is refused
+    after a few squarings of 2x."""
     start = time.perf_counter()
     code, out, err = run("ring R = QQ[x,y];\nf = (2*x)^(2^19 + 1);\n")
     assert time.perf_counter() - start < 2
@@ -261,49 +263,114 @@ def test_one_size_bound_decides_polynomial_powers(monkeypatch):
     _, products = run_counting_products(monkeypatch, base)
     (code, out, err), more = run_counting_products(
         monkeypatch, base + "print g^(10^7);\n")
-    assert (code, out, more) == (2, "", products)
-    assert "a power of up to 10000001 bits " + POWER_CAP in err
+    assert (code, out) == (3, "") and BUDGET in err
+    assert more - products <= 2 * (10**7).bit_length()
 
 
 def test_a_refused_exponent_names_its_kind_without_work(monkeypatch):
     """x^I is refused by naming the kind of I: formatting I would compute
     its minimal generators, four buchberger calls, only to word the
     refusal."""
-    calls, real = [], engine.buchberger
-
-    def buchberger(*args):
-        calls.append(None)
-        return real(*args)
-
-    monkeypatch.setattr(engine, "buchberger", buchberger)
     base = "ring R = QQ[x,y,z]/(x^2 - y*z);\nI = ideal(x,y,z^2);\n"
-    assert run(base) == (0, "", "")
-    bases = len(calls)
-    code, out, err = run(base + "print x^I;\n")
-    assert (code, out, len(calls)) == (2, "", 2 * bases)
+    got, bases = run_counting_calls(monkeypatch, "buchberger", base)
+    assert got == (0, "", "")
+    (code, out, err), calls = run_counting_calls(
+        monkeypatch, "buchberger", base + "print x^I;\n")
+    assert (code, out, calls) == (2, "", bases)
     assert err.startswith(
         "error: 3:1: an exponent must be an integer, not an Ideal\n")
 
 
-def test_powers_under_the_size_cap_are_computed():
+@pytest.mark.parametrize("statement, message", [
+    ("print -I;", "cannot negate an Ideal"),
+    ("print D^2;", "cannot raise a WeilDivisor to a power"),
+])
+def test_a_refused_value_is_named_by_its_kind_without_work(monkeypatch,
+                                                          statement, message):
+    """Formatting I or D would compute minimal generators only to word the
+    refusal."""
+    base = ("ring R = QQ[x,y,z]/(x^2 - y*z);\nI = ideal(x,y,z^2);\n"
+            "D = divisor(x);\n")
+    got, bases = run_counting_calls(monkeypatch, "buchberger", base)
+    assert got == (0, "", "")
+    (code, out, err), calls = run_counting_calls(
+        monkeypatch, "buchberger", base + statement + "\n")
+    assert (code, out, calls) == (2, "", bases)
+    assert err.startswith("error: 4:1: %s\n" % message)
+
+
+def test_powers_within_the_budget_are_computed():
     code, out, err = run("ring R = QQ[x,y];\nf = (x+y+1)^60;\n"
                          "print f - (x+y+1)^30 * (x+y+1)^30;\n"
                          "print x^(10^9) * y;\n")
     assert (code, out, err) == (0, "o1 = 0\no2 = x^1000000000*y\n", "")
 
 
-def test_symbolic_powers_are_capped_before_any_product(monkeypatch):
+def test_symbolic_powers_are_bounded_by_the_budget():
     ring = "ring R = QQ[x,y,z] / (x*y - z^2);\n"
     code, out, err = run(ring + "print symbolicPower(ideal(x,z), 3);\n")
     assert (code, err) == (0, "") and out.startswith("o1 = ideal(")
-    # declaring the ring forms products, and the refused call no more
-    _, products = run_counting_products(monkeypatch, ring)
-    for n in (MAX_SYMBOLIC_POWER + 1, 10**4):
-        (code, out, err), more = run_counting_products(
-            monkeypatch, ring + "print symbolicPower(ideal(x,z), %d);\n" % n)
-        assert (code, out, more) == (2, "", products)
-        assert "symbolicPower() of order %d exceeds the cap of %d" % (
-            n, MAX_SYMBOLIC_POWER) in err, err
+    code, out, err = run(ring + "print symbolicPower(ideal(x,z), 51);\n")
+    assert (code, err, out) == (0, "", "o1 = ideal(x^25*z, x^26)\n")
+    code, out, err = run(ring + "print symbolicPower(ideal(x,z), 10^4);\n")
+    assert (code, out) == (3, "") and BUDGET in err
+
+
+# refused runs, each ending within the budget on an input that would take
+# minutes or more without it
+SYMBOLIC = ("ring R = QQ[x,y,u,v] / (x*y - u*v);\n"
+            "print symbolicPower(ideal(x,u), 10^4);\n")
+# the dimension of this ring tests every set of variables
+SQUARES = "ring R = QQ[%s] / (%s);\nprint canonicalDivisor();\n" % (
+    ",".join("v%d" % i for i in range(22)),
+    ", ".join("v%d^2" % i for i in range(22)))
+REFUSED = [
+    "ring R = QQ[x];\nf = (x+1)^4000;\n",
+    "ring R = QQ[x,y];\nf = (x + 3^1000)^3000;\n",
+    "ring R = QQ[x,y];\nprint (2*x)^(10^7);\n",
+    "ring R = QQ[x,y];\nprint ideal(y, x/3)^(10^6);\n",
+    "ring R = QQ[x,y];\nprint ideal(x+1, y+1)^500;\n",
+    SYMBOLIC,
+    SQUARES,
+]
+
+
+@pytest.mark.parametrize("text", REFUSED)
+def test_work_past_the_budget_is_a_refusal(monkeypatch, text):
+    (code, out, err), products = run_counting_products(monkeypatch, text)
+    assert (code, out) == (3, "") and products <= MOST_PRODUCTS
+    assert err.startswith("error: 2:1: ") and BUDGET in err, err
+
+
+def test_work_past_the_budget_while_printing_is_located(monkeypatch):
+    """Printing an ideal computes its minimal generators under the budget
+    of the whole run, and a refusal there is located at the print."""
+    text = "ring R = QQ[x,y,z] / (x^2 - y*z);\nprint ideal(x, y, z);\n"
+    with engine.work_budget(10**9):
+        execute_script(parse_script(text), Session(), text)
+        evaluated = engine.spent
+    monkeypatch.setattr(cli, "WORK_BUDGET", evaluated)
+    code, out, err = run(text)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: 2:1: ")
+    assert "past the budget of %d units" % evaluated in err
+
+
+def test_a_refusal_is_the_same_on_every_run():
+    """The budget counts work, not time, so a refusal's step and counts
+    are the same in every process and under any hash seed."""
+    script = ("from divisor_forge import cli; cli.WORK_BUDGET = 300000; "
+              "raise SystemExit(cli.main(['run', '-']))")
+    runs = []
+    for seed in ("0", "0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", script], input=SYMBOLIC,
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        runs.append((proc.returncode, proc.stdout, proc.stderr))
+    assert runs[0][0] == 3 and "past the budget of 300000 units" in runs[0][2]
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_huge_coefficients_are_refused_before_sympy():
@@ -350,11 +417,13 @@ BRANCHES = [
     ("print ideal(1);", 2,
      "error: 1:1: no current ring; declare one with `ring`"),
     (PLANE + "ring S = QQ[a,b]/(divisor(a));", 2,
-     "error: 2:1: cannot read the relation Div(a)"),
+     "error: 2:1: cannot read a WeilDivisor as a relation"),
     (TARGET + "map f : S -> R = (divisor(x), y);", 2,
      "error: 3:1: a WeilDivisor is not a ring element"),
     (PLANE + "print ideal(x, divisor(x));", 2,
      "error: 2:1: a WeilDivisor is not a ring element"),
+    (PLANE + "print ideal(x, true);", 2,
+     "error: 2:1: a bool is not a ring element"),
     (PLANE + "map f : T -> R = (x, y);", 2,
      "error: 2:1: map endpoints must be declared rings"),
     (HEADER + "use D;", 2, "error: 4:1: 'D' is not a ring"),
@@ -373,7 +442,7 @@ BRANCHES = [
      "divisor(x));", 2,
      "error: 4:8: divisor does not live on the source ring"),
     (PLANE + "print divisor(x)^2;", 2,
-     "error: 2:1: cannot raise Div(x) to a power"),
+     "error: 2:1: cannot raise a WeilDivisor to a power"),
     (PLANE + "print divisor(true);", 2,
      "error: 2:1: divisor() takes an element, ideal or sheaf"),
     ("ring R = QQ[x,y] degrees [[1,1,1]];", 2,
@@ -437,6 +506,7 @@ ERROR_EXIT_CODES = {
     "GradingNotPositive": 2,
     "FactorDegreeExceeded": 3,
     "FactorCoefficientsExceeded": 3,
+    "WorkExceeded": 3,
     "ScriptError": 2,
     "ParseError": 1,
 }

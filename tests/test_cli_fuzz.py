@@ -2,10 +2,12 @@
 
 Scripts are built from small terms: every table function with zero to
 three arguments, small literals, the variables x and y of QQ[x,y] and of
-QQ[x,y,z]/(x*y - z^2), and exponents up to 3.  Every script must end in an
-exit code of the contract, `run_text` must return rather than raise (so
-`main` never prints a traceback), and the printed form of every accepted
-script must parse back to the same tree.
+QQ[x,y,z]/(x*y - z^2), the prime ideal(x, z) of the latter, exponents up
+to 3 or up to 10^6, and symbolicPower calls nested in one another.  Every
+script must end in an exit code of the contract (the work budget ends what
+would run on), `run_text` must return rather than raise (so `main` never
+prints a traceback), and the printed form of every accepted script must
+parse back to the same tree.
 """
 
 import io
@@ -20,7 +22,8 @@ HEADER = (
     "ring R = QQ[x,y];\n"
     "ring S = QQ[x,y,z] / (x*y - z^2);\n"
     "map f : R -> R = (y, x);\n")
-LEAVES = ["0", "1", "2", "3", "x", "y", "true", "false", "R", "S", "f", "D"]
+LEAVES = ["0", "1", "2", "3", "x", "y", "true", "false", "R", "S", "f", "D",
+          "ideal(x, z)"]
 KEYWORDS = ["graded=true", "graded=false", "strategy=primes",
             "strategy=sheaves", "section=x", "foo=1"]
 
@@ -29,10 +32,14 @@ def _call(name, args, keywords):
     return "%s(%s)" % (name, ", ".join(args + keywords))
 
 
+EXPONENTS = st.one_of(st.integers(0, 3), st.integers(0, 10**6))
+
+
 def _extend(terms):
     return st.one_of(
         st.builds("({} {} {})".format, terms, st.sampled_from("+-*/"), terms),
-        st.builds("({})^{}".format, terms, st.integers(0, 3)),
+        st.builds("({})^{}".format, terms, EXPONENTS),
+        st.builds("symbolicPower({}, {})".format, terms, EXPONENTS),
         st.builds("-{}".format, terms),
         st.builds("divisor{{{}: {}}}".format,
                   st.sampled_from(["1", "-2", "1/2"]), terms),

@@ -3,7 +3,9 @@
 import random
 from fractions import Fraction
 
-from divisor_forge import engine
+import pytest
+
+from divisor_forge import WorkExceeded, engine
 
 
 def P(d):
@@ -167,3 +169,22 @@ def test_lt_dimension_examples():
     assert engine.lt_dimension(gb, 4, key) == 3
     # zero ideal: full dimension
     assert engine.lt_dimension([], 4, key) == 4
+
+
+def test_a_work_budget_holds_only_inside_its_block():
+    """The engine charges its work only under a budget, which the block
+    sets and restores; past it, the step and its counts are named."""
+    f = {(1, 0): 1, (0, 1): 1, (0, 0): 1}
+    assert engine.budget is None
+    with engine.work_budget(10**6):
+        with engine.work_budget(100):
+            with pytest.raises(WorkExceeded) as refused:
+                engine.p_pow(f, 10)
+        assert (engine.budget, engine.spent) == (10**6, 0)
+        engine.p_pow(f, 10)
+        assert engine.spent > 100
+    assert (engine.budget, engine.spent) == (None, 0)
+    assert str(refused.value) == (
+        "a product of 15 by 15 terms of up to 1 by 1 words needs 233 units "
+        "of work, past the budget of 100 units (61 spent)")
+    assert len(engine.p_pow(f, 10)) == 66

@@ -399,6 +399,13 @@ def test_symbolic_power_cone(cone3):
     assert symbolic_power(P, 4) == ideal(cone3, "x^2")
 
 
+def test_the_library_runs_with_no_work_budget(cone3):
+    """Nothing in the library sets a budget, so it answers what it can
+    decide however much work that takes."""
+    assert engine.budget is None
+    assert symbolic_power(ideal(cone3, "x", "z"), 60) == ideal(cone3, "x^30")
+
+
 def test_symbolic_power_contains_ordinary_power(cone4):
     P = ideal(cone4, "x", "u")
     for n in (1, 2, 3):
