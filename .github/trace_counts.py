@@ -1,16 +1,20 @@
-"""Compare the work counts of two traced benchmark runs.
+"""Compare the work counts of two traced benchmark runs, and the peak
+memory of two untraced ones.
 
-usage: python .github/trace_counts.py BASE.out HEAD.out
+usage: python .github/trace_counts.py BASE.out HEAD.out [BASE_RSS.out
+HEAD_RSS.out]
 
-Each file holds the output of
+BASE.out and HEAD.out hold the output of
 ``perfbench/run.py --workload NAME --seed 1 --seconds 5 --trace 1``, whose
 last line is a JSON object with the run's per-layer metrics.  Prints the
 ``src_lines`` of each run's ``context`` line as base -> head, whether the
 two runs gave the same answers (the ``digest`` of their checked results,
 from the same line), then every call count (``*.calls``), ``elim_calls``,
 ``max_basis_len`` and ``max_coeff_bits`` that differs between the two, or
-that they all agree.  Only reports: it exits 0 whatever it finds, also
-when a run left no result.
+that they all agree.  BASE_RSS.out and HEAD_RSS.out, when given, hold the
+output of the same command without ``--trace 1``; their ``peak_rss_mb``
+is printed as base -> head, since tracing adds memory of its own.  Only
+reports: it exits 0 whatever it finds, also when a run left no result.
 """
 
 import json
@@ -20,9 +24,9 @@ COUNTS = (".calls", ".elim_calls", ".max_basis_len", ".max_coeff_bits")
 
 
 def read(path):
-    """The context line's src_lines and digest, and the counts, of the run
-    in path; the counts are None when it left no result, the others when
-    it printed no context line or the line lacks them."""
+    """The context line (a dict) and the metric values of the run in path;
+    the metrics are None when it left no result, the context is empty when
+    it printed no context line."""
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.read().strip().splitlines()
@@ -37,13 +41,21 @@ def read(path):
                 pass
     try:
         metrics = json.loads(lines[-1])["metrics"]
-    except (IndexError, KeyError, TypeError, ValueError):
+        return context, {name: m["value"] for name, m in metrics.items()}
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError):
         return context, None
-    return context, {name: m["value"] for name, m in metrics.items()
-                     if name.endswith(COUNTS)}
 
 
-def main(base_path, head_path):
+def peak_rss(path):
+    """The peak_rss_mb of the run in path, or None."""
+    metrics = read(path)[1]
+    return None if metrics is None else metrics.get("peak_rss_mb")
+
+
+def main(base_path, head_path, base_rss_path=None, head_rss_path=None):
+    if base_rss_path and head_rss_path:
+        print("peak_rss_mb (untraced): %s -> %s" % (
+            peak_rss(base_rss_path), peak_rss(head_rss_path)))
     (base_context, base), (head_context, head) = (read(base_path),
                                                   read(head_path))
     print("src_lines: %s -> %s" % (base_context.get("src_lines"),
@@ -58,6 +70,8 @@ def main(base_path, head_path):
             print("%s: no traced result in %s" % (name, path))
     if base is None or head is None:
         return 0
+    base, head = ({name: value for name, value in metrics.items()
+                   if name.endswith(COUNTS)} for metrics in (base, head))
     names = sorted(base.keys() | head.keys())
     differ = [name for name in names if base.get(name) != head.get(name)]
     for name in differ:
@@ -67,4 +81,4 @@ def main(base_path, head_path):
 
 
 if __name__ == "__main__":
-    sys.exit(main(*sys.argv[1:3]))
+    sys.exit(main(*sys.argv[1:5]))

@@ -24,6 +24,15 @@ Buchberger run or one normal form, runs at the narrowest packing that holds
 its input, and is redone from the start at double the width whenever a
 term of its work leaves the packing's range.
 
+Each packing keeps two tables, from a monomial tuple to its packed int and
+back, each entry made on the first conversion of its monomial, so a
+conversion at the boundary is a dict lookup and equal monomials unpack to
+one shared tuple.  An entry depends only on its key, so a table never needs
+invalidating; it is cleared whole when it reaches MONOMIALS entries, which
+no workload comes near, to keep a long session's memory bounded.  The bound
+is a constant and not an option, since it changes no answer and no work
+count.
+
 buchberger decides Buchberger's product and chain criteria from the lcms of
 leading monomials and the indices of the pairs (see _buchberger).  A pair
 enters the heap only when its lcm is minimal and first among those of the
@@ -37,8 +46,9 @@ A caller may bound a computation with work_budget, counted in engine work
 and never in time.  Four sites charge before they work: p_mul for its term
 products, _reduce for each term and reduction step, _buchberger for each
 pair and new element, and lt_dimension for each set of variables; past the
-budget, WorkExceeded names the step and its counts.  The library runs with
-no budget: each site tests it for None.
+budget, WorkExceeded names the step and its counts.  Outside the engine,
+Grading.positivity_witness charges for each combination of rows it tests.
+The library runs with no budget: each site tests it for None.
 """
 
 import heapq
@@ -253,8 +263,12 @@ def differentiate(p, i):
 # ---------------------------------------------------------------------------
 # packed monomials
 
-Packing = namedtuple("Packing",
-                     "width pack unpack one lcm graded guard high margin")
+Packing = namedtuple("Packing", "width pack unpack one lcm graded guard "
+                     "high margin ints tuples")
+
+# the most entries a packing's tables hold: when they reach it, they are
+# cleared whole before the next entry is made (see _packing)
+MONOMIALS = 1 << 14
 
 
 @lru_cache(maxsize=None)
@@ -277,6 +291,15 @@ def _packing(nvars, width, split):
     degree fields cleared.  For bare a and b, lcm(a, b) is their fieldwise
     min and a divides b iff not a - b & guard; graded(a) fills in the
     degree fields of an in-range bare a.
+
+    pack and unpack compute a conversion; ints and tuples, the tables from
+    an in-range monomial tuple to its packed int and back, remember it (see
+    _int and _tuple).  The two tables always hold the same pairs.  They
+    live as long as the cached packing, and since an entry is a function of
+    its key alone they are never stale; they are cleared together when
+    they reach MONOMIALS entries.  The bound is a module constant rather
+    than an option: the largest tables after a sheaf_session cycle hold
+    1,265 entries, and a cleared table only costs its conversions again.
     """
     k = min(split, nvars)  # the eliminated block is variables 0..k-1
     wide, top = width + 1, (1 << width) - 1
@@ -311,21 +334,59 @@ def _packing(nvars, width, split):
             a += e * spread & degree
         return a
 
-    return Packing(width, pack, unpack, one, lcm, graded, guard, high, margin)
+    return Packing(width, pack, unpack, one, lcm, graded, guard, high, margin,
+                   {}, {})
+
+
+def _remember(m, P, pk):
+    """Enter the monomial tuple m and its packed int P in pk's tables,
+    clearing both first when they are full."""
+    if len(pk.ints) >= MONOMIALS:
+        pk.ints.clear()
+        pk.tuples.clear()
+    pk.ints[m] = P
+    pk.tuples[P] = m
+
+
+def _int(m, pk):
+    """The in-range monomial tuple m packed, from pk's tables."""
+    P = pk.ints.get(m)
+    if P is None:
+        P = pk.pack(m)
+        _remember(m, P, pk)
+    return P
+
+
+def _tuple(P, pk):
+    """The in-range packed monomial P as its tuple, from pk's tables."""
+    m = pk.tuples.get(P)
+    if m is None:
+        m = pk.unpack(P)
+        _remember(m, P, pk)
+    return m
 
 
 def _pack(p, pk):
-    """The tuple-keyed p packed, each coefficient under the rule (the body
-    of coefficient(), inline)."""
-    pack = pk.pack
-    return {pack(m): c.numerator if c.denominator == 1 else c
-            for m, c in p.items()}
+    """The tuple-keyed p packed, its monomials in range, each coefficient
+    under the rule (the body of coefficient(), inline).  Its monomials are
+    looked up in pk's tables, and only a missing one is converted."""
+    ints = pk.ints
+    try:
+        return {ints[m]: c.numerator if c.denominator == 1 else c
+                for m, c in p.items()}
+    except KeyError:
+        return {_int(m, pk): c.numerator if c.denominator == 1 else c
+                for m, c in p.items()}
 
 
 def _unpack(P, pk):
-    """The packed P as a tuple-keyed dict, its coefficients as they are."""
-    unpack = pk.unpack
-    return {unpack(m): c for m, c in P.items()}
+    """The packed P, its monomials in range, as a tuple-keyed dict, its
+    coefficients as they are; as _pack, through pk's tables."""
+    tuples = pk.tuples
+    try:
+        return {tuples[m]: c for m, c in P.items()}
+    except KeyError:
+        return {_tuple(m, pk): c for m, c in P.items()}
 
 
 def _monic(P, lm):
@@ -429,14 +490,16 @@ def normal_form(p, basis, key, packing=None):
     (leading monomial, tail) pairs (see _head), and the result is the
     packed remainder, or None when a term leaves the packing's range.
     Otherwise p and basis are packed here, at the width _widening finds,
-    and the remainder unpacked.
+    and the remainder unpacked.  A zero p, as a third of buchberger's
+    S-polynomials are, is its own remainder: {} before anything is packed
+    or reduced.
     """
+    if not p:
+        return {}
     if not basis:
         return dict(p)
     if packing is not None:
         return _reduce(p, basis, packing)
-    if not p:
-        return {}
 
     def attempt(pk):
         heads = [_head(P, max(P)) for P in [_pack(g, pk) for g in basis]]

@@ -46,6 +46,7 @@ class Grading:
         self.rows = rows
         self.ncomponents = len(rows)
         self.nvars = n
+        self._witness = ()  # positivity_witness's answer once it has one
 
     @classmethod
     def standard(cls, nvars):
@@ -65,18 +66,29 @@ class Grading:
         """Integer row vector w with w*A positive in every column, or None.
 
         Searched over small non-negative combinations of the rows; enough for
-        desk-scale gradings.
+        desk-scale gradings.  The search is engine work: each combination
+        tested charges the work budget (see engine.work_budget) a unit and
+        one per engine.TESTS products of its entries by the rows.  Only the
+        first call that completes searches; later calls reuse its answer.
         """
-        for w in product(range(5), repeat=self.ncomponents):
+        if self._witness != ():
+            return self._witness
+        k, n = self.ncomponents, self.nvars
+        charging, units = engine.budget is not None, 1 + k * n // engine.TESTS
+        found = None
+        for w in product(range(5), repeat=k):
             if not any(w):
                 continue
-            cols = [
-                sum(w[i] * self.rows[i][j] for i in range(self.ncomponents))
-                for j in range(self.nvars)
-            ]
+            if charging:
+                engine.charge(units, "a combination of %d grading rows "
+                              "tested on %d variables", k, n)
+            cols = [sum(w[i] * self.rows[i][j] for i in range(k))
+                    for j in range(n)]
             if all(c > 0 for c in cols):
-                return w
-        return None
+                found = w
+                break
+        self._witness = found
+        return found
 
     def require_positive(self):
         w = self.positivity_witness()

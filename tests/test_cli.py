@@ -1,8 +1,10 @@
 """Script language: parsing, round-trip printing, execution, output modes,
 exit codes."""
 
+import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -15,6 +17,7 @@ from divisor_forge import (
     canonical_divisor,
     divisor_of_fractional_ideal,
     divisor_with_section,
+    engine,
     ideal,
     polynomial,
     reflexify,
@@ -216,6 +219,37 @@ def test_determinism_byte_identical():
     runs = [run_script(script, json_mode=m) for m in (False, True)]
     runs2 = [run_script(script, json_mode=m) for m in (False, True)]
     assert runs == runs2
+
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
+
+
+def test_a_warm_process_prints_the_golden_bytes():
+    """The benchmark's scripts, in text and JSON mode, run twice in one
+    process: the first pass on cold packing tables, the second on the
+    tables the first filled.  Both print the stdout and exit code recorded
+    in perfbench/goldens.json; the two runs with no golden print the same
+    bytes on both passes.  CI runs each script in a fresh process only."""
+    with open(os.path.join(PERFBENCH, "goldens.json"), encoding="utf-8") as f:
+        goldens = json.load(f)["cli_scripts"]
+    engine._packing.cache_clear()
+    first = {}
+    for _ in range(2):
+        for script in ("determinism.df", "schema.df", "geometry.df",
+                       "refusal.df"):
+            with open(os.path.join(PERFBENCH, "scripts", script),
+                      encoding="utf-8") as f:
+                text = f.read()
+            for json_mode in (False, True):
+                name = script + " --json" * json_mode
+                code, out, _ = run_script(text, json_mode)
+                got = (code, hashlib.sha256(out.encode()).hexdigest())
+                assert got == first.setdefault(name, got), name
+                if name in goldens:
+                    assert got == (goldens[name]["exit"],
+                                   goldens[name]["stdout_sha256"]), name
+    assert set(goldens) < set(first)
 
 
 def test_json_outputs_validate_against_schema():

@@ -342,6 +342,33 @@ def test_work_past_the_budget_is_a_refusal(monkeypatch, text):
     assert err.startswith("error: 2:1: ") and BUDGET in err, err
 
 
+# twelve grading rows with no positive combination, so the search for one
+# would test all 5^12 of them
+GRADING = ("ring R = QQ[x,y] degrees [%s];\nprint canonicalDivisor();\n"
+           % ", ".join(["[1,-1]", "[-1,1]"] * 6))
+
+
+def test_the_positivity_search_is_bounded_by_the_budget(monkeypatch):
+    """The search for a positive combination of grading rows is refused at
+    the budget: each combination of the twelve rows charges 1 + 12 * 2 //
+    TESTS = 4 units, so at most WORK_BUDGET // 4 + 1 of the 5^12 are
+    tested."""
+    tested, real = [], engine.charge
+
+    def counted(units, step, *counts):
+        if step.startswith("a combination of"):
+            tested.append(units)
+        return real(units, step, *counts)
+
+    monkeypatch.setattr(engine, "charge", counted)
+    code, out, err = run(GRADING)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: 2:1: a combination of 12 grading rows "
+                          "tested on 2 variables needs 4 units")
+    assert BUDGET in err
+    assert set(tested) == {4} and len(tested) <= WORK_BUDGET // 4 + 1
+
+
 def test_work_past_the_budget_while_printing_is_located(monkeypatch):
     """Printing an ideal computes its minimal generators under the budget
     of the whole run, and a refusal there is located at the print."""
@@ -410,9 +437,12 @@ def test_an_error_is_located_once():
 
 PLANE = "ring R = QQ[x,y];\n"
 TARGET = PLANE + "ring S = QQ[a,b];\n"
+GRADED = "ring R = QQ[x,y] degrees [%s];\nprint canonicalDivisor();"
+NOT_POSITIVE = "error: 2:1: no positive combination of grading rows found"
 
 # (script, exit code, first line of stderr): script errors of the evaluator
-# and two values it must accept
+# and values it must accept; gradings of one to three rows answer, or are
+# refused as not positive, within the budget their search charges
 BRANCHES = [
     ("print ideal(1);", 2,
      "error: 1:1: no current ring; declare one with `ring`"),
@@ -447,8 +477,14 @@ BRANCHES = [
      "error: 2:1: divisor() takes an element, ideal or sheaf"),
     ("ring R = QQ[x,y] degrees [[1,1,1]];", 2,
      "error: 1:1: grading has wrong number of columns"),
+    (GRADED % "[1,-1]", 2, NOT_POSITIVE),
+    (GRADED % "[1,-1],[-1,1]", 2, NOT_POSITIVE),
+    (GRADED % "[-1,-1],[1,-2],[-2,1]", 2, NOT_POSITIVE),
     (TARGET + "map f : S -> R = (1, y); print f;", 0, ""),
     (HEADER + "print divisorOf(OO(D), isCartier(D));", 0, ""),
+    (GRADED % "[1,1]", 0, ""),
+    (GRADED % "[1,0],[0,1]", 0, ""),
+    (GRADED % "[1,-1],[-1,1],[0,1]", 0, ""),
 ]
 
 

@@ -261,6 +261,7 @@ def assert_matches_reference(monkeypatch, rng, nvars, gens, key, ref_key):
         nf = ref_normal_form(p, want, ref_key)
         assert list(engine.normal_form(p, got, key).items()) == list(
             nf.items())
+    return got
 
 
 @pytest.mark.parametrize("order", sorted(ORDERS))
@@ -460,9 +461,13 @@ def test_equal_lcms_match_reference(order, monkeypatch):
 def test_seeded_sweep_matches_reference(order, monkeypatch):
     """2 to 5 variables and 2 to 5 generators of degree at most 2, each of
     one to three terms with int or Fraction coefficients; at most ten terms
-    in all, which keeps every reference run small."""
+    in all, which keeps every reference run small.  Each ideal is run first
+    on cold packing tables, cleared before it, and again once the whole
+    sweep has filled them: both runs match the reference and give the same
+    bases, term order and coefficient types included."""
     key, ref_key = ORDERS[order]
     rng = random.Random("engine-sweep-" + order)
+    sweep = []
     for _ in range(200):
         nvars = rng.randint(2, 5)
         gens = []
@@ -472,7 +477,15 @@ def test_seeded_sweep_matches_reference(order, monkeypatch):
             gens.append({m: c for m, c in g.items() if sum(m) <= 2})
         while sum(map(len, gens)) > 10:
             gens.pop()
-        assert_matches_reference(monkeypatch, rng, nvars, gens, key, ref_key)
+        engine._packing.cache_clear()
+        got = assert_matches_reference(monkeypatch, rng, nvars, gens, key,
+                                       ref_key)
+        sweep.append((nvars, gens, got))
+    for nvars, gens, cold in sweep:
+        warm = assert_matches_reference(monkeypatch, rng, nvars, gens, key,
+                                        ref_key)
+        assert [[(m, c, type(c)) for m, c in g.items()] for g in warm] == [
+            [(m, c, type(c)) for m, c in g.items()] for g in cold]
 
 
 @pytest.mark.parametrize("order", sorted(ORDERS))
@@ -490,6 +503,19 @@ def test_flat_keys_sort_like_nested_keys(order):
                 assert (key(a) == key(b)) == (a == b)
 
 
+def assert_tables_convert(pk, monos):
+    """Converting monos at pk through its tables, by _pack and _unpack as at
+    the engine's boundary, gives what pack and unpack compute, and equal
+    monomials come back as one shared tuple."""
+    P = engine._pack({m: Fraction(1) for m in monos}, pk)
+    assert list(P) == [pk.pack(m) for m in dict.fromkeys(monos)]
+    back = engine._unpack(P, pk)
+    assert list(back) == list(dict.fromkeys(monos))
+    for m in monos:
+        assert engine._tuple(pk.pack(m), pk) is engine._tuple(pk.pack(m), pk)
+    assert pk.tuples == {i: m for m, i in pk.ints.items()}
+
+
 @pytest.mark.parametrize("order", sorted(ORDERS))
 @pytest.mark.parametrize("width", [8, 16])
 def test_packed_monomials_agree_with_tuples(order, width):
@@ -498,9 +524,15 @@ def test_packed_monomials_agree_with_tuples(order, width):
     while every exponent stays below twice the in-range bound, as every
     term of the work does.  On in-range monomials the packed lcm, product
     criterion and divisibility agree with the tuple operations, and the
-    in-range test agrees with the bound at the bound and one past it."""
+    in-range test agrees with the bound at the bound and one past it.
+
+    The packing's tables convert in-range monomials as pack and unpack do
+    when they are cold (the packing built afresh), warm (each monomial
+    converted a second time) and after the packing cache was cleared,
+    which builds a packing with empty tables."""
     key = ORDERS[order][0]
     rng = random.Random("packed-%s-%d" % (order, width))
+    engine._packing.cache_clear()
     for nvars in range(1, 7):
         pk = engine._packing(nvars, width, key.split)
         pack, one, guard = pk.pack, pk.one, pk.guard
@@ -543,3 +575,35 @@ def test_packed_monomials_agree_with_tuples(order, width):
                 divides = engine.mono_divides(a, b)
                 assert ((pa | pk.high) - pb & guard == guard) == divides
                 assert (not (pa & one) - (pb & one) & guard) == divides
+        assert pk.ints == pk.tuples == {}
+        assert_tables_convert(pk, heads)
+        assert_tables_convert(pk, heads)
+        engine._packing.cache_clear()
+        fresh = engine._packing(nvars, width, key.split)
+        assert fresh is not pk and fresh.ints == fresh.tuples == {}
+        assert_tables_convert(fresh, heads)
+
+
+def test_packing_tables_stay_within_their_bound():
+    """Converting more distinct monomials than MONOMIALS, half of them
+    first packed and half first unpacked: the tables never hold more than
+    MONOMIALS entries, always hold the same pairs, and every conversion,
+    before and after a table is cleared, round-trips exactly."""
+    pk = engine._packing(3, 16, 0)
+    pk.ints.clear()
+    pk.tuples.clear()
+    sizes = set()
+    for n in range(engine.MONOMIALS + 500):
+        m = (n % 64, n // 64 % 64, n // 4096)
+        if n % 2:
+            P = engine._int(m, pk)
+            assert P == pk.pack(m) and engine._tuple(P, pk) == m
+        else:
+            P = pk.pack(m)
+            assert engine._tuple(P, pk) == m and engine._int(m, pk) == P
+        sizes.add(len(pk.ints))
+        assert len(pk.tuples) == len(pk.ints) <= engine.MONOMIALS
+    assert max(sizes) == engine.MONOMIALS and min(sizes) == 1
+    assert pk.tuples == {i: m for m, i in pk.ints.items()}
+    assert engine._unpack(engine._pack({m: 1 for m in pk.ints}, pk), pk) == {
+        m: 1 for m in pk.ints}

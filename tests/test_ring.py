@@ -1,5 +1,6 @@
 """Quotient rings, elements, gradings and ring maps."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,10 +16,12 @@ from divisor_forge import (
     QuotientRing,
     RingMap,
     RingMismatch,
+    WorkExceeded,
     engine,
     ideal,
     polynomial,
 )
+from divisor_forge.cli import WORK_BUDGET
 from divisor_forge.ring import as_int
 
 
@@ -84,6 +87,53 @@ def test_grading_positivity():
     bad = Grading([(1, -1)])
     with pytest.raises(GradingNotPositive):
         bad.require_positive()
+
+
+def first_positive_combination(rows):
+    """The witness the search has always returned: the first nonzero w in
+    {0..4}^k, in itertools.product order, with w*A positive in every
+    column."""
+    for w in itertools.product(range(5), repeat=len(rows)):
+        if any(w) and all(sum(a * r[j] for a, r in zip(w, rows)) > 0
+                          for j in range(len(rows[0]))):
+            return w
+    return None
+
+
+def test_small_gradings_answer_as_before_under_the_budget():
+    """Every grading of one to three rows with entries -1, 0 and 1 on two
+    variables has the same witness, or none, with no budget and under the
+    CLI's budget; a search that finds none charges 1 + 2k // TESTS units
+    for each of the 5^k - 1 combinations, so eight rows, 5^8 - 1
+    combinations, still fit in the budget.  A second call reuses the
+    answer and charges nothing."""
+    entries = list(itertools.product((-1, 0, 1), repeat=2))
+    for k in (1, 2, 3):
+        units = 1 + 2 * k // engine.TESTS
+        for rows in itertools.product(entries, repeat=k):
+            want = first_positive_combination(rows)
+            assert Grading(rows).positivity_witness() == want
+            grading = Grading(rows)
+            with engine.work_budget(WORK_BUDGET):
+                assert grading.positivity_witness() == want
+                spent = engine.spent
+                if want is None:
+                    assert spent == (5 ** k - 1) * units
+                assert grading.positivity_witness() == want
+                assert engine.spent == spent
+    assert (5 ** 8 - 1) * (1 + 2 * 8 // engine.TESTS) < WORK_BUDGET
+
+
+def test_a_refused_positivity_search_keeps_no_answer():
+    """A search refused at the budget leaves the grading unsearched: the
+    next call, with no budget, finds its witness, which comes after
+    5^4 - 1 combinations that are not positive."""
+    grading = Grading([(1, 1), (1, -1), (-1, 1), (1, -1), (-1, 1)])
+    with engine.work_budget(100):
+        with pytest.raises(WorkExceeded):
+            grading.positivity_witness()
+    assert grading.positivity_witness() == first_positive_combination(
+        grading.rows) == (1, 0, 0, 0, 0)
 
 
 def test_ring_mismatch_guard(plane, cone4):
