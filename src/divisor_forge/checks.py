@@ -150,12 +150,12 @@ def _poly_det(M):
     return out
 
 
-def _is_regular(ring, gb, graded):
-    """Jacobian criterion (characteristic zero) for A/(gb), gb a reduced
-    Groebner basis in the ambient ring A."""
+def _is_regular(ring, gb, dimension, graded):
+    """Jacobian criterion (characteristic zero) for A/(gb) of dimension
+    dimension(), gb a reduced Groebner basis in the ambient ring A."""
     if not gb:
         return True
-    codim = ring.nvars - engine.lt_dimension(gb, ring.nvars, ring.key)
+    codim = ring.nvars - dimension()
     minors = _jacobian_minors(ring, gb, codim) if codim else []
     sing_gens = [Polynomial(ring, g) for g in gb]
     sing_gens += [Polynomial(ring, m) for m in minors if m]
@@ -169,7 +169,7 @@ def is_snc(D, graded=False):
     """Simple normal crossings: regular ambient space, regular components,
     and every intersection of components regular of the expected codimension."""
     ring = D.ring
-    if not _is_regular(ring, ring.quotient_gb, graded):
+    if not _is_regular(ring, ring.quotient_gb, ring.dimension, graded):
         return CheckReport("false", note="ambient space is not regular")
     primes = D.support()
     for size in range(1, len(primes) + 1):
@@ -186,7 +186,7 @@ def is_snc(D, graded=False):
                     "false", witness=total,
                     note="intersection of %d components has codimension %d"
                     % (size, total.height()))
-            if not _is_regular(ring, total.groebner, graded):
+            if not _is_regular(ring, total.groebner, total.dimension, graded):
                 return CheckReport(
                     "false", witness=total,
                     note="intersection of %d components is singular" % size)

@@ -10,9 +10,9 @@ Statements::
     check isCartier(D, graded=true);
 
 Exit codes: 0 success, 1 parse error or malformed command line, 2
-mathematical error, a number power past MAX_POWER_BITS included, 3 refusal
-(an `errors.Refusal`: incomplete decomposition, a factorization over a
-degree or coefficient cap, or engine work past WORK_BUDGET).
+mathematical error, 3 refusal (an `errors.Refusal`: incomplete
+decomposition, a factorization over a degree or coefficient cap, or work
+past WORK_BUDGET, number and divisor-coefficient arithmetic included).
 """
 
 import argparse
@@ -221,25 +221,9 @@ def _coerce(kind, value, what):
     raise ScriptError("%s must be %s" % (what, noun))
 
 
-# a power of a number whose numerator or denominator could pass this many
-# bits is refused before it is computed; powers of polynomials and ideals
-# are bounded by WORK_BUDGET instead.
-MAX_POWER_BITS = 2**20
-
-
-def _bound_power(c, n):
-    """Refuse c^n when its numerator or denominator could pass
-    MAX_POWER_BITS bits."""
-    size = max(abs(c.numerator), c.denominator)
-    bits = abs(n) * size.bit_length()
-    if size > 1 and bits > MAX_POWER_BITS:
-        raise ScriptError("a power of up to %d bits exceeds the cap of %d bits"
-                          % (bits, MAX_POWER_BITS))
-
-
-# The engine work (see engine.work_budget) one script run or REPL entry may
-# spend.  Whole runs refused at it ended within about 2 s (2 vCPUs); the
-# costliest script the tests answer, (x+y+1)^60 and more, spends 575,000.
+# The work (see engine.work_budget) one script run or REPL entry may spend.
+# Whole runs refused at it ended within about 2 s (2 vCPUs); the costliest
+# script the tests answer, (x+y+1)^60 and more, spends 575,000.
 WORK_BUDGET = 2 * 10**6
 
 
@@ -302,6 +286,10 @@ class Session:
         raise ScriptError("cannot negate %s" % kind(a))
 
     def _binop(self, op, a, b):
+        types = {type(a), type(b)}
+        if engine.budget is not None and types <= {int, Fraction} and (
+                op in "*/" or op in "+-" and Fraction in types):
+            engine.charge_product((a,), (b,))  # number arithmetic
         try:
             if op == "+":
                 return a + b
@@ -343,8 +331,9 @@ class Session:
         if isinstance(a, (int, Fraction)):
             if n < 0 and a == 0:
                 raise ScriptError("division by zero")
-            _bound_power(a, n)
-            return Fraction(a) ** n if n < 0 else a ** n
+            base = Fraction(1) / a if n < 0 else +a  # +True is 1
+            return engine.power(base, abs(n),
+                                lambda x, y: self._binop("*", x, y), base ** 0)
         raise ScriptError("cannot raise %s to a power" % kind(a))
 
     # -- divisor table -------------------------------------------------------

@@ -10,7 +10,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .engine import coefficient
+from . import engine
 from .errors import (
     DivisorForgeError,
     HeightNotOne,
@@ -57,8 +57,9 @@ class WeilDivisor:
     def combine(cls, ring, parts, tier="Z"):
         """Sum of c * D over the (c, D) pairs of parts: the one place that
         merges the coefficients of equal primes.  The tier is 'Q' when tier
-        or a part's tier is, or when a c is a Fraction."""
-        coeffs = {}
+        or a part's tier is, or when a c is a Fraction.  Under a budget it
+        charges each coefficient product and sum with a Fraction."""
+        coeffs, charging = {}, engine.budget is not None
         for c, D in parts:
             _scalar(c)
             if D.ring != ring:
@@ -66,8 +67,13 @@ class WeilDivisor:
             if isinstance(c, Fraction) or D.tier == "Q":
                 tier = "Q"
             for P, (k, _) in D.terms.items():
-                coeffs[P] = coeffs.get(P, 0) + c * k
-        return cls(ring, {P: coefficient(c) for P, c in coeffs.items()}, tier)
+                if charging:
+                    engine.charge_product((c,), (k,))
+                t, old = c * k, coeffs.get(P, 0)
+                if charging and Fraction in (type(t), type(old)):
+                    engine.charge_product((old,), (t,))
+                coeffs[P] = engine.coefficient(old + t)
+        return cls(ring, coeffs, tier)
 
     @classmethod
     def from_primes(cls, coeffs, primes):
@@ -79,22 +85,23 @@ class WeilDivisor:
         ring = primes[0].ring
         # every coefficient is read before any prime is certified; an
         # integral Fraction is an int, so only a non-integer widens
-        coeffs = [coefficient(_scalar(c)) for c in coeffs]
+        coeffs = [engine.coefficient(_scalar(c)) for c in coeffs]
         parts = []
-        for c, P in zip(coeffs, primes):
+        # a refused ideal is named by its position, which costs no work
+        for i, (c, P) in enumerate(zip(coeffs, primes), 1):
             if P.ring != ring:
                 raise RingMismatch("primes from different rings")
             if P.is_zero() or P.is_unit():
                 raise DivisorForgeError("prime must be nonzero and proper")
             canon = Ideal(ring, list(P.quotient_gens()))
             if canon.height() != 1:
-                raise HeightNotOne("component %r has height %d"
-                                   % (P, canon.height()))
+                raise HeightNotOne("ideal %d has height %d"
+                                   % (i, canon.height()))
             verdict = _certify_prime(ring, canon.groebner)[0]
             if verdict in ("split", "project"):
-                raise PrimalityUncertain("%r is not prime" % (P,))
+                raise PrimalityUncertain("ideal %d is not prime" % i)
             if verdict != "prime":
-                raise PrimalityUncertain("cannot certify %r prime" % (P,))
+                raise PrimalityUncertain("cannot certify ideal %d prime" % i)
             parts.append((c, cls(ring, {canon: 1})))
         return cls.combine(ring, parts)
 

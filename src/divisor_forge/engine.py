@@ -43,12 +43,14 @@ it is taken.  The final interreduction reduces each element by the already
 reduced elements with smaller leading monomials.
 
 A caller may bound a computation with work_budget, counted in engine work
-and never in time.  Four sites charge before they work: p_mul for its term
-products, _reduce for each term and reduction step, _buchberger for each
-pair and new element, and lt_dimension for each set of variables; past the
-budget, WorkExceeded names the step and its counts.  Outside the engine,
-Grading.positivity_witness charges for each combination of rows it tests.
-The library runs with no budget: each site tests it for None.
+and never in time.  Sites charge before they work: p_mul for its term
+products and p_add for each sum with a Fraction, at charge_product's price,
+which WeilDivisor.combine and the CLI's number arithmetic pay too; _reduce
+for each term and reduction step, _buchberger for each pair and new
+element, lt_dimension for each set of variables, and, outside the engine,
+Grading.positivity_witness for each combination of rows it tests.  Past the
+budget, WorkExceeded names the step and its counts.  The library runs with
+no budget: each site tests it for None.
 """
 
 import heapq
@@ -107,6 +109,15 @@ def _words(coefficients):
                     for c in coefficients), default=0) // 64
 
 
+def charge_product(p, q):
+    """Charge a product of terms whose coefficients are p and q; one sum or
+    product of numbers x and y is priced as charge_product((x,), (y,))."""
+    a, b = _words(p), _words(q)
+    charge(PRODUCT_UNITS + len(p) * len(q) * (1 + a * b // WORD_PRODUCTS),
+           "a product of %d by %d terms of up to %d by %d words",
+           len(p), len(q), a, b)
+
+
 def coefficient(c):
     """The int or Fraction c under the coefficient rule: an int when it is
     integral."""
@@ -161,9 +172,12 @@ def mono_div(a, b):
 # arithmetic on term dicts
 
 def p_add(p, q):
-    r = dict(p)
+    r, charging = dict(p), budget is not None
     for m, c in q.items():
-        s = r.get(m, 0) + c
+        old = r.get(m, 0)
+        if charging and (type(old) is not int or type(c) is not int):
+            charge_product((old,), (c,))  # a sum with a Fraction
+        s = old + c
         if s:
             r[m] = s if type(s) is int else coefficient(s)
         else:
@@ -176,22 +190,12 @@ def p_neg(p):
 
 
 def p_sub(p, q):
-    r = dict(p)
-    for m, c in q.items():
-        s = r.get(m, 0) - c
-        if s:
-            r[m] = s if type(s) is int else coefficient(s)
-        else:
-            r.pop(m, None)
-    return r
+    return p_add(p, p_neg(q))
 
 
 def p_mul(p, q):
     if budget is not None:
-        a, b = _words(p.values()), _words(q.values())
-        charge(PRODUCT_UNITS + len(p) * len(q) * (1 + a * b // WORD_PRODUCTS),
-               "a product of %d by %d terms of up to %d by %d words",
-               len(p), len(q), a, b)
+        charge_product(p.values(), q.values())
     r = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():

@@ -10,6 +10,7 @@ from divisor_forge import (
     NonIntegralCoercion,
     QuotientRing,
     WeilDivisor,
+    engine,
     ideal,
     is_cartier,
     is_linearly_equivalent,
@@ -194,6 +195,60 @@ def test_snc_depends_only_on_support(plane, cone3b):
                 coeffs = [rng.choice([-3, -1, 1, 2, 5]) for _ in D.support()]
                 E = WeilDivisor.from_primes(coeffs, list(D.support()))
                 assert is_snc(E, graded=graded).verdict == base
+
+
+def test_snc_reads_dimensions_from_the_memo(monkeypatch):
+    """Every lt_dimension call of is_snc fills a memo entry: the Jacobian
+    criterion reads the dimensions that height() has stored."""
+    calls, real = [], engine.lt_dimension
+    monkeypatch.setattr(engine, "lt_dimension",
+                        lambda *args: calls.append(args) or real(*args))
+    for names, relations, gens in [
+            (("x", "y"), (), ["x*y", "x*y*(x+y)", "y^2 - x^2*(x+1)"]),
+            (("x", "y", "z"), ("x^2 - y*z",), ["x", "x*y*z"])]:
+        for graded in (False, True):
+            R = QuotientRing(names, relations)
+            for g in gens:
+                D = WeilDivisor.of_element(polynomial(R, g))
+                calls.clear()
+                stored = {k for k in R.memo if k[0] == "dim"}
+                is_snc(D, graded=graded)
+                new = {k for k in R.memo if k[0] == "dim"} - stored
+                assert len(calls) == len(new), (g, graded)
+
+
+# ROADMAP item 15A: the torus-invariant primes of three toric cones, each
+# with its class in Cl, which is Z/order (Z for order 0)
+TORIC = [
+    (("x", "y", "z"), "x*y - z^2", 2, [(("x", "z"), 1), (("y", "z"), 1)]),
+    (("x", "y", "z"), "x^2 - y*z", 2, [(("x", "y"), 1), (("x", "z"), 1)]),
+    (("x", "y", "u", "v"), "x*y - u*v", 0,
+     [(("x", "u"), 1), (("x", "v"), -1), (("y", "u"), -1), (("y", "v"), 1)]),
+]
+
+
+@pytest.mark.parametrize("names, relation, order, primes", TORIC)
+def test_toric_checks_agree_with_the_class_group(names, relation, order,
+                                                 primes):
+    """On two seeded divisors of class zero and two of nonzero class, with
+    coefficients in [-2, 2]: Cartier, graded principal and class zero
+    agree, and the Q-Cartier index is the order of the class."""
+    R = QuotientRing(names, (relation,))
+    ideals = [ideal(R, *gens) for gens, _ in primes]
+    rng, left = random.Random(15), {True: 2, False: 2}
+    while any(left.values()):
+        coeffs = [rng.randint(-2, 2) for _ in primes]
+        c = sum(a * k for a, (_, k) in zip(coeffs, primes))
+        c = c % order if order else c
+        if not any(coeffs) or not left[c == 0]:
+            continue
+        left[c == 0] -= 1
+        D = WeilDivisor.from_primes(coeffs, ideals)
+        index = 1 if c == 0 else order
+        assert bool(is_cartier(D)) == (c == 0), coeffs
+        assert is_principal(D, graded=True).verdict == \
+            ("true" if c == 0 else "false"), coeffs
+        assert is_q_cartier(4, D) == index, coeffs
 
 
 def test_check_report_protocol(cone3b):

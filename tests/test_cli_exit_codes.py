@@ -15,7 +15,7 @@ import pytest
 
 from divisor_forge import cli, engine, errors, factorization
 from divisor_forge.cli import (
-    _FUNCTIONS, MAX_POWER_BITS, WORK_BUDGET, Session, _exit_code,
+    _FUNCTIONS, WORK_BUDGET, Session, _exit_code,
     execute_script, format_script, main, parse_script, repl, run_text)
 from divisor_forge.factorization import MAX_COEFF_BITS
 from divisor_forge.parsing import MAX_DEPTH
@@ -25,7 +25,6 @@ HEADER = (
     "D = divisor(ideal(x,y));\n"
     "E = divisor(x);\n")
 DIGITS = "%d digits" % sys.get_int_max_str_digits()
-POWER_CAP = "exceeds the cap of %d bits" % MAX_POWER_BITS
 BUDGET = "past the budget of %d units" % WORK_BUDGET
 NESTED = "expression nested deeper than %d levels" % MAX_DEPTH
 
@@ -61,21 +60,20 @@ CASES = [
     # nesting past the parser's depth bound, which used to overflow the stack
     ("print %s1%s;" % ("(" * 300, ")" * 300), 1, NESTED),
     ("print %s1;" % ("-" * 3000), 1, NESTED),
-    # an error message that names the value's kind, and one that would
-    # show a number past CPython's limit; the last row leaves QQ[x,y] as
-    # the current ring
+    # error messages that name the value's kind, or the ideal's position,
+    # and not a value that would show a number past CPython's limit; the
+    # last row leaves QQ[x,y] as the current ring
     ("print -ideal(10^5000*x+1);", 2, "cannot negate an Ideal"),
     ("ring S = QQ[x,y]; print divisor{1: ideal(x^2 + 10^5000*x)};", 2,
-     DIGITS),
+     "ideal 1 is not prime"),
     # a coefficient is read before its prime, whose factorization would be
     # refused with exit 3
     ("print divisor{x: ideal(x^3 + 10^5000*y^3 + 1)};", 2,
      "a divisor coefficient must be an int or a Fraction, not x"),
-    # number powers past the bit cap, refused before they are computed
-    ("print 3^(10^9);", 2, POWER_CAP),
-    ("print (2/3)^(-(10^7));", 2, POWER_CAP),
-    ("print (10^5000)^300;", 2, POWER_CAP),
-    # polynomial and ideal powers, bounded by the work budget
+    # number, polynomial and ideal powers, bounded by the work budget
+    ("print 3^(10^9);", 3, BUDGET),
+    ("print (2/3)^(-(10^7));", 3, BUDGET),
+    ("print (10^5000)^300;", 3, BUDGET),
     ("print (2*x)^(10^7);", 3, BUDGET),
     ("print ideal(2*x)^(10^7);", 3, BUDGET),
     ("print ideal(y, x/3)^(10^6);", 3, BUDGET),
@@ -101,12 +99,14 @@ def test_refused_inputs_get_their_exit_code(statement, code, message,
 
 @pytest.mark.parametrize("json_mode", [False, True])
 @pytest.mark.parametrize("statement", [
-    # in formatting an error message
-    "print divisor{1: ideal(x^2 + 10^5000*x)};",
+    # in formatting an error message: the relation a - 10^5000 does not
+    # map to zero
+    "map f : A -> B = (b);",
     "print 10^5000*x;",  # in printing a result
 ])
 def test_digit_limit_errors_get_their_location(statement, json_mode):
-    text = HEADER + "print 1;\n  " + statement + "\n"
+    text = HEADER + "ring A = QQ[a]/(a - 10^5000); ring B = QQ[b]; use R;" \
+        "\n  " + statement + "\n"
     code, out, err = run(text, json_mode)
     assert (code, out) == (2, "")
     assert err == "error: 5:3: cannot print a number of more than %s\n" \
@@ -189,15 +189,96 @@ def test_degree_cap_does_not_count_monomial_content():
 
 
 def test_number_powers_are_bounded_before_they_are_built():
+    """3^(10^9) is refused before its first squaring past the budget."""
     start = time.perf_counter()
     code, out, err = run("print 3^(10^9);\n")
     assert time.perf_counter() - start < 2
-    assert (code, out) == (2, "")
-    assert "a power of up to 2000000000 bits " + POWER_CAP in err
-    # under the cap, and powers whose base is 0, 1 or -1, are computed
+    assert (code, out) == (3, "")
+    assert err.startswith("error: 1:1: a product of 1 by 1 terms of up to "
+                          "12985 by 12985 words needs 2634543 units")
+    assert BUDGET in err
+    # within the budget, and powers whose base is 0, 1 or -1, are computed
+    # (true^1 is the int 1, as true^2 is)
     code, out, _ = run("print 10^5000 / 10^4999;\nprint (1/2)^(-3);\n"
-                       "print (-1)^(10^9 + 1);\nprint 0^(10^9);\n")
-    assert (code, out) == (0, "o1 = 10\no2 = 8\no3 = -1\no4 = 0\n")
+                       "print (-1)^(10^9 + 1);\nprint 0^(10^9);\n"
+                       "print true^1;\n")
+    assert (code, out) == (0, "o1 = 10\no2 = 8\no3 = -1\no4 = 0\no5 = 1\n")
+
+
+def run_charging(monkeypatch, text):
+    """run(text) and the units of each charge it made, in order."""
+    units, real = [], engine.charge
+
+    def counted(n, step, *counts):
+        units.append(n)
+        return real(n, step, *counts)
+
+    monkeypatch.setattr(engine, "charge", counted)
+    got = run(text)
+    monkeypatch.undo()
+    return got, units
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+# a product the size of 3^500000 by itself, whose refusal is the first one
+# past the budget
+SQUARE = ("a product of 1 by 1 terms of up to 12383 by 12383 words needs "
+          "2395926 units")
+
+
+@pytest.mark.parametrize("text, refused", [
+    # forty factors 3^500000
+    ("f = %s;\n" % " * ".join(["3^500000"] * 40), "1:1: " + SQUARE),
+    # fifteen terms 1/p^k, each of at most 2^20 bits
+    ("f = %s;\n" % " + ".join("1/%d^%d" % (p, 2**20 // p.bit_length())
+                              for p in PRIMES),
+     "1:1: a product of 1 by 1 terms of up to 8225 by 13017 words"),
+    # the same sum of terms of at most 2^17 bits, refused in a sum
+    ("f = %s;\n" % " + ".join("1/%d^%d" % (p, 2**17 // p.bit_length())
+                              for p in PRIMES),
+     "1:1: a product of 1 by 1 terms of up to 21986 by 1772 words"),
+    # a divisor scaled twenty times by 3^500000
+    ("ring R = QQ[x,y];\nN = 3^500000;\nD = divisor(x);\nf = D%s;\n"
+     % ("*N" * 20), "4:1: " + SQUARE),
+])
+def test_number_arithmetic_is_bounded_by_the_budget(monkeypatch, text,
+                                                    refused):
+    """Number products, powers and Fraction sums, and divisor scalings,
+    are charged as the engine charges a product of one term by one; each
+    of these ran for a minute or more with no charge."""
+    start = time.perf_counter()
+    (code, out, err), units = run_charging(monkeypatch, text)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (3, "")
+    assert err.startswith("error: " + refused) and BUDGET in err, err
+    # the work done is what was charged before the refused step
+    assert sum(units[:-1]) <= WORK_BUDGET < sum(units)
+
+
+@pytest.mark.parametrize("template, base, code", [
+    ("print %s^(10^7);", "2", 3),
+    ("f = %s^661000;", "3", 0),
+    ("f = %s^500000 * %s^500000;", "3", 3),
+])
+def test_a_number_costs_what_its_constant_polynomial_costs(
+        monkeypatch, template, base, code):
+    """c and the constant polynomial c + 0*x take the same charges, in the
+    same order, and get the same verdict."""
+    setup = "ring R = QQ[x];\nc = %s + 0*x;\n" % base
+    runs = [run_charging(monkeypatch, setup + template.replace("%s", b)
+                         + "\n") for b in (base, "c")]
+    (number, units), (twin, twin_units) = runs
+    assert number[0] == twin[0] == code
+    assert number[2].partition("\n")[0] == twin[2].partition("\n")[0]
+    assert units == twin_units
+
+
+def test_divisor_arithmetic_within_the_budget_is_answered():
+    code, out, err = run(HEADER + "print 1/2*D;\nprint 3*D + E;\n"
+                         "print isQCartier(5, D);\n")
+    assert (code, err) == (0, "")
+    assert out == ("o1 = 1/2*Div(y, x)\no2 = 4*Div(y, x) + Div(z, x)\n"
+                   "o3 = 2\n")
 
 
 def test_polynomial_and_ideal_powers_are_bounded_by_the_work_budget():

@@ -8,13 +8,17 @@ import pytest
 from divisor_forge import (
     DivisorForgeError,
     HeightNotOne,
+    Ideal,
     NonIntegralCoercion,
     PrimalityUncertain,
+    QuotientRing,
     RingMismatch,
     WeilDivisor,
+    engine,
     ideal,
     polynomial,
 )
+from divisor_forge.ideals import _certify_prime
 
 
 def prime_pool(cone4):
@@ -61,11 +65,62 @@ def test_from_primes_rejects_non_prime(plane):
 
 def test_from_primes_says_when_an_ideal_is_not_prime(plane):
     # a reducible generator, and a power, are proofs of non-primality
-    for gen, shown in [("x^2 + x", "x^2 + x"),
-                       ("(x - y)^2", "x^2 - 2*x*y + y^2")]:
+    for gen in ["x^2 + x", "(x - y)^2"]:
         with pytest.raises(PrimalityUncertain) as info:
-            WeilDivisor.from_primes([1], [ideal(plane, gen)])
-        assert str(info.value) == "ideal(%s) is not prime" % shown
+            WeilDivisor.from_primes([1, 2], [ideal(plane, "x"),
+                                             ideal(plane, gen)])
+        assert str(info.value) == "ideal 2 is not prime"
+
+
+def test_a_refused_ideal_is_named_without_work(monkeypatch):
+    """from_primes names a refused ideal by its position: its text would
+    cost minimal generators and here pass the digit limit.  The refusal
+    makes the bases of its checks and no other."""
+    bases, real = [], engine.buchberger
+    monkeypatch.setattr(engine, "buchberger",
+                        lambda *args: bases.append(args) or real(*args))
+    monkeypatch.setattr(Ideal, "minimal_gens", None)  # any call fails
+
+    def fresh():
+        R = QuotientRing(("x", "y", "z"), ("x^2 - y*z",))
+        x = polynomial(R, "x")
+        bases.clear()
+        return R, Ideal(R, [x**2 + 10**5000 * x])
+
+    R, P = fresh()
+    canon = Ideal(R, list(P.quotient_gens()))
+    assert canon.height() == 1
+    assert _certify_prime(R, canon.groebner)[0] == "split"
+    checks = len(bases)
+    _, P = fresh()
+    with pytest.raises(PrimalityUncertain) as info:
+        WeilDivisor.from_primes([1], [P])
+    assert str(info.value) == "ideal 1 is not prime"
+    assert len(bases) == checks
+
+
+def test_combine_charges_each_coefficient_operation(cone4, monkeypatch):
+    """Under a budget, combine charges each coefficient product, and each
+    sum with a Fraction, what a product of one term by one costs; with no
+    budget nothing is charged."""
+
+    def price(x, y):
+        with engine.work_budget(10**6):
+            engine.charge_product((x,), (y,))
+            return engine.spent
+
+    D = WeilDivisor.from_primes([2], [ideal(cone4, "x", "u")])
+    parts = [(1, D), (Fraction(1, 3), D)]
+    want = [price(1, 2), price(Fraction(1, 3), 2), price(2, Fraction(2, 3))]
+    charged, real = [], engine.charge
+    monkeypatch.setattr(engine, "charge", lambda units, step, *counts: (
+        charged.append(units), real(units, step, *counts)))
+    E = WeilDivisor.combine(cone4, parts)
+    assert charged == []
+    with engine.work_budget(10**6):
+        F = WeilDivisor.combine(cone4, parts)
+    assert charged == want
+    assert E == F == Fraction(4, 3) * D
 
 
 def test_of_element_unit_and_zero(cone4, plane):

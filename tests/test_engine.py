@@ -188,3 +188,25 @@ def test_a_work_budget_holds_only_inside_its_block():
         "a product of 15 by 15 terms of up to 1 by 1 words needs 233 units "
         "of work, past the budget of 100 units (61 spent)")
     assert len(engine.p_pow(f, 10)) == 66
+
+
+def test_fraction_sums_are_charged_as_one_term_products(monkeypatch):
+    """Under a budget, p_add and p_sub charge each sum with a Fraction what
+    p_mul charges for a product of one term by one, and a sum of ints
+    nothing; with no budget nothing is charged."""
+    charged, real = [], engine.charge
+    monkeypatch.setattr(engine, "charge", lambda units, step, *counts: (
+        charged.append(units), real(units, step, *counts)))
+    half, third, one = {(0,): Fraction(1, 2)}, {(0,): Fraction(1, 3)}, \
+        {(0,): 1}
+    assert engine.p_add(half, third) == {(0,): Fraction(5, 6)}
+    assert engine.p_sub(half, half) == {}
+    assert charged == []
+    with engine.work_budget(10**6):
+        engine.p_mul(half, third)
+        assert engine.p_add(one, {(0,): 2, (1,): 3}) == {(0,): 3, (1,): 3}
+        assert engine.p_sub(one, one) == {}
+        assert len(charged) == 1
+        assert engine.p_add(half, third) == {(0,): Fraction(5, 6)}
+        assert engine.p_sub(third, half) == {(0,): Fraction(-1, 6)}
+    assert charged == [charged[0]] * 3 and charged[0] > engine.PRODUCT_UNITS
