@@ -1,8 +1,8 @@
-"""Compare the work counts of two traced benchmark runs, and the peak
-memory of two untraced ones.
+"""Compare the work counts of two traced benchmark runs, and the speed
+and peak memory of two untraced ones.
 
-usage: python .github/trace_counts.py BASE.out HEAD.out [BASE_RSS.out
-HEAD_RSS.out]
+usage: python .github/trace_counts.py BASE.out HEAD.out [BASE_UNTRACED.out
+HEAD_UNTRACED.out]
 
 BASE.out and HEAD.out hold the output of
 ``perfbench/run.py --workload NAME --seed 1 --seconds 5 --trace 1``, whose
@@ -11,16 +11,20 @@ last line is a JSON object with the run's per-layer metrics.  Prints the
 two runs gave the same answers (the ``digest`` of their checked results,
 from the same line), then every call count (``*.calls``), ``elim_calls``,
 ``max_basis_len`` and ``max_coeff_bits`` that differs between the two, or
-that they all agree.  BASE_RSS.out and HEAD_RSS.out, when given, hold the
-output of the same command without ``--trace 1``; their ``peak_rss_mb``
-is printed as base -> head, since tracing adds memory of its own.  Only
-reports: it exits 0 whatever it finds, also when a run left no result.
+that they all agree.  BASE_UNTRACED.out and HEAD_UNTRACED.out, when
+given, hold the output of the same command without ``--trace 1``, since
+tracing adds time and memory of its own; their ``ops_per_s``,
+``op_p50_ms``, ``op_tail_ms`` and ``peak_rss_mb`` are printed as base ->
+head, or None where a run left no result.  One 5-second run per side
+shows only a large change in speed.  Only reports: it exits 0 whatever
+it finds, also when a run left no result or a file cannot be read.
 """
 
 import json
 import sys
 
 COUNTS = (".calls", ".elim_calls", ".max_basis_len", ".max_coeff_bits")
+UNTRACED = ("ops_per_s", "op_p50_ms", "op_tail_ms", "peak_rss_mb")
 
 
 def read(path):
@@ -30,7 +34,7 @@ def read(path):
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.read().strip().splitlines()
-    except OSError:
+    except (OSError, ValueError):  # missing, unreadable or not UTF-8
         return {}, None
     context = {}
     for line in lines:
@@ -46,16 +50,13 @@ def read(path):
         return context, None
 
 
-def peak_rss(path):
-    """The peak_rss_mb of the run in path, or None."""
-    metrics = read(path)[1]
-    return None if metrics is None else metrics.get("peak_rss_mb")
-
-
-def main(base_path, head_path, base_rss_path=None, head_rss_path=None):
-    if base_rss_path and head_rss_path:
-        print("peak_rss_mb (untraced): %s -> %s" % (
-            peak_rss(base_rss_path), peak_rss(head_rss_path)))
+def main(base_path, head_path, base_untraced=None, head_untraced=None):
+    if base_untraced and head_untraced:
+        base, head = (read(path)[1] or {}
+                      for path in (base_untraced, head_untraced))
+        for name in UNTRACED:
+            print("%s (untraced): %s -> %s" % (name, base.get(name),
+                                               head.get(name)))
     (base_context, base), (head_context, head) = (read(base_path),
                                                   read(head_path))
     print("src_lines: %s -> %s" % (base_context.get("src_lines"),

@@ -242,7 +242,9 @@ def monic(p, key):
 
 
 def canonical(p, key):
-    """Hashable canonical form: terms sorted by descending order key."""
+    """Hashable canonical form: terms sorted by descending order key.  The
+    sort is needed: buchberger returns a one-element basis in its input's
+    term order, as normal_form with an empty basis returns a copy of p."""
     return tuple(
         (m, (p[m].numerator, p[m].denominator))
         for m in sorted(p, key=key, reverse=True)
@@ -267,8 +269,8 @@ def differentiate(p, i):
 # ---------------------------------------------------------------------------
 # packed monomials
 
-Packing = namedtuple("Packing", "width pack unpack one lcm graded guard "
-                     "high margin ints tuples")
+Packing = namedtuple("Packing", "width pack unpack one lcm graded fills "
+                     "guard high margin ints tuples")
 
 # the most entries a packing's tables hold: when they reach it, they are
 # cleared whole before the next entry is made (see _packing)
@@ -294,7 +296,8 @@ def _packing(nvars, width, split):
     The pair criteria need only the variable fields: P & one is P bare, its
     degree fields cleared.  For bare a and b, lcm(a, b) is their fieldwise
     min and a divides b iff not a - b & guard; graded(a) fills in the
-    degree fields of an in-range bare a.
+    degree fields of an in-range bare a, adding (one - a) * spread & degree
+    for each (spread, degree) of fills, one per block.
 
     pack and unpack compute a conversion; ints and tuples, the tables from
     an in-range monomial tuple to its packed int and back, remember it (see
@@ -338,8 +341,8 @@ def _packing(nvars, width, split):
             a += e * spread & degree
         return a
 
-    return Packing(width, pack, unpack, one, lcm, graded, guard, high, margin,
-                   {}, {})
+    return Packing(width, pack, unpack, one, lcm, graded, tuple(fills), guard,
+                   high, margin, {}, {})
 
 
 def _remember(m, P, pk):
@@ -405,7 +408,13 @@ def _monic(P, lm):
 
 def _head(P, lm):
     """The monic packed P with leading monomial lm as the pair (lm, tail),
-    the tail holding its other terms as (monomial, coefficient) pairs."""
+    the tail holding its other terms as (monomial, coefficient) pairs in
+    P's order.  When lm is P's first term, as in every remainder of _reduce
+    (its terms descend), the tail is the items after it, read without a
+    comparison; otherwise lm is looked for among all of them."""
+    items = iter(P.items())
+    if next(items)[0] == lm:
+        return lm, tuple(items)
     return lm, tuple([t for t in P.items() if t[0] != lm])
 
 
@@ -432,12 +441,16 @@ def _reduce(p, heads, pk):
     """The one reduction loop: the packed p fully reduced by heads, a list
     of (leading monomial, tail) of monic packed polynomials.  Returns the
     remainder with its terms in descending order, or None as soon as a term
-    of p or of the work is out of range."""
+    of p or of the work is out of range.
+
+    p is consumed: it holds the work, its terms taken out as they are
+    reduced or kept, so a caller hands over a dict it no longer needs (a
+    fresh S-polynomial or _pack result, or an element reduced only once)."""
     guard, high, margin = pk.guard, pk.high, pk.margin
     push, pop = heapq.heappush, heapq.heappop
     charging, n = budget is not None, len(heads)
     scan, sizes = 1 + n // TESTS, {}  # sizes: lm -> _words of its tail
-    work = dict(p)
+    work = p
     # max-heap of candidate monomials, negated, with lazy deletion
     heap = []
     for m in work:
@@ -491,12 +504,14 @@ def normal_form(p, basis, key, packing=None):
     Groebner basis, or the list `buchberger` builds).
 
     Given a packing, everything is packed: basis holds its elements as
-    (leading monomial, tail) pairs (see _head), and the result is the
-    packed remainder, or None when a term leaves the packing's range.
-    Otherwise p and basis are packed here, at the width _widening finds,
-    and the remainder unpacked.  A zero p, as a third of buchberger's
-    S-polynomials are, is its own remainder: {} before anything is packed
-    or reduced.
+    (leading monomial, tail) pairs (see _head), the packed p is consumed
+    (see _reduce), and the result is the packed remainder, or None when a
+    term leaves the packing's range.  Otherwise p and basis are packed here
+    into fresh dicts, at the width _widening finds, and the remainder
+    unpacked, so the tuple-keyed arguments are left as they are.  With an
+    empty basis the result is a copy of p, in p's term order.  A zero p,
+    as a third of buchberger's S-polynomials are, is its own remainder: {}
+    before anything is packed or reduced.
     """
     if not p:
         return {}
@@ -570,7 +585,11 @@ def _buchberger(gens, key, pk):
       (i, k) then come first.  Only the lowest index i of each minimal
       distinct lcm of the row L_0n, ..., L_(n-1)n is pushed, its degree
       fields filled in, and only when the product criterion does not drop
-      it;
+      it.  The row is built in one pass, each entry the fieldwise min of
+      pk.lcm written inline.  When an earlier lm_k divides lm_n, L_kn is
+      lm_n itself, which divides every lcm of the row, so it is the one
+      minimal lcm; otherwise the minimal ones are found among the row's
+      distinct lcms, and only their lowest indices are looked up;
     - when (i, j) is popped, a later element k > j is a witness exactly
       when lm_k divides L, L_ik != L and L_jk != L: (i, k) and (j, k) came
       into the heap after (i, j) and have larger index pairs, so only a
@@ -580,7 +599,7 @@ def _buchberger(gens, key, pk):
     reduced or dropped, as when every pair is pushed and tested at pop
     time, and the S-pairs reduced are the same.
     """
-    lcm, graded, one, guard = pk.lcm, pk.graded, pk.one, pk.guard
+    one, guard, width, fills = pk.one, pk.guard, pk.width, pk.fills
     packed = [_pack(g, pk) for g in gens]
     # by ascending leading monomial, equal ones in the order given
     new = [(lm, _monic(packed[i], lm))
@@ -592,23 +611,30 @@ def _buchberger(gens, key, pk):
             n, b = len(G), lm & one
             if budget is not None:
                 charge(1 + n, "basis element %d and its %d lcms", n + 1, n)
-            row = [lcm(B, b) for B in bare]
-            # each distinct lcm of the row and its lowest index (the last
-            # value stored for a key wins)
-            first = dict(zip(reversed(row), range(n - 1, -1, -1)))
-            # the distinct lcms that no other one divides: a proper divisor
-            # of a bare L is a larger int than L, so it is met first
-            least = []
-            for L in sorted(first, reverse=True):
-                for M in least:
-                    if not M - L & guard:
-                        break
-                else:
-                    least.append(L)
+            # pk.lcm(B, b) inline: d holds the guard bits of the fields
+            # where B's is at least b's, and those fields are taken from b
+            row = [B ^ (B ^ b) & (d - (d >> width))
+                   for B in bare for d in ((B | guard) - b & guard,)]
+            if b in row:  # an earlier leading monomial divides lm
+                least = [b]
+            else:
+                # the distinct lcms that no other one divides: a proper
+                # divisor of a bare L is a larger int than L, so it is met
+                # first
+                least = []
+                for L in sorted(set(row), reverse=True):
+                    for M in least:
+                        if not M - L & guard:
+                            break
+                    else:
+                        least.append(L)
             for L in least:
-                i = first[L]
+                i = row.index(L)  # the lowest index of the lcm L
                 if L != bare[i] + b - one:  # product criterion
-                    heapq.heappush(pairs, (graded(L), i, n))
+                    e = one - L  # pk.graded(L) inline
+                    for spread, degree in fills:
+                        L += e * spread & degree
+                    heapq.heappush(pairs, (L, i, n))
             G.append(g)
             heads.append(_head(g, lm))
             bare.append(b)
@@ -635,7 +661,11 @@ def _buchberger(gens, key, pk):
     # minimalize
     minimal = []
     for _, i in sorted((h[0], i) for i, h in enumerate(heads)):
-        if all(bare[k] - bare[i] & guard for k in minimal):
+        b = bare[i]
+        for k in minimal:
+            if not bare[k] - b & guard:
+                break
+        else:
             minimal.append(i)
     # interreduce in ascending order: a term below lm_i is divisible only by
     # a smaller leading monomial, so reducing each element by the reduced
@@ -644,7 +674,7 @@ def _buchberger(gens, key, pk):
     # none of its terms but puts them in descending order, or by none when
     # it is alone
     done, reduced = [], []
-    for pos, i in enumerate(minimal):
+    for pos, i in enumerate(minimal):  # G[i] is consumed, not needed again
         r = normal_form(G[i], done if pos else [heads[k] for k in minimal[1:]],
                         key, pk)
         if r is None:

@@ -5,6 +5,8 @@ Every ideal of a quotient ring is handled through its full ambient preimage
 preimage is the ideal's canonical key, so ideal equality is key equality.
 """
 
+import sys
+
 from . import engine, factorization
 from .engine import elim_key
 from .errors import (
@@ -30,6 +32,7 @@ class Ideal:
         self.gens = tuple(fixed)
         self._gb = None
         self._key = None
+        self._hash = None
         self._qgens = None
 
     # -- canonical data ------------------------------------------------------
@@ -98,7 +101,10 @@ class Ideal:
         return self.ring == other.ring and self.key == other.key
 
     def __hash__(self):
-        return hash((self.ring, self.key))
+        # a key never changes once computed, so neither does the hash
+        if self._hash is None:
+            self._hash = hash((self.ring, self.key))
+        return self._hash
 
     def minimal_gens(self):
         """Irredundant generating set drawn from the quotient presentation."""
@@ -273,11 +279,13 @@ def _unpermute(polys, perm):
 def _intersect(A, B, nvars):
     """Ambient generators of the intersection of the ideals generated by
     the term-dict lists A and B in nvars variables: the elements free of t
-    in an elimination basis of t*A + (1-t)*B, t a new first variable.  t
-    comes first, where elim_key(1) wants it, so no variable is permuted."""
+    in an elimination basis of t*A + (t-1)*B, t a new first variable.  t
+    comes first, where elim_key(1) wants it, so no variable is permuted,
+    and (t-1)*g leads with t times the leading term of g, so a monic g
+    gives a monic generator."""
     gens = [{(1,) + m: c for m, c in g.items()} for g in A]
-    gens += [{**{(0,) + m: c for m, c in g.items()},
-              **{(1,) + m: -c for m, c in g.items()}} for g in B]
+    gens += [{**{(0,) + m: -c for m, c in g.items()},
+              **{(1,) + m: c for m, c in g.items()}} for g in B]
     return [{m[1:]: c for m, c in g.items()}
             for g in engine.buchberger(gens, elim_key(1))
             if not any(m[0] for m in g)]
@@ -458,8 +466,14 @@ def _decompose(I, seen=None):
         except DecompositionIncomplete:
             if verdict == "split":
                 raise
+    try:
+        shown = repr(I)
+    except ValueError:  # CPython's cap on int -> str conversion
+        raise DecompositionIncomplete(
+            "cannot split or certify a component with a coefficient of more "
+            "than %d digits" % sys.get_int_max_str_digits()) from None
     raise DecompositionIncomplete(
-        "cannot split or certify component %r" % (I,))
+        "cannot split or certify component %s" % shown)
 
 
 def minimal_height_one_primes(I):

@@ -70,6 +70,12 @@ CASES = [
     # refused with exit 3
     ("print divisor{x: ideal(x^3 + 10^5000*y^3 + 1)};", 2,
      "a divisor coefficient must be an int or a Fraction, not x"),
+    # the twisted cubic of perfbench/scripts/refusal.df with y scaled by N:
+    # its component cannot be certified, and is named without its text
+    ("ring R = QQ[x,y,z,w]; N = 10^2200; D = divisor(ideal(x*z - N^2*y^2, "
+     "N*y*w - z^2, x*w - N*y*z));", 3,
+     "cannot split or certify a component with a coefficient of more than "
+     + DIGITS),
     # number, polynomial and ideal powers, bounded by the work budget
     ("print 3^(10^9);", 3, BUDGET),
     ("print (2/3)^(-(10^7));", 3, BUDGET),

@@ -7,15 +7,19 @@ are reduced or any result: on seeded random small ideals under grevlex and
 elimination orders, on a squaring chain whose leading degrees outgrow the
 first packing width, on ideals with non-monic integer leading coefficients
 and rational coefficients, on generators whose leading monomials repeat
-lcms, on a wider seeded sweep with int and Fraction coefficients, and on a
-reduction whose terms climb out of the first packing's range, both engines
-reduce the same S-polynomials in the same sequence and return the same
-reduced bases (same elements, same term order) and the same normal forms.
+lcms, on generators where an earlier leading monomial divides a later one
+(a unit among them), on a wider seeded sweep with int and Fraction
+coefficients, and on a reduction whose terms climb out of the first
+packing's range, both engines reduce the same S-polynomials in the same
+sequence and return the same reduced bases (same elements, same term
+order) and the same normal forms.
 The reference divides as the library does, Fraction(a) / b, so an int
 coefficient makes no float in it.  The comparison of normal_form inputs
 checks that the same pairs are reduced: the run at the widest packing
 makes exactly the reference's calls, and a run abandoned at a narrower
-packing made a prefix of them.
+packing made a prefix of them.  Since the reduction consumes the packed
+polynomial it is handed, a test also checks that buchberger and
+normal_form leave their tuple-keyed arguments as they are.
 """
 
 import heapq
@@ -455,6 +459,90 @@ def test_equal_lcms_match_reference(order, monkeypatch):
         lms = [rng.choice(pool) for _ in range(rng.randint(3, 5))]
         gens = with_lower_terms(rng, lms, key)
         assert_matches_reference(monkeypatch, rng, nvars, gens, key, ref_key)
+
+
+# leading monomials in x, y, z where an earlier one divides a later one,
+# so the later one's row holds its own leading monomial: x, xy, x^2*y;
+# y, xy, xyz with xz; x twice and xy; x, y, xy twice (equal lcms); z, xz,
+# yz, xyz; a unit with x and y; x, a unit and x^2
+DIVISIBLE_SHAPES = [
+    [(1, 0, 0), (1, 1, 0), (2, 1, 0)],
+    [(0, 1, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1)],
+    [(1, 0, 0), (1, 0, 0), (1, 1, 0)],
+    [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 0)],
+    [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)],
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0)],
+    [(1, 0, 0), (0, 0, 0), (2, 0, 0)],
+]
+
+
+def divisible_leads(rng, nvars):
+    """Two to six leading monomials with exponents below 3, at least one a
+    multiple of one drawn before it; a unit about once in twelve draws."""
+    pool = [m for m in itertools.product((0, 1), repeat=nvars) if any(m)]
+    lms = [(0,) * nvars if rng.random() < 1 / 12 else rng.choice(pool)
+           for _ in range(rng.randint(1, 3))]
+    for _ in range(rng.randint(1, 3)):
+        lms.append(engine.mono_mul(rng.choice(lms), rng.choice(
+            pool + [(0,) * nvars])))
+    rng.shuffle(lms)
+    return lms
+
+
+@pytest.mark.parametrize("order", sorted(ORDERS))
+def test_divisible_leads_match_reference(order, monkeypatch):
+    """Generators where an earlier leading monomial (in the ascending order
+    the run sorts them into) divides a later one, from the shapes above and
+    from a seeded sweep of random multiples, with equal lcms and unit
+    leading monomials among them, int and Fraction coefficients: the same
+    S-pairs, bases and normal forms as the reference."""
+    key, ref_key = ORDERS[order]
+    rng = random.Random("engine-divisible-leads-" + order)
+    for lms in DIVISIBLE_SHAPES:
+        for _ in range(5):
+            gens = with_lower_terms(rng, lms, key)
+            assert_matches_reference(monkeypatch, rng, 3, gens, key, ref_key)
+    for _ in range(60):
+        nvars = rng.randint(2, 4)
+        lms = divisible_leads(rng, nvars)
+        assert any(engine.mono_divides(a, b)
+                   for a, b in itertools.combinations(
+                       sorted(lms, key=key), 2))
+        gens = with_lower_terms(rng, lms, key)
+        assert_matches_reference(monkeypatch, rng, nvars, gens, key, ref_key)
+
+
+def test_buchberger_and_normal_form_leave_their_arguments_unmodified():
+    """The reduction consumes the packed dict it is handed, so buchberger
+    and normal_form pack their tuple-keyed arguments into fresh dicts: each
+    argument keeps its terms, their order and their coefficient types, also
+    when the basis is empty or one element, and when buchberger is given a
+    reduced basis."""
+
+    def items(polys):
+        return [[(m, c, type(c)) for m, c in g.items()] for g in polys]
+
+    rng = random.Random("engine-arguments")
+    for order in sorted(ORDERS):
+        key = ORDERS[order][0]
+        for _ in range(40):
+            nvars = rng.randint(2, 4)
+            gens = [{m: random_coefficient(rng) for m in (
+                tuple(rng.randint(0, 2) for _ in range(nvars))
+                for _ in range(rng.randint(1, 3))) if sum(m) <= 2}
+                for _ in range(rng.randint(1, 3))]
+            before = items(gens)
+            gb = engine.buchberger(gens, key)
+            assert items(gens) == before
+            basis = items(gb)
+            assert items(engine.buchberger(gb, key)) == basis
+            assert items(gb) == basis
+            for p in [random_poly(rng, nvars, 4, 3) for _ in range(3)] + gb:
+                shown = items([p])
+                for part in (gb, gb[:1], []):
+                    nf = engine.normal_form(p, part, key)
+                    assert nf is not p and items([p]) == shown
+            assert items(gb) == basis
 
 
 @pytest.mark.parametrize("order", sorted(ORDERS))

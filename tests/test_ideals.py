@@ -51,6 +51,22 @@ def test_containment_basics(cone4):
     assert unit_ideal(cone4).is_unit()
 
 
+def test_hash_is_the_hash_of_ring_and_key(cone4, plane):
+    """The hash of an ideal whose key is not yet computed (cold) and of one
+    whose key is (warm) is hash((ring, key)), the same on every call, and
+    ideals with equal keys have equal hashes."""
+    for ring, gens, same in ((cone4, ("x", "u"), ("x + u", "u", "x*y")),
+                             (plane, ("x^2", "x*y"), ("x*y + x^2", "x^2")),
+                             (plane, ("1",), ("x", "1 - x"))):
+        cold, warm = ideal(ring, *gens), ideal(ring, *same)
+        assert cold._key is None
+        warm.key
+        for I in (cold, warm):
+            assert hash(I) == hash((ring, I.key)) == hash(I)
+        assert cold == warm and hash(cold) == hash(warm)
+        assert len({cold, warm, ideal(ring, *gens)}) == 1
+
+
 def test_sum_product_power(cone4):
     I = ideal(cone4, "x", "u")
     J = ideal(cone4, "x", "v")
@@ -159,9 +175,9 @@ def eliminated_intersection(A, B, nvars):
 
 
 def test_intersect_matches_the_elimination_route(plane, cone3, cone4):
-    """_intersect calls Buchberger on t*A + (1-t)*B itself; it returns the
-    list _eliminate's route returns, equal dicts in the same key order, for
-    the inputs intersection and the colon give it."""
+    """_intersect calls Buchberger on t*A + (t-1)*B itself; it returns the
+    list _eliminate's route on t*A + (1-t)*B returns, equal dicts in the
+    same key order, for the inputs intersection and the colon give it."""
     rng = random.Random(0x1E7)
     for ring in (plane, cone3, cone4):
         for _ in range(12):
