@@ -34,6 +34,7 @@ coefficient of more than MAX_COEFF_BITS bits is refused too.
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, islice
 
 import sympy
@@ -92,7 +93,8 @@ def factor_terms(terms, nvars, key):
         out.append((engine.monic(rest, key), 1))
     elif degree > 1:
         out += _sympy_factors(rest, nvars, key)
-    out.sort(key=lambda fm: engine.canonical(fm[0], key))
+    if len(out) > 1:
+        out.sort(key=lambda fm: engine.canonical(fm[0], key))
     # every factor is monic, so the unit is the input's leading coefficient
     return engine.leading(terms, key)[1], out
 
@@ -134,7 +136,9 @@ def _integral(terms):
     return {m: c // g for m, c in ints.items()}
 
 
+@lru_cache(maxsize=None)
 def _axis(i, size):
+    """The unit vector of length size at index i, made once and shared."""
     return tuple(int(k == i) for k in range(size))
 
 
@@ -341,7 +345,8 @@ def _divide(f, v):
     n = len(v) - 1
     j = next(i for i in range(n) if v[i])
     aj = v[j]
-    tail = [(_axis(i, n), c) for i, c in enumerate(v) if c and i != j]
+    # (i, b): the term b x_i of the tail, i == n for the constant b
+    tail = [(i, c) for i, c in enumerate(v) if c and i != j]
     coeffs = {}
     for m, c in f.items():
         coeffs.setdefault(m[j], {})[m[:j] + (0,) + m[j + 1 :]] = c
@@ -360,8 +365,8 @@ def _divide(f, v):
             if r:
                 return None
             quotient[m[:j] + (k - 1,) + m[j + 1 :]] = c
-            for e, b in tail:
-                t = engine.mono_mul(m, e)
+            for i, b in tail:
+                t = m[:i] + (m[i] + 1,) + m[i + 1 :] if i < n else m
                 s = carry.get(t, 0) + b * c
                 if s:
                     carry[t] = s

@@ -39,20 +39,33 @@ class Ideal:
 
     @property
     def groebner(self):
-        """Reduced GB of the ambient preimage (generators + defining ideal)."""
+        """Reduced GB of the ambient preimage (generators + defining ideal).
+
+        The ring's memo holds it under ("gb", probe), the probe being the
+        sorted tuple of each generator's sorted term items, so equal
+        multisets of generator term dicts share one entry.  The entry is
+        the pair (basis, key), the key canonicalized once, when the basis
+        is computed; a lookup stores both on the ideal."""
         if self._gb is None:
             ring = self.ring
+
+            def compute():
+                gb = engine.buchberger(
+                    [g.terms for g in self.gens] + ring.quotient_gb, ring.key)
+                return gb, tuple(engine.canonical(g, ring.key) for g in gb)
+
             probe = ("gb", tuple(sorted(
-                engine.canonical(g.terms, ring.key) for g in self.gens)))
-            self._gb = ring.memoized(probe, lambda: engine.buchberger(
-                [g.terms for g in self.gens] + ring.quotient_gb, ring.key))
+                tuple(sorted(g.terms.items())) for g in self.gens)))
+            self._gb, self._key = ring.memoized(probe, compute)
         return self._gb
 
     @property
     def key(self):
+        """The canonical key: engine.canonical of each element of the
+        reduced basis, in the basis's order.  It is read from the memo
+        entry the basis came from, so it is canonicalized once per basis."""
         if self._key is None:
-            self._key = tuple(
-                engine.canonical(g, self.ring.key) for g in self.groebner)
+            self.groebner  # stores the key with the basis
         return self._key
 
     def quotient_gens(self):
@@ -347,10 +360,12 @@ def factor_polynomial(f):
 def _factor(ring, terms):
     """factorization.factor_terms of an ambient term dict, once per ring.
 
-    The result is shared through the ring's memo: callers must not mutate
-    it or its factor dicts."""
+    The memo probe is the dict's sorted term items, so equal term dicts
+    (2 and Fraction(2) being equal) share one entry.  The result is shared
+    through the ring's memo: callers must not mutate it or its factor
+    dicts."""
     return ring.memoized(
-        ("factor", engine.canonical(terms, ring.key)),
+        ("factor", tuple(sorted(terms.items()))),
         lambda: factorization.factor_terms(terms, ring.nvars, ring.key))
 
 

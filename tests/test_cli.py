@@ -26,12 +26,13 @@ from divisor_forge import (
 from divisor_forge.cli import (
     Session,
     execute_script,
-    format_script,
     parse_script,
     render_outputs,
     run_text,
 )
 from divisor_forge.errors import ParseError
+
+from script_format import format_script
 
 SCHEMA_PATH = "docs/output_schema.json"
 

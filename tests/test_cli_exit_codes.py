@@ -16,9 +16,11 @@ import pytest
 from divisor_forge import cli, engine, errors, factorization
 from divisor_forge.cli import (
     _FUNCTIONS, WORK_BUDGET, Session, _exit_code,
-    execute_script, format_script, main, parse_script, repl, run_text)
+    execute_script, main, parse_script, repl, run_text)
 from divisor_forge.factorization import MAX_COEFF_BITS
 from divisor_forge.parsing import MAX_DEPTH
+
+from script_format import format_script
 
 HEADER = (
     "ring R = QQ[x,y,z] / (x^2 - y*z);\n"

@@ -15,8 +15,10 @@ import io
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from divisor_forge.cli import _FUNCTIONS, format_script, parse_script, run_text
+from divisor_forge.cli import _FUNCTIONS, parse_script, run_text
 from divisor_forge.errors import ParseError
+
+from script_format import format_script
 
 HEADER = (
     "ring R = QQ[x,y];\n"

@@ -53,6 +53,17 @@ def test_from_primes_merges_duplicates(cone4):
     assert D.coefficient_of(P) == 5
 
 
+def test_equal_divisors_hash_equal(cone4):
+    # div(x) on the cone, from the element and from its two primes
+    D = WeilDivisor.of_element(polynomial(cone4, "x"))
+    E = WeilDivisor.from_primes(
+        [1, 1], [ideal(cone4, "v", "x"), ideal(cone4, "u", "x")])
+    assert D == E and D is not E
+    assert hash(D) == hash(E)
+    assert len({D, E}) == 1
+    assert len({D, E, 2 * D}) == 2
+
+
 def test_from_primes_rejects_wrong_height(cone4):
     with pytest.raises(HeightNotOne):
         WeilDivisor.from_primes([1], [ideal(cone4, "x", "u", "v")])

@@ -209,6 +209,36 @@ ORDERS = {
 }
 
 
+# Every test runs under engine.work_budget, so a broken pair criterion
+# fails as WorkExceeded within seconds instead of growing without bound.
+# A test's budget is four times the units that its most expensive
+# parametrization spends, rounded up (the spend in parentheses); the tests
+# of packings and order keys reach no charging site and spend nothing.
+BUDGETS = {
+    "test_buchberger_matches_frozen_reference": 230_000,  # (57,174)
+    "test_buchberger_matches_frozen_reference_in_more_variables":
+        37_000,  # (9,120)
+    "test_squaring_chain_repacks_wider_and_matches_reference":
+        5_200,  # (1,298)
+    "test_int_and_fraction_coefficients_stay_exact": 1_800_000,  # (433,678)
+    "test_a_term_inside_a_reduction_widens_the_packing": 900,  # (224)
+    "test_equal_lcms_match_reference": 63_000,  # (15,608)
+    "test_divisible_leads_match_reference": 360_000,  # (88,396)
+    "test_buchberger_and_normal_form_leave_their_arguments_unmodified":
+        30_000,  # (7,488)
+    "test_seeded_sweep_matches_reference": 49_000,  # (12,209)
+    "test_flat_keys_sort_like_nested_keys": 0,
+    "test_packed_monomials_agree_with_tuples": 0,
+    "test_packing_tables_stay_within_their_bound": 0,
+}
+
+
+@pytest.fixture(autouse=True)
+def budgeted(request):
+    with engine.work_budget(BUDGETS[request.function.__name__]):
+        yield
+
+
 def random_poly(rng, nvars, nterms, maxdeg):
     terms = {}
     for _ in range(nterms):

@@ -2,6 +2,7 @@
 conversion it replaced, round trips, linear forms beyond the degree cap,
 and the peel of rational linear factors that spares sympy."""
 
+import math
 import os
 import random
 import subprocess
@@ -234,11 +235,19 @@ def test_peeled_products_match_reference(key_name, monkeypatch):
     rng = random.Random(0x9EE1 + len(key_name))
     inputs = [named(text, names) for text, names in SPECIAL]
     inputs += [random_product(rng, rng.randint(1, 4)) for _ in range(100)]
+    lengths = set()
     for terms in inputs:
         nvars = len(next(iter(terms)))
         unit, factors = factor_terms(terms, nvars, key)
         assert (unit, factors) == reference_factor_terms(terms, nvars, key)
         assert expand(unit, factors, nvars) == terms
+        # monic, distinct and sorted by their canonical forms, one factor
+        # lists too
+        assert all(engine.leading(f, key)[1] == 1 for f, _ in factors)
+        canon = [engine.canonical(f, key) for f, _ in factors]
+        assert canon == sorted(set(canon))
+        lengths.add(min(len(factors), 2))
+    assert lengths == {1, 2}
 
 
 def test_products_of_linear_forms_need_no_sympy(monkeypatch):
@@ -408,3 +417,84 @@ def test_cone_table_with_a_huge_coefficient_exits_quickly():
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: 2:1: ideal 1 is not prime\n")
+
+
+# ---------------------------------------------------------------------------
+# synthetic division against its frozen copy
+
+def frozen_divide(f, v):
+    """factorization._divide as it was before it bumped exponents in place:
+    the tail's monomials built as unit vectors and multiplied in with
+    engine.mono_mul."""
+    n = len(v) - 1
+    j = next(i for i in range(n) if v[i])
+    aj = v[j]
+    tail = [(tuple(int(k == i) for k in range(n)), c)
+            for i, c in enumerate(v) if c and i != j]
+    coeffs = {}
+    for m, c in f.items():
+        coeffs.setdefault(m[j], {})[m[:j] + (0,) + m[j + 1 :]] = c
+    quotient, carry = {}, {}
+    for k in range(max(coeffs), 0, -1):
+        part = dict(coeffs.get(k, {}))
+        for m, c in carry.items():
+            c = part.get(m, 0) - c
+            if c:
+                part[m] = c
+            else:
+                del part[m]
+        carry = {}
+        for m, c in part.items():
+            c, r = divmod(c, aj)
+            if r:
+                return None
+            quotient[m[:j] + (k - 1,) + m[j + 1 :]] = c
+            for e, b in tail:
+                t = engine.mono_mul(m, e)
+                s = carry.get(t, 0) + b * c
+                if s:
+                    carry[t] = s
+                else:
+                    del carry[t]
+    return quotient if carry == coeffs.get(0, {}) else None
+
+
+def integer_form(rng, nvars):
+    """A primitive linear form as factorization's vectors: integer
+    coefficients, the constant last, and a variable."""
+    while True:
+        v = [rng.choice([0, 0, 1, -1, 2, -3, 5]) for _ in range(nvars + 1)]
+        g = math.gcd(*v)
+        if any(v[:nvars]) and g:
+            return tuple(c // g for c in v)
+
+
+def integer_terms(rng, nvars):
+    """One to four terms of degree at most 3 with integer coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        terms[tuple(rng.randint(0, 3 // nvars + 1) for _ in range(nvars))] = (
+            rng.choice([1, -1, 2, -4, 7]))
+    return terms
+
+
+def test_divide_matches_its_frozen_copy():
+    rng = random.Random("divide-frozen")
+    outcomes = set()
+    for _ in range(400):
+        nvars = rng.randint(1, 4)
+        v = integer_form(rng, nvars)
+        f = integer_terms(rng, nvars)
+        shape = rng.randrange(3)
+        if shape:  # a multiple of v, or of v and another form
+            form = factorization._form(v)
+            f = engine.p_mul(f, form if shape == 1 else engine.p_mul(
+                form, factorization._form(integer_form(rng, nvars))))
+        want = frozen_divide(f, v)
+        got = factorization._divide(f, v)
+        assert got == want
+        if want is not None:
+            # the same terms in the same sequence
+            assert list(got.items()) == list(want.items())
+        outcomes.add(want is None)
+    assert outcomes == {True, False}

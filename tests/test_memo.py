@@ -4,11 +4,15 @@ prime keys, reprs and JSON."""
 
 import io
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
 from divisor_forge import (
     DecompositionIncomplete,
+    Ideal,
+    Polynomial,
     QuotientRing,
     RingMap,
     WeilDivisor,
@@ -17,6 +21,7 @@ from divisor_forge import (
     polynomial,
     symbolic_power,
 )
+from divisor_forge import ideals
 from divisor_forge.cli import run_text
 from divisor_forge.geometry import extend_ideal
 
@@ -197,3 +202,91 @@ def test_the_ring_dimension_is_a_memo_entry(monkeypatch):
     # an ideal's dimension is its own entry, next to the ring's
     assert ideal(R, "x", "z").height() == 1
     assert ("dim", ideal(R, "x", "z").key) in R.memo
+
+
+# ---------------------------------------------------------------------------
+# the ("gb", probe) entries: each holds the basis and its key
+
+CONE4 = ("x", "y", "u", "v"), ("x*y - u*v",)
+KEY_RINGS = {"cone": CONE, "cone4": CONE4, "plane": PLANE}
+
+
+def seeded_gens(rng, nvars):
+    """Two to four nonzero term dicts of squarefree monomials and squares
+    of variables, with int and Fraction coefficients."""
+    gens = []
+    for _ in range(rng.randint(2, 4)):
+        terms = {}
+        while not terms:
+            for _ in range(rng.randint(1, 3)):
+                m = tuple(rng.randint(0, 1) for _ in range(nvars))
+                if sum(m) < 2 and rng.random() < 0.5:
+                    m = tuple(2 * e for e in m)
+                terms[m] = rng.choice(
+                    [1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+        gens.append(terms)
+    return gens
+
+
+def key_of(R, gens):
+    return Ideal(R, [Polynomial(R, g) for g in gens]).key
+
+
+def gb_entries(R):
+    return {probe: value for probe, value in R.memo.items()
+            if probe[0] == "gb"}
+
+
+def test_keys_agree_on_cold_and_warm_rings():
+    rng = random.Random("memo-keys")
+    for name, ring in KEY_RINGS.items():
+        lists = [seeded_gens(rng, len(ring[0])) for _ in range(12)]
+        cold_ring = QuotientRing(*ring)
+        cold = [key_of(cold_ring, gens) for gens in lists]
+        warm_ring = QuotientRing(*ring)
+        # the warm-up asks for each list reordered and with every int
+        # coefficient an equal Fraction (2 as Fraction(2))
+        for gens in lists:
+            key_of(warm_ring, gens[::-1])
+            key_of(warm_ring, [{m: Fraction(c) for m, c in g.items()}
+                               for g in gens])
+        before = len(warm_ring.memo)
+        assert [key_of(warm_ring, gens) for gens in lists] == cold, name
+        # every list was served by the entry its variants made
+        assert len(warm_ring.memo) == before, name
+
+
+def test_a_duplicated_generator_makes_its_own_entry():
+    for ring in KEY_RINGS.values():
+        R = QuotientRing(*ring)
+        x, y = R.variables()[:2]
+        once, twice = Ideal(R, [x, y * y]), Ideal(R, [y * y, x, y * y])
+        assert once.key == twice.key
+        assert len(gb_entries(R)) == 2
+
+
+def test_the_stored_key_is_the_canonical_basis():
+    rng = random.Random("memo-stored-keys")
+    for ring in KEY_RINGS.values():
+        R = QuotientRing(*ring)
+        made = [Ideal(R, [Polynomial(R, g) for g in seeded_gens(rng, R.nvars)])
+                for _ in range(8)]
+        for I in made:
+            assert I.key == tuple(
+                engine.canonical(g, R.key) for g in I.groebner)
+        entries = gb_entries(R)
+        # each ideal holds the basis and the key of an entry, and every
+        # entry came from one of them
+        stored = {id(gb): key for gb, key in entries.values()}
+        assert stored.keys() == {id(I.groebner) for I in made}
+        assert all(stored[id(I.groebner)] is I.key for I in made)
+        for gb, key in entries.values():
+            assert key == tuple(engine.canonical(g, R.key) for g in gb)
+
+
+def test_equal_term_dicts_share_one_factorization():
+    R = QuotientRing(*CONE)
+    terms = {(1, 0, 0): 2, (0, 0, 1): -1}
+    same = {(0, 0, 1): Fraction(-1), (1, 0, 0): Fraction(2)}
+    assert ideals._factor(R, terms) is ideals._factor(R, same)
+    assert len([p for p in R.memo if p[0] == "factor"]) == 1

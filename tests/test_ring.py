@@ -89,6 +89,12 @@ def test_grading_positivity():
         bad.require_positive()
 
 
+def test_grading_repr():
+    assert repr(Grading([(1, 2), (0, Fraction(4, 2))])) == (
+        "Grading(((1, 2), (0, 2)))")
+    assert repr(Grading.standard(3)) == "Grading(((1, 1, 1),))"
+
+
 def first_positive_combination(rows):
     """The witness the search has always returned: the first nonzero w in
     {0..4}^k, in itertools.product order, with w*A positive in every
