@@ -44,7 +44,8 @@ from .fractional import FractionalIdeal, reflexify
 from .geometry import base_locus, map_to_projective_space, pullback
 from .ideals import Ideal, symbolic_power
 from .parsing import ExprParser, tokenize
-from .ring import Grading, Polynomial, QuotientRing, RingMap, as_int, kind
+from .ring import (
+    Evaluator, Grading, Polynomial, QuotientRing, RingMap, as_int, constant)
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +160,12 @@ def _coerce(kind, value, what):
 WORK_BUDGET = 2 * 10**6
 
 
-class Session:
-    """Named bindings plus the graded default, and the evaluation of
-    expressions over them; bindings replace, never mutate."""
+class Session(Evaluator):
+    """Named bindings and the graded default, over which ring.Evaluator reads
+    a script's expressions; bindings replace, never mutate."""
+
+    SCALABLE = Evaluator.SCALABLE + (WeilDivisor,)
+    POWERS = (Polynomial, Ideal)
 
     def __init__(self, graded=False):
         self.bindings = {}
@@ -171,17 +175,18 @@ class Session:
 
     # -- name resolution ----------------------------------------------------
 
-    def lookup(self, name):
-        if name in self.bindings:
-            return self.bindings[name]
-        if name == "true":
-            return True
-        if name == "false":
-            return False
-        ring = self.current_ring
-        if ring is not None and name in ring.names:
-            return ring.variable(ring.names.index(name))
-        raise ScriptError("unbound identifier %r" % name)
+    def literal(self, n, ring):
+        return n
+
+    def name(self, name, ring):
+        """A variable of ring, a binding, a bool, a current ring variable."""
+        if ring is None or name not in ring.names:
+            if name in self.bindings or name in ("true", "false"):
+                return self.bindings.get(name, name == "true")
+            ring = self.current_ring
+            if ring is None or name not in ring.names:
+                raise ScriptError("unbound identifier %r" % name)
+        return super().name(name, ring)
 
     def need_ring(self):
         ring = self.current_ring
@@ -189,51 +194,7 @@ class Session:
             raise ScriptError("no current ring; declare one with `ring`")
         return ring
 
-    # -- expressions --------------------------------------------------------
-
-    def eval(self, node, ring=None):
-        kind = node[0]
-        if kind == "int":
-            return node[1]
-        if kind == "name":
-            if ring is not None and node[1] in ring.names:
-                return ring.variable(ring.names.index(node[1]))
-            return self.lookup(node[1])
-        if kind == "neg":
-            return self._neg(self.eval(node[1], ring))
-        if kind == "ops":
-            value = self.eval(node[1], ring)
-            for op, operand in node[2]:
-                value = self._binop(op, value, self.eval(operand, ring))
-            return value
-        if kind == "call":
-            return self.call(node[1], node[2], node[3], ring)
-        if kind == "table":
-            return self._divisor_table(node[1], ring)
-        raise ScriptError("cannot evaluate %r" % (node,))
-
-    def _neg(self, a):
-        if isinstance(a, (int, Fraction, Polynomial, WeilDivisor)):
-            return -a
-        raise ScriptError("cannot negate %s" % kind(a))
-
-    def _binop(self, op, a, b):
-        types = {type(a), type(b)}
-        if engine.budget is not None and types <= {int, Fraction} and (
-                op in "*/" or op in "+-" and Fraction in types):
-            engine.charge_product((a,), (b,))  # number arithmetic
-        try:
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a + self._neg(b)
-            if op == "*":
-                return self._mul(a, b)
-            if op == "/":
-                return self._div(a, b)
-            return self._pow(a, b)  # the parser's one other operator, ^
-        except (TypeError, ZeroDivisionError) as exc:
-            raise ScriptError(str(exc)) from exc
+    # -- ideals and fractional ideals under * and ^ -------------------------
 
     def _mul(self, a, b):
         if isinstance(a, FractionalIdeal) and isinstance(b, FractionalIdeal):
@@ -244,31 +205,12 @@ class Session:
             return Ideal(a.ring, [a]) * b
         return a * b
 
-    def _div(self, a, b):
-        if isinstance(a, (int, Fraction, Polynomial, WeilDivisor)) and \
-                isinstance(b, (int, Fraction)):
-            if not b:
-                raise ScriptError("division by zero")
-            return a * (Fraction(1) / Fraction(b))
-        raise ScriptError("unsupported division")
-
     def _pow(self, a, b):
-        n = as_int(b, "an exponent")
         if isinstance(a, FractionalIdeal):
-            return a.power(n)
-        if isinstance(a, (Ideal, Polynomial)):
-            if n < 0:
-                raise ScriptError("negative power of an ideal element")
-            return a ** n
-        if isinstance(a, (int, Fraction)):
-            if n < 0 and a == 0:
-                raise ScriptError("division by zero")
-            base = Fraction(1) / a if n < 0 else +a  # +True is 1
-            return engine.power(base, abs(n),
-                                lambda x, y: self._binop("*", x, y), base ** 0)
-        raise ScriptError("cannot raise %s to a power" % kind(a))
+            return a.power(constant(b))
+        return super()._pow(a, b)
 
-    # -- divisor table -------------------------------------------------------
+    # -- calls and divisor tables --------------------------------------------
 
     def _divisor_table(self, entries, ring):
         coeffs, primes = [], []
@@ -278,10 +220,12 @@ class Session:
                                   "a divisor table entry"))
         return WeilDivisor.from_primes(coeffs, primes)
 
-    # -- calls ---------------------------------------------------------------
-
-    def call(self, name, arg_nodes, kw_nodes, ring=None):
-        """Check a call against its `_FUNCTIONS` entry, then make it."""
+    def call(self, node, ring):
+        """A divisor table, or a call checked against its `_FUNCTIONS`
+        entry and then made."""
+        if node[0] == "table":
+            return self._divisor_table(node[1], ring)
+        _, name, arg_nodes, kw_nodes = node
         if name not in _FUNCTIONS:
             raise ScriptError("unknown function %r" % name)
         kinds, keywords, target = _FUNCTIONS[name]

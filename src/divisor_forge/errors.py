@@ -91,7 +91,7 @@ class WorkExceeded(Refusal):
 
 
 class ScriptError(DivisorForgeError):
-    """Error while parsing or executing a script."""
+    """Error while parsing or evaluating a script or an expression."""
 
 
 class ParseError(ScriptError):

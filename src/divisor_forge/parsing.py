@@ -2,9 +2,9 @@
 
 The expression grammar covers `+ - * / ^` with integer literals,
 parenthesization, identifiers, calls `name(args, kw=value)` and divisor
-tables `divisor{coeff: expr, ...}`.  Polynomial parsing is expression
-parsing followed by evaluation in an environment where identifiers resolve
-to ring variables.
+tables `divisor{coeff: expr, ...}`.  One evaluator, ring.Evaluator, reads
+the trees: `polynomial()` with names as ring variables, and scripts
+through its subclass cli.Session, which adds calls and tables.
 """
 
 import re

@@ -13,7 +13,8 @@ from numbers import Number
 
 from . import engine, parsing
 from .engine import grevlex_key
-from .errors import DivisorForgeError, GradingNotPositive, RingMismatch
+from .errors import (
+    DivisorForgeError, GradingNotPositive, RingMismatch, ScriptError)
 
 
 def kind(value):
@@ -399,54 +400,107 @@ class RingMap:
 
 
 # ---------------------------------------------------------------------------
-# parsing and printing
+# parsing, evaluation and printing
 
 def polynomial(ring, text):
-    """Parse polynomial syntax (`+ - * / ^`, integer literals) in a ring."""
+    """Parse polynomial syntax (`+ - * / ^`, integer literals) in a ring,
+    under the arithmetic of Evaluator."""
     node = parsing.parse_expression(text)
-    return _eval_poly(node, ring)
+    return ring.element(Evaluator().eval(node, ring), None)
 
 
-def _eval_poly(node, ring):
-    kind = node[0]
-    if kind == "int":
-        return ring.one() * node[1]
-    if kind == "name":
+def constant(value):
+    """value, or its number if it is a ring element of constant normal form."""
+    if isinstance(value, Polynomial) and value.is_constant():
+        return value.nf_terms().get((0,) * value.ring.nvars, 0)
+    return value
+
+
+class Evaluator:
+    """Arithmetic over `int`, `name`, `neg` and `ops` nodes, for polynomial()
+    (a literal is a constant of the ring, a name a variable) and scripts
+    (cli.Session).  The divisor of `/`, the exponent of `^` and the base of
+    a negative power are read by constant().  Under a work budget a number
+    product, quotient or sum with a Fraction is priced as the engine prices
+    a product of one term by one."""
+
+    SCALABLE = (int, Fraction, Polynomial)  # negated, divided by a number
+    POWERS = (Polynomial,)  # raised to an exponent n >= 0
+
+    def eval(self, node, ring=None):
+        tag = node[0]
+        if tag == "int":
+            return self.literal(node[1], ring)
+        if tag == "name":
+            return self.name(node[1], ring)
+        if tag == "neg":
+            return self._neg(self.eval(node[1], ring))
+        if tag == "ops":
+            value = self.eval(node[1], ring)
+            for op, operand in node[2]:
+                value = self._binop(op, value, self.eval(operand, ring))
+            return value
+        return self.call(node, ring)
+
+    def literal(self, n, ring):
+        return ring.element(n, None)
+
+    def name(self, name, ring):
+        if name not in ring.names:
+            raise DivisorForgeError("unknown variable %r in %r" % (name, ring))
+        return ring.variable(ring.names.index(name))
+
+    def call(self, node, ring):
+        raise DivisorForgeError("unsupported syntax in polynomial")
+
+    def _neg(self, a):
+        if isinstance(a, self.SCALABLE):
+            return -a
+        raise ScriptError("cannot negate %s" % kind(a))
+
+    def _binop(self, op, a, b):
+        types = {type(a), type(b)}
+        if engine.budget is not None and types <= {int, Fraction} and (
+                op in "*/" or op in "+-" and Fraction in types):
+            engine.charge_product((a,), (b,))  # number arithmetic
         try:
-            i = ring.names.index(node[1])
-        except ValueError:
-            raise DivisorForgeError(
-                "unknown variable %r in %r" % (node[1], ring)) from None
-        return ring.variable(i)
-    if kind == "neg":
-        return -_eval_poly(node[1], ring)
-    if kind == "ops":
-        x = _eval_poly(node[1], ring)
-        for op, operand in node[2]:
-            x = _apply_op(op, x, _eval_poly(operand, ring))
-        return x
-    raise DivisorForgeError("unsupported syntax in polynomial")
+            if op == "+":
+                return a + b
+            if op == "-":
+                return a + self._neg(b)
+            if op == "*":
+                return self._mul(a, b)
+            if op == "/":
+                return self._div(a, b)
+            return self._pow(a, b)  # the parser's one other operator, ^
+        except (TypeError, ZeroDivisionError) as exc:
+            raise ScriptError(str(exc)) from exc
 
+    def _mul(self, a, b):
+        return a * b
 
-def _apply_op(op, x, y):
-    if op == "+":
-        return x + y
-    if op == "-":
-        return x - y
-    if op == "*":
-        return x * y
-    # '^' and '/' take a rational constant
-    c = y.nf_terms().get((0,) * y.ring.nvars, 0) \
-        if y.is_constant() else None
-    if op == "^":
-        if c is None or c.denominator != 1:
-            raise DivisorForgeError("exponent must be an integer")
-        return x ** int(c)
-    if c is None:
-        raise DivisorForgeError("division only by nonzero rational constants")
-    if not c:
-        raise DivisorForgeError("division by zero")
-    return x * engine.coeff_div(1, c)
+    def _div(self, a, b):
+        if isinstance(a, self.SCALABLE):
+            b = constant(b)
+            if isinstance(b, (int, Fraction)):
+                if not b:
+                    raise ScriptError("division by zero")
+                return a * (Fraction(1) / Fraction(b))
+        raise ScriptError("unsupported division")
+
+    def _pow(self, a, b):
+        n = as_int(constant(b), "an exponent")
+        if n < 0:
+            a = constant(a)
+        if isinstance(a, self.POWERS):
+            if n < 0:
+                raise ScriptError("negative power of an ideal element")
+            return a ** n
+        if isinstance(a, (int, Fraction)):
+            base = self._div(1, a) if n < 0 else +a  # +True is 1
+            return engine.power(base, abs(n),
+                                lambda x, y: self._binop("*", x, y), base ** 0)
+        raise ScriptError("cannot raise %s to a power" % kind(a))
 
 
 def _format_mono(m, names):

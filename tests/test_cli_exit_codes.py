@@ -10,15 +10,21 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from divisor_forge import cli, engine, errors, factorization
 from divisor_forge.cli import (
     _FUNCTIONS, WORK_BUDGET, Session, _exit_code,
-    execute_script, main, parse_script, repl, run_text)
+    execute_script, main, parse_script, render_outputs, repl, run_text)
+from divisor_forge.divisors import WeilDivisor
+from divisor_forge.errors import ScriptError
 from divisor_forge.factorization import MAX_COEFF_BITS
-from divisor_forge.parsing import MAX_DEPTH
+from divisor_forge.fractional import FractionalIdeal
+from divisor_forge.ideals import Ideal
+from divisor_forge.parsing import MAX_DEPTH, parse_expression
+from divisor_forge.ring import Polynomial, as_int, kind
 
 from script_format import format_script
 
@@ -582,6 +588,134 @@ def test_script_errors_get_their_exit_code(script, code, first_line):
     got, out, err = run(script + "\n")
     assert (got, err.partition("\n")[0]) == (code, first_line)
     assert bool(out) == (code == 0)
+
+
+# The script arithmetic of cli.Session before it moved into ring.Evaluator,
+# frozen: the reference the operator grid below compares the evaluator with.
+
+def ref_neg(a):
+    if isinstance(a, (int, Fraction, Polynomial, WeilDivisor)):
+        return -a
+    raise ScriptError("cannot negate %s" % kind(a))
+
+
+def ref_binop(op, a, b):
+    types = {type(a), type(b)}
+    if engine.budget is not None and types <= {int, Fraction} and (
+            op in "*/" or op in "+-" and Fraction in types):
+        engine.charge_product((a,), (b,))  # number arithmetic
+    try:
+        if op == "+":
+            return a + b
+        if op == "-":
+            return a + ref_neg(b)
+        if op == "*":
+            return ref_mul(a, b)
+        if op == "/":
+            return ref_div(a, b)
+        return ref_pow(a, b)  # the parser's one other operator, ^
+    except (TypeError, ZeroDivisionError) as exc:
+        raise ScriptError(str(exc)) from exc
+
+
+def ref_mul(a, b):
+    if isinstance(a, FractionalIdeal) and isinstance(b, FractionalIdeal):
+        return a.product(b)
+    if isinstance(a, Ideal) and isinstance(b, Polynomial):
+        return a * Ideal(b.ring, [b])
+    if isinstance(a, Polynomial) and isinstance(b, Ideal):
+        return Ideal(a.ring, [a]) * b
+    return a * b
+
+
+def ref_div(a, b):
+    if isinstance(a, (int, Fraction, Polynomial, WeilDivisor)) and \
+            isinstance(b, (int, Fraction)):
+        if not b:
+            raise ScriptError("division by zero")
+        return a * (Fraction(1) / Fraction(b))
+    raise ScriptError("unsupported division")
+
+
+def ref_pow(a, b):
+    n = as_int(b, "an exponent")
+    if isinstance(a, FractionalIdeal):
+        return a.power(n)
+    if isinstance(a, (Ideal, Polynomial)):
+        if n < 0:
+            raise ScriptError("negative power of an ideal element")
+        return a ** n
+    if isinstance(a, (int, Fraction)):
+        if n < 0 and a == 0:
+            raise ScriptError("division by zero")
+        base = Fraction(1) / a if n < 0 else +a  # +True is 1
+        return engine.power(base, abs(n), lambda x, y: ref_binop("*", x, y),
+                            base ** 0)
+    raise ScriptError("cannot raise %s to a power" % kind(a))
+
+
+# one value of each kind a script computes, by name; c is the constant
+# ring element 2, which the evaluator reads as the number 2 where it takes
+# a number
+OPERANDS = HEADER + (
+    "i = 3; q = 2/3; b = true; c = y - y + 2; I = ideal(x, y); F = OO(D);\n"
+    "k = isCartier(D); map f : R -> R = (x, y, z);\n")
+LEFT = ["i", "q", "b", "x", "c", "I", "F", "D", "k", "f", "R"]
+RIGHT = LEFT + [-1, 0, 2, Fraction(1, 2)]
+
+
+def _outcome(compute):
+    """What a script prints for compute()'s value, or its error's type and
+    message."""
+    try:
+        with engine.work_budget(WORK_BUDGET):
+            value = compute()
+            return render_outputs([{"index": 1, "kind": "print", "line": 1,
+                                    "column": 1, "result": value}])
+    except errors.DivisorForgeError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.fixture(scope="module")
+def operands():
+    session = Session()
+    execute_script(parse_script(OPERANDS), session, OPERANDS)
+    return session
+
+
+def _value(session, name):
+    return session.name(name, None) if isinstance(name, str) else name
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/", "^"])
+def test_the_evaluator_keeps_the_script_arithmetic(operands, op):
+    """Every operator on every pair of operand kinds gives what the frozen
+    script arithmetic gave, value or message, except where that refused
+    the constant c as a divisor, an exponent or the base of a negative
+    power: there it gives the reference's answer for the number 2."""
+    session, changed = operands, []
+    for left in LEFT:
+        for right in RIGHT:
+            a, b = _value(session, left), _value(session, right)
+            session.bindings.update(a=a, b=b)
+            got = _outcome(lambda: session.eval(parse_expression(
+                "a %s b" % op)))
+            want = _outcome(lambda: ref_binop(op, a, b))
+            read = (op == "/" and right == "c" and isinstance(
+                a, (int, Fraction, Polynomial, WeilDivisor))) or (
+                op == "^" and (right == "c" or left == "c" and right == -1))
+            if read:
+                assert isinstance(want, tuple), (left, op, right, want)
+                changed.append((left, right))
+                want = _outcome(lambda: ref_binop(
+                    op, 2 if left == "c" and right == -1 else a,
+                    2 if right == "c" else b))
+            assert got == want, (left, op, right)
+    assert len(changed) == {"/": 6, "^": 12}.get(op, 0)
+    for left in LEFT:
+        a = session.bindings["a"] = _value(session, left)
+        assert _outcome(lambda: session.eval(parse_expression("-a"))) == \
+            _outcome(lambda: ref_neg(a)), left
 
 
 def test_run_reads_a_script_from_stdin(monkeypatch, capsys):

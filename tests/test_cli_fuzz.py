@@ -7,16 +7,20 @@ to 3 or up to 10^6, and symbolicPower calls nested in one another.  Every
 script must end in an exit code of the contract (the work budget ends what
 would run on), `run_text` must return rather than raise (so `main` never
 prints a traceback), and the printed form of every accepted script must
-parse back to the same tree.
+parse back to the same tree.  And the library's `polynomial()` and a
+script's `print` read the same arithmetic alike: on expressions over
+literals, x, y and the constant y - y + 2, each gives the same text or
+the same message.
 """
 
 import io
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from divisor_forge import QuotientRing, polynomial
 from divisor_forge.cli import _FUNCTIONS, parse_script, run_text
-from divisor_forge.errors import ParseError
+from divisor_forge.errors import DivisorForgeError, ParseError
 
 from script_format import format_script
 
@@ -93,3 +97,35 @@ def test_printing_parses_back_to_the_same_tree(text):
     printed = format_script(statements)
     assert _trees(parse_script(printed)) == _trees(statements)
     assert format_script(parse_script(printed)) == printed
+
+
+ARITHMETIC_RINGS = {"QQ[x,y]": QuotientRing(("x", "y")),
+                    "QQ[x,y,z] / (x*y - z^2)": QuotientRing(
+                        ("x", "y", "z"), ("x*y - z^2",))}
+ARITHMETIC_LEAVES = st.sampled_from(["0", "1", "2", "3", "x", "y",
+                                     "(y - y + 2)"])
+POWERS = st.builds("({})^{}".format, ARITHMETIC_LEAVES, st.one_of(
+    st.integers(-2, 3).map(str), st.just("(y - y + 2)")))
+# a power's base is a leaf, so no power of a power makes a large degree
+ARITHMETIC = st.recursive(
+    st.one_of(ARITHMETIC_LEAVES, POWERS),
+    lambda terms: st.builds("({} {} {})".format, terms,
+                            st.sampled_from("+-*/"), terms),
+    max_leaves=6)
+
+
+@FUZZ
+@given(st.sampled_from(sorted(ARITHMETIC_RINGS)), ARITHMETIC)
+@example("QQ[x,y]", "(x)^-1")
+@example("QQ[x,y]", "(x / y)")
+@example("QQ[x,y]", "((2)^-1 * x)")
+def test_polynomial_and_scripts_agree_on_arithmetic(ring, text):
+    try:
+        want = "o1 = %r\n" % polynomial(ARITHMETIC_RINGS[ring], text)
+    except DivisorForgeError as exc:
+        want = str(exc)
+    out, err = io.StringIO(), io.StringIO()
+    run_text("ring R = %s;\nprint %s;\n" % (ring, text), out=out, err=err)
+    got = out.getvalue() or err.getvalue().partition("\n")[0].partition(
+        "error: 2:1: ")[2]
+    assert got == want

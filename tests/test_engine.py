@@ -8,6 +8,38 @@ import pytest
 from divisor_forge import WorkExceeded, engine
 
 
+# Every test runs under engine.work_budget, so a broken pair criterion or
+# power loop fails as WorkExceeded within seconds instead of growing without
+# bound.  A test's budget is four times the units it spends, rounded up (the
+# spend in parentheses).  The two tests of the budget itself set their own
+# budgets and run without one: one asserts that none is set on entry, the
+# other that nothing is charged outside a budget.
+BUDGETS = {
+    "test_grevlex_basic_order": 0,
+    "test_arithmetic_ring_axioms": 34_000,  # (8,398)
+    "test_power_matches_repeated_product": 4_800,  # (1,183)
+    "test_power_returns_the_dict_of_its_own_loop": 46_000,  # (11,500)
+    "test_buchberger_known_basis": 40,  # (10)
+    "test_buchberger_criterion_oracle": 30_000,  # (7,363)
+    "test_buchberger_deterministic_and_reduced": 6_000,  # (1,491)
+    "test_normal_form_is_idempotent_and_linear": 3_700,  # (905)
+    "test_unit_ideal_detection": 32,  # (8)
+    "test_lt_dimension_examples": 24,  # (6)
+    "test_a_work_budget_holds_only_inside_its_block": None,
+    "test_fraction_sums_are_charged_as_one_term_products": None,
+}
+
+
+@pytest.fixture(autouse=True)
+def budgeted(request):
+    units = BUDGETS[request.function.__name__]
+    if units is None:
+        yield
+        return
+    with engine.work_budget(units):
+        yield
+
+
 def P(d):
     return {m: Fraction(c) for m, c in d.items() if c}
 
