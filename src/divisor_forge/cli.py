@@ -44,8 +44,7 @@ from .fractional import FractionalIdeal, reflexify
 from .geometry import base_locus, map_to_projective_space, pullback
 from .ideals import Ideal, symbolic_power
 from .parsing import ExprParser, tokenize
-from .ring import (
-    Evaluator, Grading, Polynomial, QuotientRing, RingMap, as_int, constant)
+from .ring import Evaluator, Grading, Polynomial, QuotientRing, RingMap, as_int
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +164,7 @@ class Session(Evaluator):
     a script's expressions; bindings replace, never mutate."""
 
     SCALABLE = Evaluator.SCALABLE + (WeilDivisor,)
-    POWERS = (Polynomial, Ideal)
+    POWERS = (Polynomial, Ideal, FractionalIdeal)
 
     def __init__(self, graded=False):
         self.bindings = {}
@@ -194,7 +193,7 @@ class Session(Evaluator):
             raise ScriptError("no current ring; declare one with `ring`")
         return ring
 
-    # -- ideals and fractional ideals under * and ^ -------------------------
+    # -- ideals and fractional ideals under * -------------------------------
 
     def _mul(self, a, b):
         if isinstance(a, FractionalIdeal) and isinstance(b, FractionalIdeal):
@@ -204,11 +203,6 @@ class Session(Evaluator):
         if isinstance(a, Polynomial) and isinstance(b, Ideal):
             return Ideal(a.ring, [a]) * b
         return a * b
-
-    def _pow(self, a, b):
-        if isinstance(a, FractionalIdeal):
-            return a.power(constant(b))
-        return super()._pow(a, b)
 
     # -- calls and divisor tables --------------------------------------------
 

@@ -25,14 +25,14 @@ from .ideals import (
     max_symbolic_containment,
     minimal_height_one_primes,
 )
-from .ring import Polynomial
+from .ring import Polynomial, shown
 
 
 def _scalar(c):
     """c, when it is a coefficient: an int or a Fraction, and not a bool."""
     if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
         raise DivisorForgeError("a divisor coefficient must be an int or a "
-                                "Fraction, not %s" % (c,))
+                                "Fraction, not %s" % shown(c))
     return c
 
 

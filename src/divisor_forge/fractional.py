@@ -87,14 +87,12 @@ class FractionalIdeal:
     def product(self, other):
         """Reflexive product: multiply and take the reflexive hull."""
         self._check_ring(other)
-        return FractionalIdeal(
-            reflexify(self.numerator * other.numerator),
-            self.denominator * other.denominator,
-        )
+        return FractionalIdeal(reflexify(self.numerator * other.numerator),
+                               self.denominator * other.denominator)
 
     def power(self, n):
-        """Reflexive power; negative exponents dualize first.  Bracket powers
-        of the numerator suffice because the hull is taken afterwards."""
+        """Reflexive power, also F ** n; negative exponents dualize first.
+        Bracket powers of the numerator suffice: the hull is taken after."""
         n = as_int(n, "an exponent")
         if n == 0:
             return FractionalIdeal.unit(self.ring)
@@ -102,10 +100,10 @@ class FractionalIdeal:
         n = abs(n)
         if n == 1:
             return base.reflexive_hull()
-        return FractionalIdeal(
-            reflexify(base.numerator.bracket_power(n)),
-            base.denominator**n,
-        )
+        return FractionalIdeal(reflexify(base.numerator.bracket_power(n)),
+                               base.denominator**n)
+
+    __pow__ = power
 
     def contains_fraction(self, num, den):
         """Membership of num/den, by cross-multiplied ideal membership."""

@@ -15,6 +15,7 @@ from .errors import (
     HeightNotOne,
     Refusal,
     RingMismatch,
+    ScriptError,
 )
 from .ring import Polynomial, as_int
 
@@ -161,7 +162,7 @@ class Ideal:
     def __pow__(self, n):
         n = as_int(n, "an exponent")
         if n < 0:
-            raise DivisorForgeError("negative ideal power")
+            raise ScriptError("negative power of an ideal element")
 
         def times(A, B):
             # each distinct product once: ideal(x, y)**n keeps n + 1 generators

@@ -7,6 +7,7 @@ as ambient representatives; `normal_form` gives the unique canonical
 representative modulo the defining ideal.
 """
 
+import sys
 from fractions import Fraction
 from itertools import product
 from numbers import Number
@@ -23,15 +24,22 @@ def kind(value):
     return ("an " if name[0] in "AEIOUaeiou" else "a ") + name
 
 
+def shown(value):
+    """value as a refusal shows it: a number, or its size when CPython cannot
+    print it; any other value only by its kind."""
+    try:
+        return str(value) if isinstance(value, Number) else kind(value)
+    except ValueError:  # CPython's cap on int -> str conversion
+        return "a number of more than %d digits" % sys.get_int_max_str_digits()
+
+
 def as_int(n, what):
     """n as an int, when it is an int or an integral Fraction; anything else,
-    a float or a bool included, is a DivisorForgeError naming what n is: n
-    itself when it is a number, else its kind (n is never formatted)."""
+    a float or a bool included, is a DivisorForgeError showing n."""
     if isinstance(n, (int, Fraction)) and not isinstance(n, bool) \
             and n.denominator == 1:
         return int(n)
-    raise DivisorForgeError("%s must be an integer, not %s" % (
-        what, n if isinstance(n, Number) else kind(n)))
+    raise DivisorForgeError("%s must be an integer, not %s" % (what, shown(n)))
 
 
 class Grading:
@@ -316,7 +324,7 @@ class Polynomial:
     def __pow__(self, n):
         n = as_int(n, "an exponent")
         if n < 0:
-            raise DivisorForgeError("negative polynomial power")
+            raise ScriptError("negative power of an ideal element")
         if n == 0:
             return self.ring.one()
         return Polynomial(self.ring, engine.p_pow(self.terms, n))
@@ -425,7 +433,7 @@ class Evaluator:
     a product of one term by one."""
 
     SCALABLE = (int, Fraction, Polynomial)  # negated, divided by a number
-    POWERS = (Polynomial,)  # raised to an exponent n >= 0
+    POWERS = (Polynomial,)  # raised by their own **
 
     def eval(self, node, ring=None):
         tag = node[0]
@@ -447,7 +455,8 @@ class Evaluator:
 
     def name(self, name, ring):
         if name not in ring.names:
-            raise DivisorForgeError("unknown variable %r in %r" % (name, ring))
+            raise DivisorForgeError("unknown variable %r in QQ[%s]" % (
+                name, ",".join(ring.names)))
         return ring.variable(ring.names.index(name))
 
     def call(self, node, ring):
@@ -490,11 +499,8 @@ class Evaluator:
 
     def _pow(self, a, b):
         n = as_int(constant(b), "an exponent")
-        if n < 0:
-            a = constant(a)
+        a = constant(a) if n < 0 else a
         if isinstance(a, self.POWERS):
-            if n < 0:
-                raise ScriptError("negative power of an ideal element")
             return a ** n
         if isinstance(a, (int, Fraction)):
             base = self._div(1, a) if n < 0 else +a  # +True is 1

@@ -61,6 +61,8 @@ CASES = [
     ("print 10^5000*x;", 2, DIGITS),
     ("print %s;" % ("1" * 5000), 1, DIGITS),
     # an error message that would show such a number
+    ("print x^(10^5000/3);", 2,
+     "an exponent must be an integer, not a number of more than " + DIGITS),
     ("print toWeil((1/(10^3000*10^3000))*E);", 2,
      "divisor has a non-integer coefficient of more than " + DIGITS),
     ("print toWeil((1/2)*E);", 2,
@@ -77,7 +79,7 @@ CASES = [
     # a coefficient is read before its prime, whose factorization would be
     # refused with exit 3
     ("print divisor{x: ideal(x^3 + 10^5000*y^3 + 1)};", 2,
-     "a divisor coefficient must be an int or a Fraction, not x"),
+     "a divisor coefficient must be an int or a Fraction, not a Polynomial"),
     # the twisted cubic of perfbench/scripts/refusal.df with y scaled by N:
     # its component cannot be certified, and is named without its text
     ("ring R = QQ[x,y,z,w]; N = 10^2200; D = divisor(ideal(x*z - N^2*y^2, "
@@ -379,11 +381,15 @@ def test_a_refused_exponent_names_its_kind_without_work(monkeypatch):
 @pytest.mark.parametrize("statement, message", [
     ("print -I;", "cannot negate an Ideal"),
     ("print D^2;", "cannot raise a WeilDivisor to a power"),
+    ("print divisor{I: ideal(x,y)};",
+     "a divisor coefficient must be an int or a Fraction, not an Ideal"),
+    ("print divisor{x + 10^5000: ideal(x,y)};",
+     "a divisor coefficient must be an int or a Fraction, not a Polynomial"),
 ])
 def test_a_refused_value_is_named_by_its_kind_without_work(monkeypatch,
                                                           statement, message):
     """Formatting I or D would compute minimal generators only to word the
-    refusal."""
+    refusal, and formatting x + 10^5000 would pass CPython's digit limit."""
     base = ("ring R = QQ[x,y,z]/(x^2 - y*z);\nI = ideal(x,y,z^2);\n"
             "D = divisor(x);\n")
     got, bases = run_counting_calls(monkeypatch, "buchberger", base)
@@ -553,7 +559,8 @@ BRANCHES = [
      "error: 2:1: map endpoints must be declared rings"),
     (HEADER + "use D;", 2, "error: 4:1: 'D' is not a ring"),
     (PLANE + "print divisor{x: ideal(x)};", 2,
-     "error: 2:1: a divisor coefficient must be an int or a Fraction, not x"),
+     "error: 2:1: a divisor coefficient must be an int or a Fraction, not "
+     "a Polynomial"),
     (PLANE + "print foo(x);", 2, "error: 2:1: unknown function 'foo'"),
     (PLANE + "print x^-1;", 2,
      "error: 2:1: negative power of an ideal element"),

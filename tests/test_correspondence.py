@@ -97,6 +97,10 @@ def test_graded_mode_checks_before_it_decomposes(space):
         divisor_of_fractional_ideal(F)
     with pytest.raises(DivisorForgeError, match="homogeneous denominator"):
         divisor_of_fractional_ideal(F, graded=True)
+    # a homogeneous denominator over an inhomogeneous numerator
+    F = FractionalIdeal(ideal(space, "x - 1"), polynomial(space, "x"))
+    with pytest.raises(DivisorForgeError, match="homogeneous numerator"):
+        divisor_of_fractional_ideal(F, graded=True)
 
 
 def test_sheaf_of_the_divisor_is_the_sheaf(cone3, cone4):

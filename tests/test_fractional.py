@@ -11,12 +11,16 @@ from divisor_forge import (
     Ideal,
     Polynomial,
     QuotientRing,
+    WeilDivisor,
     ideal,
     polynomial,
     reflexify,
+    sheaf_of,
     unit_ideal,
 )
+from divisor_forge.cli import Session
 from divisor_forge.fractional import smallest_generator
+from divisor_forge.parsing import parse_expression
 
 
 def random_poly(rng, ring, maxdeg=2, nterms=2):
@@ -131,6 +135,26 @@ def test_power_laws(cone3):
     # n and -n cancel
     assert F.power(2).product(F.power(-2)).equals_as_reflexive(
         FractionalIdeal.unit(cone3))
+
+
+def test_pow_is_the_reflexive_power(plane, cone3, cone4):
+    """F ** n is F.power(n) for every integer n, negative ones included, in
+    the library and in a script's `^`."""
+    divisors = [
+        WeilDivisor.from_primes([1], [ideal(cone3, "x", "z")]),
+        WeilDivisor.from_primes([1, -1], [ideal(cone4, "x", "u"),
+                                          ideal(cone4, "x", "v")]),
+        WeilDivisor.from_primes([2], [ideal(plane, "x + y")]),
+    ]
+    for D in divisors:
+        F = sheaf_of(D)
+        session = Session()
+        session.bindings["F"] = F
+        for n in range(-2, 4):
+            want = F.power(n)
+            for got in (F ** n, session.eval(parse_expression("F^(%d)" % n))):
+                assert repr(got) == repr(want), (D, n)
+                assert got.equals_as_reflexive(want), (D, n)
 
 
 def test_contains_fraction(cone3):

@@ -326,6 +326,7 @@ def test_elimination_oracle():
             assert m[0] == 0
         assert I.contains(g)
     assert E == ideal(ring, "y^3 - z^2")
+    assert I.eliminate([]) is I  # nothing to eliminate
 
 
 # -- factorization -----------------------------------------------------------
@@ -436,6 +437,8 @@ def test_max_symbolic_containment_orders(cone3, cone4):
     Q = ideal(cone4, "x", "u")
     assert max_symbolic_containment(ideal(cone4, "x"), Q) == 1
     assert max_symbolic_containment(Q ** 3, Q) == 3
+    # y is not in (x, z), so not even its first symbolic power holds it
+    assert max_symbolic_containment(ideal(cone3, "y"), P) == 0
 
 
 # -- graded pieces ------------------------------------------------------------
@@ -474,6 +477,14 @@ def test_non_integral_bracket_powers_are_refused(plane, n):
     with pytest.raises(DivisorForgeError, match="an exponent must be"):
         m.bracket_power(n)
     assert m.bracket_power(Fraction(2)).key == m.bracket_power(2).key
+
+
+def test_bracket_powers_need_a_positive_exponent(plane):
+    m = ideal(plane, "x", "y")
+    for n in (0, -1):
+        with pytest.raises(DivisorForgeError,
+                           match="^bracket power needs n >= 1$"):
+            m.bracket_power(n)
 
 
 @pytest.mark.parametrize("n", [Fraction(5, 2), 2.5, 2.0])

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,10 +17,14 @@ from divisor_forge import (
     QuotientRing,
     RingMap,
     RingMismatch,
+    ScriptError,
+    WeilDivisor,
     WorkExceeded,
     engine,
     ideal,
+    is_q_cartier,
     polynomial,
+    symbolic_power,
 )
 from divisor_forge.cli import WORK_BUDGET
 from divisor_forge.ring import as_int
@@ -52,10 +57,14 @@ def test_normal_form_unique_and_idempotent(cone3):
 def test_polynomial_parser_rejects_bad_input(plane):
     with pytest.raises(DivisorForgeError):
         polynomial(plane, "x / y")
-    with pytest.raises(DivisorForgeError):
+    with pytest.raises(DivisorForgeError,
+                       match="^unknown variable 'q' in QQ\\[x,y\\]$"):
         polynomial(plane, "q + 1")
     with pytest.raises(DivisorForgeError):
         polynomial(plane, "x ^ y")
+    with pytest.raises(DivisorForgeError,
+                       match="^unsupported syntax in polynomial$"):
+        polynomial(plane, "f(x)")
 
 
 def test_parser_round_trip_printing(plane, cone4):
@@ -274,6 +283,47 @@ def test_refusals_name_the_kind_of_a_value_that_is_not_a_number(plane):
         with pytest.raises(RingMismatch,
                            match="^an Ideal is not a ring element$"):
             build()
+
+
+def test_negative_powers_are_refused_as_scripts_refuse_them(plane):
+    """A ring element or an ideal refuses a negative exponent itself, in
+    the wording and type a script prints; a constant element is no
+    exception, though polynomial() reads the text 2^-1 as the number 1/2."""
+    for value in (polynomial(plane, "x"), ideal(plane, "x"),
+                  polynomial(plane, "2")):
+        with pytest.raises(ScriptError,
+                           match="^negative power of an ideal element$"):
+            value ** -1
+    assert polynomial(plane, "2^-1") == Fraction(1, 2)
+
+
+# CPython's cap on int -> str conversion, as a refusal names a number past it
+PAST_THE_LIMIT = "a number of more than %d digits" % (
+    sys.get_int_max_str_digits())
+
+
+def test_refusals_show_a_number_past_the_digit_limit_by_its_size(plane, cone3):
+    """A refused number that CPython cannot print, and a ring whose relation
+    it cannot print, give a DivisorForgeError and not a ValueError."""
+    huge = Fraction(10**5000, 3)
+    P = ideal(cone3, "x", "z")
+    D = WeilDivisor.from_primes([1], [P])
+    F = FractionalIdeal.from_ideal(P)
+    for refuse, what in [
+            (lambda: polynomial(plane, "x") ** huge, "an exponent"),
+            (lambda: ideal(plane, "x") ** huge, "an exponent"),
+            (lambda: F ** huge, "an exponent"),
+            (lambda: Grading([[1, huge]]), "a degree"),
+            (lambda: symbolic_power(P, huge), "an exponent"),
+            (lambda: is_q_cartier(huge, D), "a bound")]:
+        with pytest.raises(DivisorForgeError) as info:
+            refuse()
+        assert str(info.value) == "%s must be an integer, not %s" % (
+            what, PAST_THE_LIMIT)
+    ring = QuotientRing(("x", "y"), ["x - 10^5000"])
+    with pytest.raises(DivisorForgeError,
+                       match="^unknown variable 'q' in QQ\\[x,y\\]$"):
+        polynomial(ring, "q")
 
 
 def test_as_int_refuses_bools():
