@@ -7,7 +7,6 @@ widens to 'Q', and coercion back checks integrality.
 """
 
 import math
-import sys
 from fractions import Fraction
 
 from . import engine
@@ -25,7 +24,7 @@ from .ideals import (
     max_symbolic_containment,
     minimal_height_one_primes,
 )
-from .ring import Polynomial, shown
+from .ring import Polynomial, shown, written
 
 
 def _scalar(c):
@@ -206,14 +205,8 @@ class WeilDivisor:
 
     def to_integer_tier(self):
         if not self.is_integral():
-            try:
-                shown = repr(self)
-            except ValueError:  # CPython's cap on int -> str conversion
-                raise NonIntegralCoercion(
-                    "divisor has a non-integer coefficient of more than %d "
-                    "digits" % sys.get_int_max_str_digits()) from None
             raise NonIntegralCoercion(
-                "divisor has non-integer coefficients: %s" % shown)
+                "divisor has non-integer coefficients: %s" % written(self))
         return self.apply_to_coefficients(lambda c: c, "Z")
 
     def apply_to_coefficients(self, fn, tier):

@@ -4,7 +4,7 @@ from .correspondence import effective_ideal, sheaf_of
 from .divisors import WeilDivisor
 from .errors import DivisorForgeError, RingMismatch
 from .ideals import Ideal, graded_piece_basis, irrelevant_ideal
-from .ring import Grading, QuotientRing, RingMap
+from .ring import Grading, QuotientRing, RingMap, written
 
 
 def extend_ideal(phi, I):
@@ -41,7 +41,8 @@ def pullback(phi, D, strategy="primes"):
                 continue
             parts.append((sign, WeilDivisor.of_ideal(ext)))
     else:
-        raise DivisorForgeError("unknown pullback strategy %r" % (strategy,))
+        raise DivisorForgeError(
+            "unknown pullback strategy %s" % written(strategy))
     return WeilDivisor.combine(phi.target, parts, D.tier)
 
 

@@ -5,8 +5,6 @@ Every ideal of a quotient ring is handled through its full ambient preimage
 preimage is the ideal's canonical key, so ideal equality is key equality.
 """
 
-import sys
-
 from . import engine, factorization
 from .engine import elim_key
 from .errors import (
@@ -17,7 +15,7 @@ from .errors import (
     RingMismatch,
     ScriptError,
 )
-from .ring import Polynomial, as_int
+from .ring import Polynomial, as_int, written
 
 
 class Ideal:
@@ -482,14 +480,8 @@ def _decompose(I, seen=None):
         except DecompositionIncomplete:
             if verdict == "split":
                 raise
-    try:
-        shown = repr(I)
-    except ValueError:  # CPython's cap on int -> str conversion
-        raise DecompositionIncomplete(
-            "cannot split or certify a component with a coefficient of more "
-            "than %d digits" % sys.get_int_max_str_digits()) from None
     raise DecompositionIncomplete(
-        "cannot split or certify component %s" % shown)
+        "cannot split or certify component %s" % written(I))
 
 
 def minimal_height_one_primes(I):

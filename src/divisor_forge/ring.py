@@ -24,13 +24,22 @@ def kind(value):
     return ("an " if name[0] in "AEIOUaeiou" else "a ") + name
 
 
-def shown(value):
-    """value as a refusal shows it: a number, or its size when CPython cannot
-    print it; any other value only by its kind."""
+def written(value):
+    """value as a message writes it: str of a number, repr of anything else.
+    A value holding a number past CPython's cap on int -> str conversion is
+    named by that cap, and by its kind when it is not a number."""
+    number = isinstance(value, Number)
     try:
-        return str(value) if isinstance(value, Number) else kind(value)
+        return str(value) if number else repr(value)
     except ValueError:  # CPython's cap on int -> str conversion
-        return "a number of more than %d digits" % sys.get_int_max_str_digits()
+        cap = "a number of more than %d digits" % sys.get_int_max_str_digits()
+        return cap if number else "%s with %s" % (kind(value), cap)
+
+
+def shown(value):
+    """value as a refusal shows it: a number written, any other value only
+    by its kind."""
+    return written(value) if isinstance(value, Number) else kind(value)
 
 
 def as_int(n, what):
@@ -130,7 +139,8 @@ class QuotientRing:
         if not names:
             raise DivisorForgeError("need at least one variable")
         if len(set(names)) != len(names):
-            raise DivisorForgeError("duplicate variable names: %r" % (names,))
+            raise DivisorForgeError(
+                "duplicate variable names: %s" % written(names))
         self.names = names
         self.nvars = len(names)
         self.grading = grading or Grading.standard(self.nvars)
@@ -160,8 +170,8 @@ class QuotientRing:
             return self.element(rel, None).terms
         if isinstance(rel, Polynomial):
             if rel.ring.names != self.names:
-                raise RingMismatch("a relation from a ring with variables %r"
-                                   % (rel.ring.names,))
+                raise RingMismatch("a relation from a ring with variables %s"
+                                   % written(rel.ring.names))
             return rel.terms
         if not isinstance(rel, dict):
             raise DivisorForgeError("cannot read %s as a relation" % kind(rel))
@@ -170,10 +180,10 @@ class QuotientRing:
                     type(a) is int and a >= 0 for a in e)):
                 raise DivisorForgeError(
                     "a relation exponent must be a tuple of %d non-negative "
-                    "ints, not %r" % (self.nvars, e))
+                    "ints, not %s" % (self.nvars, written(e)))
             if not isinstance(c, (int, Fraction)):
                 raise DivisorForgeError("a relation coefficient must be an "
-                                        "int or a Fraction, not %r" % (c,))
+                                        "int or a Fraction, not %s" % shown(c))
         return {e: engine.coefficient(c) for e, c in rel.items() if c}
 
     # -- basics ------------------------------------------------------------
@@ -372,12 +382,10 @@ class RingMap:
         self.target = target
         self.images = [target.element(f, "image not in target ring")
                        for f in images]
-        for g in source.quotient_gb:
+        for i, g in enumerate(source.quotient_gb, 1):
             if not self._apply_raw(g).is_zero():
-                raise DivisorForgeError(
-                    "map is not well defined: defining relation %s "
-                    "does not map to zero"
-                    % format_terms(g, source.names, source.key))
+                raise DivisorForgeError("map is not well defined: defining "
+                                        "relation %d does not map to zero" % i)
 
     def _apply_raw(self, terms):
         """The image of a term dict, each power of an image made once."""

@@ -5,6 +5,7 @@ Used to solve linear diophantine systems for multidegree searches.
 """
 
 from .errors import NoSolution
+from .ring import written
 
 
 def identity(n):
@@ -113,8 +114,9 @@ def solve_diophantine(A, target):
         d = S[i][i] if i < min(k, n) else 0
         if d:
             if t[i] % d:
-                raise NoSolution("no integer solution for %r" % (target,))
+                raise NoSolution(
+                    "no integer solution for %s" % written(target))
             y[i] = t[i] // d
         elif t[i]:
-            raise NoSolution("no integer solution for %r" % (target,))
+            raise NoSolution("no integer solution for %s" % written(target))
     return [sum(V[i][j] * y[j] for j in range(n)) for i in range(n)]

@@ -64,7 +64,8 @@ CASES = [
     ("print x^(10^5000/3);", 2,
      "an exponent must be an integer, not a number of more than " + DIGITS),
     ("print toWeil((1/(10^3000*10^3000))*E);", 2,
-     "divisor has a non-integer coefficient of more than " + DIGITS),
+     "divisor has non-integer coefficients: a WeilDivisor with a number of "
+     "more than " + DIGITS),
     ("print toWeil((1/2)*E);", 2,
      "divisor has non-integer coefficients: 1/2*Div("),
     # nesting past the parser's depth bound, which used to overflow the stack
@@ -80,11 +81,15 @@ CASES = [
     # refused with exit 3
     ("print divisor{x: ideal(x^3 + 10^5000*y^3 + 1)};", 2,
      "a divisor coefficient must be an int or a Fraction, not a Polynomial"),
+    # a map that is not well defined names its relation by its position,
+    # here a - 10^5000
+    ("ring A = QQ[a]/(a - 10^5000); ring B = QQ[b]; map f : A -> B = (b);",
+     2, "map is not well defined: defining relation 1 does not map to zero"),
     # the twisted cubic of perfbench/scripts/refusal.df with y scaled by N:
-    # its component cannot be certified, and is named without its text
+    # its component cannot be certified, and is named by its kind
     ("ring R = QQ[x,y,z,w]; N = 10^2200; D = divisor(ideal(x*z - N^2*y^2, "
      "N*y*w - z^2, x*w - N*y*z));", 3,
-     "cannot split or certify a component with a coefficient of more than "
+     "cannot split or certify component an Ideal with a number of more than "
      + DIGITS),
     # number, polynomial and ideal powers, bounded by the work budget
     ("print 3^(10^9);", 3, BUDGET),
@@ -115,9 +120,6 @@ def test_refused_inputs_get_their_exit_code(statement, code, message,
 
 @pytest.mark.parametrize("json_mode", [False, True])
 @pytest.mark.parametrize("statement", [
-    # in formatting an error message: the relation a - 10^5000 does not
-    # map to zero
-    "map f : A -> B = (b);",
     "print 10^5000*x;",  # in printing a result
 ])
 def test_digit_limit_errors_get_their_location(statement, json_mode):

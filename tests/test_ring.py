@@ -8,11 +8,14 @@ from fractions import Fraction
 import pytest
 
 from divisor_forge import (
+    DecompositionIncomplete,
     DivisorForgeError,
     FractionalIdeal,
     Grading,
     GradingNotPositive,
     Ideal,
+    NoSolution,
+    NonIntegralCoercion,
     Polynomial,
     QuotientRing,
     RingMap,
@@ -21,9 +24,13 @@ from divisor_forge import (
     WeilDivisor,
     WorkExceeded,
     engine,
+    find_element_of_degree,
     ideal,
     is_q_cartier,
+    minimal_height_one_primes,
     polynomial,
+    pullback,
+    solve_diophantine,
     symbolic_power,
 )
 from divisor_forge.cli import WORK_BUDGET
@@ -324,6 +331,77 @@ def test_refusals_show_a_number_past_the_digit_limit_by_its_size(plane, cone3):
     with pytest.raises(DivisorForgeError,
                        match="^unknown variable 'q' in QQ\\[x,y\\]$"):
         polynomial(ring, "q")
+
+
+def _twisted_cubic_scaled_past_the_limit():
+    """The twisted cubic with y scaled by 10^2200: its component cannot be
+    certified, and its text would show 10^4400."""
+    R = QuotientRing(("x", "y", "z", "w"))
+    return minimal_height_one_primes(ideal(
+        R, "x*z - 10^4400*y^2", "10^2200*y*w - z^2", "x*w - 10^2200*y*z"))
+
+
+def _pullback_by_strategy(strategy):
+    R = QuotientRing(("x", "y", "z"), ("x*y - z^2",))
+    D = WeilDivisor.from_primes([1], [ideal(R, "x", "z")])
+    return pullback(RingMap.identity(R), D, strategy=strategy)
+
+
+HUGE = 10**5000
+
+
+@pytest.mark.parametrize("refuse, error, message", [
+    (lambda: RingMap(QuotientRing(("a",), ["a - 10^5000"]),
+                     QuotientRing(("b",)), ["b"]),
+     DivisorForgeError,
+     "map is not well defined: defining relation 1 does not map to zero"),
+    (lambda: solve_diophantine([[2]], [HUGE + 1]), NoSolution,
+     "no integer solution for a list with " + PAST_THE_LIMIT),
+    (lambda: find_element_of_degree(
+        QuotientRing(("x",), grading=Grading([[2]])), HUGE + 1), NoSolution,
+     "no integer solution for a tuple with " + PAST_THE_LIMIT),
+    (lambda: _pullback_by_strategy(HUGE), DivisorForgeError,
+     "unknown pullback strategy " + PAST_THE_LIMIT),
+    (lambda: QuotientRing((HUGE, HUGE)), DivisorForgeError,
+     "duplicate variable names: a tuple with " + PAST_THE_LIMIT),
+    (lambda: QuotientRing(("x", "y"), [QuotientRing((HUGE, 1)).one()]),
+     RingMismatch,
+     "a relation from a ring with variables a tuple with " + PAST_THE_LIMIT),
+    (lambda: QuotientRing(("x",), [{(HUGE, 0): 1}]), DivisorForgeError,
+     "a relation exponent must be a tuple of 1 non-negative ints, not a "
+     "tuple with " + PAST_THE_LIMIT),
+    (lambda: WeilDivisor.from_primes(
+        [Fraction(1, HUGE)], [ideal(QuotientRing(("x", "y")), "x")]
+    ).to_integer_tier(), NonIntegralCoercion,
+     "divisor has non-integer coefficients: a WeilDivisor with "
+     + PAST_THE_LIMIT),
+    (_twisted_cubic_scaled_past_the_limit, DecompositionIncomplete,
+     "cannot split or certify component an Ideal with " + PAST_THE_LIMIT),
+], ids=["ring_map", "solve_diophantine", "find_element_of_degree",
+        "pullback_strategy", "duplicate_names", "relation_from_a_ring",
+        "relation_exponent", "to_integer_tier", "decomposition"])
+def test_no_library_refusal_leaks_the_digit_limit(refuse, error, message):
+    """A message writes its subject, or names it by its kind and CPython's
+    cap on int -> str conversion: a DivisorForgeError, never the ValueError
+    of formatting a 5000-digit number."""
+    with pytest.raises(error) as info:
+        refuse()
+    assert str(info.value) == message
+
+
+def test_a_refused_relation_coefficient_is_named_without_work(
+        monkeypatch, cone3b):
+    """Formatting the ideal would compute its minimal generators, four
+    buchberger calls, only to word the refusal."""
+    I = ideal(cone3b, "x", "y", "z^2")
+    calls, real = [], engine.buchberger
+    monkeypatch.setattr(engine, "buchberger",
+                        lambda *args: calls.append(None) or real(*args))
+    with pytest.raises(DivisorForgeError) as info:
+        QuotientRing(("x", "y"), [{(1, 0): I}])
+    assert len(calls) == 0
+    assert str(info.value) == ("a relation coefficient must be an int or a "
+                               "Fraction, not an Ideal")
 
 
 def test_as_int_refuses_bools():
